@@ -25,7 +25,6 @@ from .core import (
     length_from_report,
     length_to_report,
     make_config,
-    resolve_threads,
 )
 from .hyperangular import (
     LHS_AT_ZERO,

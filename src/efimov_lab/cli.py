@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from datetime import datetime, timezone
 
@@ -165,7 +166,7 @@ def cmd_constants(ns: argparse.Namespace) -> int:
 def cmd_potential(ns: argparse.Namespace) -> int:
     cfg = make_config(ns.a, mu=ns.mu)
     grid = LogGrid.make(ns.rho_min, ns.rho_max, ns.points)
-    branch = tabulate_branch(cfg, grid, ns.branch, threads=ns.threads, tol=ns.tol)
+    branch = tabulate_branch(cfg, grid, ns.branch, tol=ns.tol)
     pot = effective_potential(branch, _make_scheme(ns.regularization, ns.R))
     tbl = pot.table()
     cols = ["rho", "x", "nu_squared", "lambda", "v_eff"]
@@ -181,7 +182,7 @@ def _spectrum_for(ns: argparse.Namespace):
         raise ConfigError(f"--rho-max must exceed --R, got {ns.rho_max} <= {ns.R}")
     cfg = make_config(ns.a, mu=ns.mu)
     grid = LogGrid.make(ns.R, ns.rho_max, ns.grid_points)
-    branch = tabulate_branch(cfg, grid, ns.branch, threads=ns.threads)
+    branch = tabulate_branch(cfg, grid, ns.branch)
     pot = effective_potential(branch, _make_scheme(ns.regularization, ns.R))
     return find_spectrum(pot, ns.rho_max, max_levels=ns.levels, tol_E=ns.tol,
                          dt=ns.dt)
@@ -356,8 +357,28 @@ def _float_pair_help(default) -> str:
     return f"(default {default})"
 
 
+def _add_threads(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--threads", type=int, default=None, metavar="N",
+                   help="accepted for compatibility and ignored: branch "
+                        "tabulation is one array solve")
+
+
+# argparse only reads '-1' and '-.5' as values; '-1e4', '-inf' and '-nan'
+# would otherwise be taken for option names
+_NEGATIVE_NUMBER = re.compile(
+    r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that takes every negative float literal as a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="efimov-lab",
         description="Zero-range three-body collapse toolkit: hyperangular "
                     "eigenvalue branches, the attractive 1/rho^2 effective "
@@ -380,8 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--branch", type=int, default=0, help="branch index (default 0)")
     p.add_argument("--regularization", choices=_SCHEMES, default="none")
     p.add_argument("--R", type=float, default=None, help="regularization radius")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads for branch tabulation (result independent of N)")
+    _add_threads(p)
     _add_common(p, 1e-10, "eigenvalue root tolerance (default 1e-10)")
     p.set_defaults(func=cmd_potential)
 
@@ -397,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="log-grid step (default 1/512)")
     p.add_argument("--grid-points", type=int, default=512,
                    help="branch tabulation points (default 512)")
-    p.add_argument("--threads", type=int, default=None)
+    _add_threads(p)
     _add_common(p, 1e-8, "relative energy tolerance (default 1e-8)")
     p.set_defaults(func=cmd_spectrum)
 
@@ -428,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="half-periods in the analytic self-test (default 6)")
     p.add_argument("--dt", type=float, default=DEFAULT_DT)
     p.add_argument("--grid-points", type=int, default=512)
-    p.add_argument("--threads", type=int, default=None)
+    _add_threads(p)
     _add_common(p, 1e-8, "relative energy tolerance for the level search (default 1e-8)")
     p.set_defaults(func=cmd_nodes)
 

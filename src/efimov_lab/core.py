@@ -12,15 +12,12 @@ from __future__ import annotations
 
 import enum
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 HBAR = 1.0
 MASS_SCALE = 1.0
-
-THREADS_ENV_VAR = "EFIMOV_LAB_THREADS"
 
 
 class EfimovLabError(Exception):
@@ -139,26 +136,6 @@ def make_config(a: float,
     return SystemConfig(scattering_length_a=float(a),
                         reduced_mass_mu=float(mu),
                         length_unit=length_unit)
-
-
-def resolve_threads(threads: int | None = None) -> int:
-    """Worker count for parallel tabulation.
-
-    An explicit argument wins; otherwise the EFIMOV_LAB_THREADS
-    environment variable is consulted, defaulting to 1.
-    """
-    if threads is None:
-        raw = os.environ.get(THREADS_ENV_VAR, "").strip()
-        if not raw:
-            return 1
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise ConfigError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}")
-    threads = int(threads)
-    if threads < 1:
-        raise ConfigError(f"thread count must be >= 1, got {threads}")
-    return threads
 
 
 def length_to_report(value, scale: float):

@@ -13,7 +13,8 @@ small x; there nu = i b and the equation continues analytically to
         / (1 - e^{-pi b}) = x,
 
 an exponentially scaled form that stays finite for every b > 0.  This
-module evaluates both forms stably, locates roots on any branch, tabulates
+module evaluates both forms stably on whole arrays, locates the roots of
+any branch at many x at once with one bracketed bisection, tabulates
 branches over log grids, and assembles the resulting effective radial
 potential (nu^2(rho) - 1/4) / (2 rho^2) with optional short-range
 regularization (hard wall or cap below a radius R).
@@ -23,11 +24,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import (
     BracketError,
@@ -37,7 +36,6 @@ from .core import (
     PoleError,
     SolverError,
     SystemConfig,
-    resolve_threads,
 )
 
 _EIGHT_OVER_SQRT3 = 8.0 / math.sqrt(3.0)
@@ -57,62 +55,81 @@ _D1 = math.pi / 2.0
 _D3 = -math.pi ** 3 / 8.0
 
 _MAX_EXPANSIONS = 60
-_BRENTQ_RTOL = 4.0 * float(np.finfo(float).eps)
 
 # poles sit at even integer nu >= 2 except nu = 4 where the numerator
 # also vanishes; branch k >= 2 lives between consecutive genuine poles
 _POLE_FLAG_DISTANCE = 1e-8
+
+# |sin(nu pi/2)| below which an evaluation counts as sitting on a pole;
+# bracketing and bisection refuse only exact poles
+_POLE_TOL = 1e-12
+_BRACKET_POLE_TOL = 1e-300
 
 # stay this far below nu^2 = 4 when bracketing branch-0 roots; the pole
 # guard in _lhs_positive trips about 2.6e-12 from the pole itself
 _BRANCH0_GAP_FLOOR = 1e-11
 
 
-def _lhs_negative(b: float) -> float:
+def _lhs_negative(b: np.ndarray) -> np.ndarray:
     """Left-hand side at s = -b^2, b > 0, safe for arbitrarily large b."""
-    pb = math.pi * b
-    em_full = -math.expm1(-pb)          # 1 - e^{-pi b}
-    em_third = -math.expm1(-pb / 3.0)   # 1 - e^{-pi b/3}
-    e_third = math.exp(-pb / 3.0)
+    pb = np.pi * b
+    em_full = -np.expm1(-pb)          # 1 - e^{-pi b}
+    em_third = -np.expm1(-pb / 3.0)   # 1 - e^{-pi b/3}
+    e_third = np.exp(-pb / 3.0)
     num = -b * (2.0 - em_full) + _EIGHT_OVER_SQRT3 * e_third * em_third
-    if em_full == 0.0:
-        # only reachable when b underflows to ~0
-        return LHS_AT_ZERO
-    return num / em_full
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # em_full vanishes only when b underflows to ~0
+        return np.where(em_full == 0.0, LHS_AT_ZERO, num / em_full)
 
 
-def _lhs_near_four(h: float) -> float:
+def _lhs_near_four(h):
     """Series for the removable point, h = nu - 4, |h| small."""
     num = _N1 + h * (0.5 * _N2 + h * (_N3 / 6.0))
     den = _D1 + h * h * (_D3 / 6.0)
     return num / den
 
 
-def _lhs_positive(nu: float, pole_tol: float) -> float:
+def _lhs_positive(nu: np.ndarray, pole_tol: float) -> np.ndarray:
     """Left-hand side at s = nu^2 > 0 with argument reduction.
 
     sin and cos of nu pi/2 are computed from the residue of nu modulo 4
     so that cancellation near large even nu does not degrade accuracy.
     """
-    if abs(nu - 4.0) <= _NEAR_FOUR_RADIUS:
-        return _lhs_near_four(nu - 4.0)
-    k = round(nu / 2.0)
+    k = np.round(nu / 2.0)
     r = nu - 2.0 * k
-    sign = -1.0 if (k % 2) else 1.0
-    sin_half = sign * math.sin(0.5 * math.pi * r)
-    cos_half = sign * math.cos(0.5 * math.pi * r)
-    m = round(nu / 12.0)
-    r6 = nu - 12.0 * m
-    sin_sixth = math.sin(math.pi / 6.0 * r6)
+    sign = 1.0 - 2.0 * (k % 2.0)
+    sin_half = sign * np.sin(0.5 * np.pi * r)
+    cos_half = sign * np.cos(0.5 * np.pi * r)
+    r6 = nu - 12.0 * np.round(nu / 12.0)
+    sin_sixth = np.sin(np.pi / 6.0 * r6)
     num = -nu * cos_half + _EIGHT_OVER_SQRT3 * sin_sixth
-    if abs(sin_half) < pole_tol:
+    h = nu - 4.0
+    near_four = np.abs(h) <= _NEAR_FOUR_RADIUS
+    # the numerator vanishes with sin(nu pi/2) at nu = 0 as well, so only
+    # k >= 1 away from nu = 4 is a genuine pole
+    pole = (np.abs(sin_half) < pole_tol) & ~near_four & (k >= 1.0)
+    if pole.any():
+        i = int(np.argmax(pole))
+        kp = int(k[i])
         raise PoleError(
-            f"eigenvalue function has a pole at nu = {2 * k} "
-            f"(nu^2 = {(2 * k) ** 2}); requested nu^2 = {nu * nu:.17g}")
-    return num / sin_half
+            f"eigenvalue function has a pole at nu = {2 * kp} "
+            f"(nu^2 = {(2 * kp) ** 2}); requested nu^2 = {nu[i] * nu[i]:.17g}")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(near_four, _lhs_near_four(h), num / sin_half)
 
 
-def eigen_lhs(nu_squared: float, pole_tol: float = 1e-12) -> float:
+def _lhs(s: np.ndarray, pole_tol: float) -> np.ndarray:
+    """Left-hand side at every s = nu^2 of a finite float array."""
+    if np.all(s < 0.0):  # the whole dimer side, no masks needed
+        return _lhs_negative(np.sqrt(-s))
+    out = np.full(s.shape, LHS_AT_ZERO)
+    neg, pos = s < 0.0, s > 0.0
+    out[neg] = _lhs_negative(np.sqrt(-s[neg]))
+    out[pos] = _lhs_positive(np.sqrt(s[pos]), pole_tol)
+    return out
+
+
+def eigen_lhs(nu_squared: float, pole_tol: float = _POLE_TOL) -> float:
     """Evaluate the hyperangular eigenvalue function at s = nu^2.
 
     Stable on both sides of s = 0 and continuous through it; raises
@@ -123,11 +140,168 @@ def eigen_lhs(nu_squared: float, pole_tol: float = 1e-12) -> float:
     s = float(nu_squared)
     if not math.isfinite(s):
         raise ConfigError(f"nu^2 must be finite, got {s!r}")
-    if s < 0.0:
-        return _lhs_negative(math.sqrt(-s))
-    if s == 0.0:
-        return LHS_AT_ZERO
-    return _lhs_positive(math.sqrt(s), pole_tol)
+    return float(_lhs(np.array([s]), pole_tol)[0])
+
+
+def _at(exc: Exception, index) -> Exception:
+    """Tag a solver error with the array element it concerns."""
+    exc.index = int(index)
+    return exc
+
+
+def _bisect(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Roots of increasing functions bracketed by f(lo) <= 0 <= f(hi).
+
+    `f(v, idx)` evaluates the functions of elements `idx` at `v`.  Every
+    element halves its own bracket until its ends are adjacent doubles or
+    f vanishes at a midpoint, so a root never depends on the other
+    elements of the batch.  Each root is the bracket end with the smaller
+    |f|.
+    """
+    roots = np.empty(lo.size)
+    idx = np.arange(lo.size)
+    flo, fhi = f(lo, idx), f(hi, idx)
+    while idx.size:
+        mid = 0.5 * (lo + hi)
+        done = (mid == lo) | (mid == hi) | (flo == 0.0) | (fhi == 0.0)
+        if done.any():
+            roots[idx[done]] = np.where(np.abs(flo[done]) <= np.abs(fhi[done]),
+                                        lo[done], hi[done])
+            keep = ~done
+            idx, lo, hi, flo, fhi, mid = (
+                idx[keep], lo[keep], hi[keep], flo[keep], fhi[keep], mid[keep])
+            if not idx.size:
+                break
+        fm = f(mid, idx)
+        # a zero at mid collapses the bracket onto it
+        up, down = fm <= 0.0, ~(fm < 0.0)
+        lo, flo = np.where(up, mid, lo), np.where(up, fm, flo)
+        hi, fhi = np.where(down, mid, hi), np.where(down, fm, fhi)
+    return roots
+
+
+def _branch0_brackets(f, x, todo, lo, hi) -> None:
+    """Fill [lo, hi] around the branch-0 root of every element in `todo`.
+
+    The left-hand side is monotone increasing on (-inf, 4), diverging to
+    +inf at the nu = 2 pole, so a bracket always exists; its sign at
+    s = 0 decides which side to expand.
+    """
+    up = todo[x[todo] >= LHS_AT_ZERO]
+    down = todo[x[todo] < LHS_AT_ZERO]
+    lo[up], hi[up] = 0.0, 2.0
+    lo[down], hi[down] = -1.0, 0.0
+    gap = np.full(x.shape, 2.0)
+    for _ in range(_MAX_EXPANSIONS):
+        if not up.size:
+            break
+        up = up[f(hi[up], up) < 0.0]
+        gap[up] *= 0.5
+        short = gap[up] < _BRANCH0_GAP_FLOOR
+        if short.any():
+            i = up[np.argmax(short)]
+            raise _at(SolverError(
+                f"branch 0 root at x = {x[i]:.17g} lies within "
+                f"{_BRANCH0_GAP_FLOOR:g} of the pole at nu^2 = 4; double "
+                "precision cannot separate them"), i)
+        hi[up] = 4.0 - gap[up]
+    for _ in range(_MAX_EXPANSIONS):
+        if not down.size:
+            break
+        down = down[f(lo[down], down) > 0.0]
+        lo[down] *= 2.0
+    for rest in (up, down):
+        if rest.size:
+            raise _at(BracketError(
+                f"no bracket found on branch 0 for x = {x[rest[0]]:.17g}"), rest[0])
+
+
+def _interval_brackets(f, x, k, todo, lo, hi) -> None:
+    """Fill [lo, hi] in s around the root of branch k >= 1 for every element in `todo`.
+
+    Between the two genuine poles bounding the branch the left-hand side
+    increases strictly from -inf to +inf (smoothly across the removable
+    point nu = 4 on branch 1), so the interval holds exactly one root;
+    each end steps toward its pole until the sign is right.
+    """
+    nu_lo, nu_hi = np.empty(x.shape), np.empty(x.shape)
+    for kk in np.unique(k[todo]):
+        sel = todo[k[todo] == kk]
+        nu_lo[sel], nu_hi[sel] = branch_interval(int(kk))
+    for edge, side, s_end, limit in ((nu_lo, 1.0, lo, "-inf"), (nu_hi, -1.0, hi, "+inf")):
+        eps = 1e-6 * (nu_hi - nu_lo)
+        s_end[todo] = (edge[todo] + side * eps[todo]) ** 2
+        left = todo
+        for _ in range(_MAX_EXPANSIONS):
+            if not left.size:
+                break
+            fv = f(s_end[left], left)
+            left = left[fv > 0.0] if side > 0.0 else left[fv < 0.0]
+            eps[left] *= 0.125
+            s_end[left] = (edge[left] + side * eps[left]) ** 2
+        if left.size:
+            i = left[0]
+            raise _at(BracketError(
+                f"no approach to {limit} near nu = {edge[i]} for x = {x[i]:.17g}"), i)
+
+
+def _polish(f, root, x, k, tol) -> tuple[np.ndarray, np.ndarray]:
+    """Check convergence at every root, reporting |f(root)| / max(1, |x|).
+
+    Near the nu = 2 pole the curve's slope grows like x^2, so one ulp of
+    root can move f by more than any fixed tolerance and no double meets
+    a plain residual test.  A root is therefore also accepted when the
+    sign change is straddled within one ulp of root, or when |f| sits
+    below the slope times a few ulps (the evaluation noise floor); the
+    honest residual is returned either way.
+    """
+    scale = np.maximum(1.0, np.abs(x))
+    cands = np.stack([root, np.nextafter(root, -np.inf), np.nextafter(root, np.inf)])
+    vals = np.stack([f(c) for c in cands])
+    best = np.argmin(np.abs(vals), axis=0)
+    cols = np.arange(root.size)
+    best_root, best_val = cands[best, cols], vals[best, cols]
+    residual = np.abs(best_val) / scale
+    straddles = (vals.min(axis=0) <= 0.0) & (vals.max(axis=0) >= 0.0)
+    rise = np.abs(vals[2] - vals[1])
+    bad = (residual > tol) & ~straddles & (np.abs(best_val) > 32.0 * rise)
+    if bad.any():
+        i = int(np.argmax(bad))
+        slope = rise[i] / (cands[2, i] - cands[1, i])
+        raise _at(SolverError(
+            f"branch {k[i]}: residual {residual[i]:.3e} exceeds tol {tol:.3e} "
+            f"at x = {x[i]:.17g} (slope {slope:.3e})"), i)
+    return best_root, residual
+
+
+def _solve(x: np.ndarray, k: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Roots nu^2 on branch k[i] at x[i], and their residuals, as one array solve.
+
+    Errors raised for a single element carry its position as `index`.
+    """
+    if not (0.0 < tol < 1.0):
+        raise ConfigError(f"tol must be in (0, 1), got {tol!r}")
+    if np.any(k < 0):
+        raise ValueError(f"branch index must be >= 0, got {int(k.min())}")
+    infinite = ~np.isfinite(x)
+    if infinite.any():
+        raise ConfigError(f"x must be finite, got {float(x[np.argmax(infinite)])!r}")
+
+    def f(s, idx):
+        return _lhs(s, _BRACKET_POLE_TOL) - x[idx]
+
+    lo, hi = np.empty(x.shape), np.empty(x.shape)
+    _branch0_brackets(f, x, np.flatnonzero(k == 0), lo, hi)
+    _interval_brackets(f, x, k, np.flatnonzero(k > 0), lo, hi)
+    root = _bisect(f, lo, hi)
+    values, residuals = _polish(lambda s: _lhs(s, _POLE_TOL) - x, root, x, k, tol)
+    near = _flag_near_pole(values) & (k > 0)
+    if near.any():
+        warnings.warn(
+            f"root nu^2 = {values[np.argmax(near)]:.12g} lies within "
+            f"{_POLE_FLAG_DISTANCE} of a pole; pole classification may be "
+            "unreliable", RuntimeWarning)
+    return values, residuals
 
 
 @dataclass(frozen=True)
@@ -148,12 +322,10 @@ def efimov_constants(tol: float = 1e-10) -> EfimovConstants:
     """Solve the resonant limit of the lowest branch for b and C."""
     if not (0.0 < tol < 1.0):
         raise ValueError(f"tol must be in (0, 1), got {tol!r}")
-
-    def f(b):
-        return _lhs_negative(b)
-
-    b = brentq(f, 0.25, 4.0, xtol=1e-15, rtol=_BRENTQ_RTOL, maxiter=256)
-    residual = abs(f(b))
+    # lhs(-b^2) falls as b grows, so bisect its negative in b directly
+    b = float(_bisect(lambda v, idx: -_lhs_negative(v),
+                      np.array([0.25]), np.array([4.0]))[0])
+    residual = abs(float(_lhs_negative(np.array([b]))[0]))
     if residual > tol:
         raise SolverError(f"resonant root residual {residual:.3e} exceeds tol {tol:.3e}")
     return EfimovConstants(b=b, C=b * b + 0.25, residual=residual)
@@ -179,90 +351,26 @@ class NuSquared:
         return self.value - 4.0
 
 
-def _flag_near_pole(s: float) -> bool:
-    if s < 0.0:
-        return False
-    nu = math.sqrt(s)
-    k = round(nu / 2.0)
-    if k < 1 or k == 2:
-        # nu = 4 is removable, nothing to misclassify there
-        return False
-    return abs(nu - 2.0 * k) <= _POLE_FLAG_DISTANCE
+def _flag_near_pole(s):
+    """Whether each s = nu^2 lies within 1e-8 (in nu) of a genuine pole."""
+    s = np.asarray(s, dtype=float)
+    nu = np.sqrt(np.maximum(s, 0.0))
+    k = np.round(nu / 2.0)
+    # nu = 4 is removable, nothing to misclassify there
+    return ((s >= 0.0) & (k >= 1.0) & (k != 2.0)
+            & (np.abs(nu - 2.0 * k) <= _POLE_FLAG_DISTANCE))
 
 
-def _polish_residual(f, root: float, x: float, tol: float, what: str) -> tuple[float, float]:
-    """Check convergence at root, reporting |f(root)| / max(1, |x|).
-
-    Near the nu = 2 pole the curve's slope grows like x^2, so one ulp of
-    root can move f by more than any fixed tolerance and no double meets
-    a plain residual test.  The root is therefore also accepted when the
-    sign change is straddled within one ulp of root, or when |f| sits
-    below the slope times a few ulps (the evaluation noise floor); the
-    honest residual is returned either way.
-    """
-    scale = max(1.0, abs(x))
-    cands = (root, float(np.nextafter(root, -np.inf)),
-             float(np.nextafter(root, np.inf)))
-    vals = tuple(f(c) for c in cands)
-    best = min(range(3), key=lambda i: abs(vals[i]))
-    best_root, best_res = cands[best], abs(vals[best]) / scale
-    if best_res > tol:
-        straddles = min(vals) <= 0.0 <= max(vals)
-        two_ulps = cands[2] - cands[1]
-        noise_floor = 32.0 * abs(vals[2] - vals[1])
-        if not straddles and abs(vals[best]) > noise_floor:
-            raise SolverError(
-                f"{what}: residual {best_res:.3e} exceeds tol {tol:.3e} "
-                f"at x = {x:.17g} (slope {abs(vals[2] - vals[1]) / two_ulps:.3e})")
-    return best_root, best_res
+def _root(value, branch_index: int, residual) -> NuSquared:
+    return NuSquared(value=float(value), branch_index=branch_index,
+                     residual=float(residual),
+                     near_pole=bool(_flag_near_pole(value)))
 
 
 def solve_branch0(x: float, tol: float = 1e-10) -> NuSquared:
-    """Root of the eigenvalue equation on the lowest branch, s = nu^2 < 4.
-
-    The left-hand side is monotone increasing on (-inf, 4), diverging to
-    +inf at the nu = 2 pole, so a bracket always exists; its sign at
-    s = 0 decides which side to expand.
-    """
-    x = float(x)
-    if not math.isfinite(x):
-        raise ConfigError(f"x must be finite, got {x!r}")
-    if not (0.0 < tol < 1.0):
-        raise ConfigError(f"tol must be in (0, 1), got {tol!r}")
-
-    def f(s):
-        return eigen_lhs(s) - x
-
-    if x >= LHS_AT_ZERO:
-        lo = 0.0
-        gap = 2.0
-        hi = 4.0 - gap
-        for _ in range(_MAX_EXPANSIONS):
-            if f(hi) >= 0.0:
-                break
-            gap *= 0.5
-            if gap < _BRANCH0_GAP_FLOOR:
-                raise SolverError(
-                    f"branch 0 root at x = {x:.17g} lies within "
-                    f"{_BRANCH0_GAP_FLOOR:g} of the pole at nu^2 = 4; double "
-                    "precision cannot separate them")
-            hi = 4.0 - gap
-        else:
-            raise BracketError(f"no bracket found on branch 0 for x = {x:.17g}")
-    else:
-        hi = 0.0
-        lo = -1.0
-        for _ in range(_MAX_EXPANSIONS):
-            if f(lo) <= 0.0:
-                break
-            lo *= 2.0
-        else:
-            raise BracketError(f"no bracket found on branch 0 for x = {x:.17g}")
-
-    root = brentq(f, lo, hi, xtol=1e-15, rtol=_BRENTQ_RTOL, maxiter=256)
-    root, residual = _polish_residual(f, root, x, tol, "branch 0")
-    return NuSquared(value=root, branch_index=0, residual=residual,
-                     near_pole=_flag_near_pole(root))
+    """Root of the eigenvalue equation on the lowest branch, s = nu^2 < 4."""
+    values, residuals = _solve(np.array([float(x)]), np.zeros(1, dtype=int), tol)
+    return _root(values[0], 0, residuals[0])
 
 
 def branch_interval(branch_index: int) -> tuple[float, float]:
@@ -282,204 +390,31 @@ def branch_interval(branch_index: int) -> tuple[float, float]:
     return (2.0 * branch_index + 2.0, 2.0 * branch_index + 4.0)
 
 
-_SCAN_POINTS = 2000
-
-
-def _solve_in_interval(x: float, nu_lo: float, nu_hi: float,
-                       tol: float) -> list[NuSquared]:
-    """All roots with nu in (nu_lo, nu_hi), endpoints being genuine poles."""
-
-    def f(nu):
-        return _lhs_positive(nu, 1e-300) - x
-
-    width = nu_hi - nu_lo
-    eps = 1e-6 * width
-    a = nu_lo + eps
-    for _ in range(_MAX_EXPANSIONS):
-        if f(a) <= 0.0:
-            break
-        eps *= 0.125
-        a = nu_lo + eps
-    else:
-        raise BracketError(
-            f"no approach to -inf near nu = {nu_lo} for x = {x:.17g}")
-    eps = 1e-6 * width
-    b = nu_hi - eps
-    for _ in range(_MAX_EXPANSIONS):
-        if f(b) >= 0.0:
-            break
-        eps *= 0.125
-        b = nu_hi - eps
-    else:
-        raise BracketError(
-            f"no approach to +inf near nu = {nu_hi} for x = {x:.17g}")
-
-    nus = np.linspace(a, b, _SCAN_POINTS)
-    vals = np.array([f(nu) for nu in nus])
-    roots: list[NuSquared] = []
-    for i in range(len(nus) - 1):
-        if vals[i] == 0.0:
-            root_nu = float(nus[i])
-        elif vals[i] * vals[i + 1] < 0.0:
-            root_nu = brentq(f, nus[i], nus[i + 1],
-                             xtol=1e-15, rtol=_BRENTQ_RTOL, maxiter=256)
-        else:
-            continue
-        if roots and abs(root_nu * root_nu - roots[-1].value) < 1e-12:
-            continue
-        s = root_nu * root_nu
-
-        def fs(sv):
-            return eigen_lhs(sv) - x
-
-        s, residual = _polish_residual(fs, s, x, tol, f"branch interval ({nu_lo}, {nu_hi})")
-        near = _flag_near_pole(s)
-        if near:
-            warnings.warn(
-                f"root nu^2 = {s:.12g} lies within {_POLE_FLAG_DISTANCE} of a pole; "
-                "pole classification may be unreliable", RuntimeWarning)
-        roots.append(NuSquared(value=s, branch_index=-1, residual=residual,
-                               near_pole=near))
-    if vals[-1] == 0.0:
-        s = float(nus[-1]) ** 2
-        if not (roots and abs(s - roots[-1].value) < 1e-12):
-            roots.append(NuSquared(value=s, branch_index=-1, residual=abs(vals[-1]),
-                                   near_pole=_flag_near_pole(s)))
-    return roots
-
-
 def solve_branches(x: float, count: int, tol: float = 1e-10) -> list[NuSquared]:
     """The `count` lowest eigenvalue roots at fixed x, ascending in nu^2.
 
     Every interval between consecutive genuine poles sweeps the full real
-    line, so each contributes at least one root and the list never skips
-    a branch.
+    line exactly once, so branch k holds exactly one root and the list
+    never skips a branch.
     """
     count = int(count)
     if count < 1:
         raise ConfigError(f"count must be >= 1, got {count}")
-    roots = [solve_branch0(x, tol)]
-    k = 1
-    while len(roots) < count:
-        lo, hi = branch_interval(k)
-        for r in _solve_in_interval(x, lo, hi, tol):
-            roots.append(NuSquared(value=r.value, branch_index=len(roots) - 1,
-                                   residual=r.residual, near_pole=r.near_pole))
-        k += 1
-        if k > count + 64:
-            raise SolverError(f"branch search ran away at x = {x:.17g}")
-    roots = sorted(roots[:count], key=lambda r: r.value)
-    return [NuSquared(value=r.value, branch_index=i, residual=r.residual,
-                      near_pole=r.near_pole) for i, r in enumerate(roots)]
+    values, residuals = _solve(np.full(count, float(x)), np.arange(count), tol)
+    return [_root(v, k, r) for k, (v, r) in enumerate(zip(values, residuals))]
 
 
-def _seeded_root(x: float, seed: float, branch_index: int, tol: float) -> NuSquared:
-    """Root at x on the given branch, bracketing outward from a nearby seed.
-
-    Falls back to the global interval search whenever local bracketing
-    fails, so seeding is an accelerator and never a correctness risk.
-    """
-
-    def fs(s):
-        return eigen_lhs(s) - x
-
-    if branch_index == 0:
-        # monotone increasing on (-inf, 4)
-        fseed = fs(seed)
-        if fseed == 0.0:
-            return NuSquared(value=seed, branch_index=0, residual=0.0,
-                             near_pole=_flag_near_pole(seed))
-        step = max(1e-9, 1e-9 * abs(seed))
-        lo, hi = None, None
-        if fseed < 0.0:
-            prev = seed
-            ceiling = 4.0 - _BRANCH0_GAP_FLOOR
-            for _ in range(_MAX_EXPANSIONS):
-                cand = min(seed + step, ceiling)
-                if fs(cand) >= 0.0:
-                    lo, hi = prev, cand
-                    break
-                if cand >= ceiling:
-                    break
-                prev = cand
-                step *= 8.0
-        else:
-            prev = seed
-            for _ in range(_MAX_EXPANSIONS):
-                cand = seed - step
-                if fs(cand) <= 0.0:
-                    lo, hi = cand, prev
-                    break
-                prev = cand
-                step *= 8.0
-        if lo is None:
-            return solve_branch0(x, tol)
-        root = brentq(fs, lo, hi, xtol=1e-15, rtol=_BRENTQ_RTOL, maxiter=256)
-        root, residual = _polish_residual(fs, root, x, tol, "branch 0")
-        return NuSquared(value=root, branch_index=0, residual=residual,
-                         near_pole=_flag_near_pole(root))
-
-    nu_lo, nu_hi = branch_interval(branch_index)
-    nu_seed = math.sqrt(max(seed, 0.0))
-    if not (nu_lo < nu_seed < nu_hi):
-        return _fallback_interval_root(x, branch_index, tol)
-
-    def fn(nu):
-        return _lhs_positive(nu, 1e-300) - x
-
-    fseed = fn(nu_seed)
-    if fseed == 0.0:
-        s = nu_seed * nu_seed
-        return NuSquared(value=s, branch_index=branch_index, residual=0.0,
-                         near_pole=_flag_near_pole(s))
-    step = 1e-9 * (nu_hi - nu_lo)
-    lo = hi = None
-    if fseed < 0.0:
-        prev = nu_seed
-        for _ in range(_MAX_EXPANSIONS):
-            cand = nu_seed + step
-            if cand >= nu_hi:
-                break
-            if fn(cand) >= 0.0:
-                lo, hi = prev, cand
-                break
-            prev = cand
-            step *= 8.0
-    else:
-        prev = nu_seed
-        for _ in range(_MAX_EXPANSIONS):
-            cand = nu_seed - step
-            if cand <= nu_lo:
-                break
-            if fn(cand) <= 0.0:
-                lo, hi = cand, prev
-                break
-            prev = cand
-            step *= 8.0
-    if lo is None:
-        return _fallback_interval_root(x, branch_index, tol)
-    root_nu = brentq(fn, lo, hi, xtol=1e-15, rtol=_BRENTQ_RTOL, maxiter=256)
-    s, residual = _polish_residual(fs, root_nu * root_nu, x, tol,
-                                   f"branch {branch_index}")
-    return NuSquared(value=s, branch_index=branch_index, residual=residual,
-                     near_pole=_flag_near_pole(s))
-
-
-def _fallback_interval_root(x: float, branch_index: int, tol: float) -> NuSquared:
-    lo, hi = branch_interval(branch_index)
-    roots = _solve_in_interval(x, lo, hi, tol)
-    if not roots:
-        raise SolverError(f"no root found on branch {branch_index} at x = {x:.17g}")
-    r = roots[0]
-    return NuSquared(value=r.value, branch_index=branch_index,
-                     residual=r.residual, near_pole=r.near_pole)
-
-
-def _branch_root(x: float, branch_index: int, tol: float) -> NuSquared:
-    """Unseeded root on a single branch."""
-    if branch_index == 0:
-        return solve_branch0(x, tol)
-    return _fallback_interval_root(x, branch_index, tol)
+def _solve_on_grid(config: SystemConfig, rho: np.ndarray, branch_index: int,
+                   tol: float) -> np.ndarray:
+    """Exact nu^2 on one branch at every radius, naming the radius on failure."""
+    x = np.atleast_1d(config.x_of_rho(rho))
+    try:
+        values, _ = _solve(x, np.full(x.shape, branch_index), tol)
+    except (BracketError, SolverError) as exc:
+        raise SolverError(
+            f"branch {branch_index} root failed at rho = "
+            f"{rho[exc.index]:.12g}: {exc}") from exc
+    return values
 
 
 @dataclass(frozen=True)
@@ -487,9 +422,9 @@ class AdiabaticBranch:
     """nu^2 tabulated over a log grid for one branch.
 
     When `config` is present, :meth:`nu_squared_at` re-solves the
-    eigenvalue equation exactly at the requested radius (the table seeds
-    the search); without it the table is interpolated linearly in
-    ln(rho), clamped at the grid ends.
+    eigenvalue equation exactly at every requested radius; without it
+    the table is interpolated linearly in ln(rho), clamped at the grid
+    ends.
     """
 
     grid: LogGrid
@@ -508,13 +443,6 @@ class AdiabaticBranch:
         """Largest |nu^2(rho_{i+1}) - nu^2(rho_i)| over the table."""
         return float(np.max(np.abs(np.diff(self.nu_squared))))
 
-    def _exact_at(self, rho: float) -> float:
-        x = self.config.x_of_rho(rho)
-        i = int(np.clip(np.searchsorted(self.grid.values, rho),
-                        0, self.grid.points - 1))
-        seed = float(self.nu_squared[i])
-        return _seeded_root(float(x), seed, self.branch_index, self.tol).value
-
     def nu_squared_at(self, rho):
         """nu^2 at arbitrary rho > 0 (scalar or array)."""
         rho_arr = np.atleast_1d(np.asarray(rho, dtype=float))
@@ -524,7 +452,7 @@ class AdiabaticBranch:
             if self.config.at_unitarity:
                 out = np.full(rho_arr.shape, float(self.nu_squared[0]))
             else:
-                out = np.array([self._exact_at(r) for r in rho_arr])
+                out = _solve_on_grid(self.config, rho_arr, self.branch_index, self.tol)
         else:
             out = np.interp(np.log(rho_arr), np.log(self.grid.values),
                             self.nu_squared)
@@ -538,61 +466,22 @@ def constant_branch(value: float, grid: LogGrid, branch_index: int = 0) -> Adiab
                            branch_index=branch_index, config=None)
 
 
-_CHUNK = 64
-
-
 def tabulate_branch(config: SystemConfig, grid: LogGrid, branch_index: int = 0,
-                    *, threads: int | None = None, tol: float = 1e-10) -> AdiabaticBranch:
-    """Tabulate nu^2(rho) over the grid by continuation along the branch.
+                    *, tol: float = 1e-10) -> AdiabaticBranch:
+    """Tabulate nu^2(rho) over the grid in one array solve.
 
-    Points are grouped into fixed chunks of 64 grid points.  Chunk
-    anchors are solved independently of any neighbour; interior points
-    are then seeded from their left neighbour within the chunk only.
-    Chunks may run on a thread pool, and because the chunk boundaries do
-    not depend on the pool size the tabulated values are identical for
-    every thread count.
+    Every point is bracketed and solved on its own, so a tabulated value
+    equals the pointwise root bit for bit and does not depend on the
+    grid around it.  At unitarity x = 0 everywhere and the branch is one
+    constant.
     """
-    threads = resolve_threads(threads)
     if branch_index < 0:
         raise ValueError(f"branch index must be >= 0, got {branch_index}")
-    xs = np.atleast_1d(config.x_of_rho(grid.values))
-
     if config.at_unitarity:
-        root = _branch_root(0.0, branch_index, tol)
-        values = np.full(grid.points, root.value)
-        return AdiabaticBranch(grid=grid, nu_squared=values,
-                               branch_index=branch_index, config=config, tol=tol)
-
-    n = grid.points
-    values = np.empty(n)
-    starts = list(range(0, n, _CHUNK))
-
-    def solve_chunk(i0: int):
-        try:
-            prev = _branch_root(float(xs[i0]), branch_index, tol)
-        except (BracketError, SolverError) as exc:
-            raise SolverError(
-                f"branch {branch_index} tracking failed at rho = "
-                f"{grid.values[i0]:.12g}: {exc}") from exc
-        out = [prev.value]
-        for i in range(i0 + 1, min(i0 + _CHUNK, n)):
-            try:
-                prev = _seeded_root(float(xs[i]), prev.value, branch_index, tol)
-            except (BracketError, SolverError) as exc:
-                raise SolverError(
-                    f"branch {branch_index} tracking failed at rho = "
-                    f"{grid.values[i]:.12g}: {exc}") from exc
-            out.append(prev.value)
-        return i0, out
-
-    if threads == 1:
-        results = [solve_chunk(i0) for i0 in starts]
+        root = _solve_on_grid(config, grid.values[:1], branch_index, tol)[0]
+        values = np.full(grid.points, root)
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(solve_chunk, starts))
-    for i0, chunk in results:
-        values[i0:i0 + len(chunk)] = chunk
-
+        values = _solve_on_grid(config, grid.values, branch_index, tol)
     return AdiabaticBranch(grid=grid, nu_squared=values,
                            branch_index=branch_index, config=config, tol=tol)
 

@@ -7,6 +7,8 @@ would hit them.
 
 import json
 import math
+import subprocess
+import sys
 from datetime import datetime
 
 import pytest
@@ -88,11 +90,33 @@ def test_thread_count_does_not_change_output(cli):
     assert one == four == via_env
 
 
-def test_garbage_threads_env_is_a_config_error(cli):
-    proc = cli(["potential", "--a", "inf", "--rho-min", "0.1",
-                "--rho-max", "10", "--points", "8"],
-               expect=2, env_extra={"EFIMOV_LAB_THREADS": "many"})
-    assert proc.stderr.startswith("efimov-lab: error:")
+@pytest.mark.parametrize("spaced, joined", [
+    (["spectrum", "--a", "-1e4", "--R", "1", "--rho-max", "1e6"],
+     ["spectrum", "--a=-1e4", "--R", "1", "--rho-max", "1e6"]),
+    (["potential", "--a", "-inf", "--rho-min", "0.1", "--rho-max", "10", "--points", "8"],
+     ["potential", "--a=-inf", "--rho-min", "0.1", "--rho-max", "10", "--points", "8"]),
+    (["branches", "--x", "-1e4", "--count", "2"],
+     ["branches", "--x=-1e4", "--count", "2"]),
+])
+def test_negative_exponent_and_infinite_values_parse(cli, spaced, joined):
+    # plain argparse takes '-1e4' and '-inf' for option names and exits 2
+    assert cli(spaced).stdout == cli(joined).stdout
+
+
+def test_scipy_is_never_imported():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, efimov_lab; print(any(m.split('.')[0] == 'scipy' "
+         "for m in sys.modules))"],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "efimov_lab", "constants"],
+        capture_output=True, text=True, check=True)
+    imported = [line.rsplit("|", 1)[-1].strip()
+                for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    assert "efimov_lab.cli" in imported
+    assert not [m for m in imported if m.split(".")[0] == "scipy"]
 
 
 def test_potential_table_at_unitarity(cli, schema_validator):

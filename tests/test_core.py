@@ -15,9 +15,7 @@ from efimov_lab import (
     length_from_report,
     length_to_report,
     make_config,
-    resolve_threads,
 )
-from efimov_lab.core import THREADS_ENV_VAR
 
 
 def test_make_config_defaults():
@@ -147,27 +145,6 @@ def test_log_grid_geometric_property(lo, span, points):
     logs = np.log(g.values)
     steps = np.diff(logs)
     assert np.all(np.abs(steps - g.log_step) < 1e-9 * (1.0 + abs(g.log_step)))
-
-
-def test_resolve_threads_explicit_wins(monkeypatch):
-    monkeypatch.setenv(THREADS_ENV_VAR, "7")
-    assert resolve_threads(2) == 2
-
-
-def test_resolve_threads_env(monkeypatch):
-    monkeypatch.setenv(THREADS_ENV_VAR, "3")
-    assert resolve_threads(None) == 3
-    monkeypatch.delenv(THREADS_ENV_VAR)
-    assert resolve_threads(None) == 1
-
-
-def test_resolve_threads_rejects_garbage(monkeypatch):
-    monkeypatch.setenv(THREADS_ENV_VAR, "many")
-    with pytest.raises(ConfigError):
-        resolve_threads(None)
-    monkeypatch.delenv(THREADS_ENV_VAR)
-    with pytest.raises(ConfigError):
-        resolve_threads(0)
 
 
 def test_system_config_direct_construction_validates():

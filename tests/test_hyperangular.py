@@ -14,6 +14,7 @@ bisects on it with no shared code.  Expected constants are frozen from
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from efimov_lab import (
     HardWall,
     LogGrid,
     PoleError,
+    SolverError,
     branch_interval,
     constant_branch,
     effective_potential,
@@ -136,6 +138,13 @@ def test_removable_point_is_smooth():
     inside = eigen_lhs(16.0 + 7.99e-4)
     outside = eigen_lhs(16.0 + 8.01e-4)
     assert abs(inside - outside) < 1e-5
+
+
+def test_nu_zero_is_not_a_pole():
+    # like nu = 4, nu = 0 zeroes numerator and denominator together
+    for s in (5e-324, 1e-30, 1e-20):
+        assert eigen_lhs(s) == pytest.approx(LHS_AT_ZERO, rel=1e-12)
+    assert solve_branch0(LHS_AT_ZERO).value == 0.0
 
 
 @pytest.mark.parametrize("s", [4.0, 36.0, 64.0, 100.0])
@@ -260,12 +269,83 @@ def test_tabulate_matches_pointwise_solutions():
         assert s == pytest.approx(expected, abs=1e-10)
 
 
-def test_tabulate_thread_count_invisible():
-    cfg = make_config(3.3)
+@pytest.mark.parametrize("a", [3.3, -2.0])
+def test_tabulate_equals_pointwise_solve_exactly(a):
+    # a = 3.3 drives the root steeply toward the nu^2 = 4 pole
+    cfg = make_config(a)
     grid = LogGrid.make(0.01, 1e4, 230)
-    one = tabulate_branch(cfg, grid, threads=1)
-    four = tabulate_branch(cfg, grid, threads=4)
-    assert np.array_equal(one.nu_squared, four.nu_squared)
+    branch = tabulate_branch(cfg, grid)
+    want = [solve_branch0(cfg.x_of_rho(float(rho))).value for rho in grid.values]
+    assert branch.nu_squared.tolist() == want
+
+
+def test_workspace_resolve_equals_pointwise_solve_exactly():
+    # the radial workspace re-solves nu^2 at each of its radii in one
+    # array call; the radii are built the way radial._Workspace builds them
+    cfg = make_config(-1e4)
+    branch = tabulate_branch(cfg, LogGrid.make(1.0, 1e8, 512))
+    T = math.log(1e8)
+    n = int(math.ceil(T * 512)) + 1
+    rho = np.exp((T / (n - 1)) * np.arange(n))
+    assert n > 9000
+    got = branch.nu_squared_at(rho)
+    picks = np.r_[0:n:10, n - 1]
+    want = [solve_branch0(cfg.x_of_rho(float(rho[i]))).value for i in picks]
+    assert got[picks].tolist() == want
+
+
+def _sign_changes(x, branch_index, points):
+    """Grid nu and the indices where the raw F(nu^2) - x changes sign
+    strictly inside the interval of a branch k >= 1."""
+    nu_lo, nu_hi = branch_interval(branch_index)
+    nu = np.linspace(nu_lo, nu_hi, points + 2)[1:-1]
+    # the raw formula is 0/0 at the removable point nu = 4
+    nu = nu[np.abs(nu - 4.0) > 1e-3]
+    half = nu * (math.pi / 2.0)
+    raw = (-nu * np.cos(half) + _EIGHT * np.sin(nu * math.pi / 6.0)) / np.sin(half)
+    above = raw > x
+    return nu, np.flatnonzero(above[1:] != above[:-1])
+
+
+def _check_one_root_per_interval(x, points):
+    roots = solve_branches(x, 8)
+    for k in range(1, 8):
+        nu, flips = _sign_changes(x, k, points)
+        assert len(flips) == 1, f"branch {k} at x = {x}: {len(flips)} sign changes"
+        i = flips[0]
+        assert nu[i] <= math.sqrt(roots[k].value) <= nu[i + 1]
+
+
+@pytest.mark.parametrize("x", [-1e3, -30.0, -1.4064, 0.0, 0.9, 30.0, 1e3])
+def test_branches_one_sign_change_per_interval_dense(x):
+    _check_one_root_per_interval(x, 20001)
+
+
+@given(st.floats(min_value=-1e3, max_value=1e3))
+@settings(max_examples=40, deadline=None)
+def test_branches_one_sign_change_per_interval_property(x):
+    _check_one_root_per_interval(x, 4001)
+
+
+def test_table_at_the_pole_floor_names_the_radius():
+    # for a > 0 the branch-0 root closes on nu^2 = 4 as x grows, and past
+    # x ~ 1e12 double precision can no longer separate the two
+    cfg = make_config(1e-12)
+    grid = LogGrid.make(0.01, 100.0, 41)
+    first_bad = None
+    for rho in grid.values:
+        try:
+            solve_branch0(cfg.x_of_rho(float(rho)))
+        except SolverError:
+            first_bad = float(rho)
+            break
+    assert first_bad is not None and first_bad > grid.values[0]
+    named = re.escape(f"rho = {first_bad:.12g}:")
+    with pytest.raises(SolverError, match=named):
+        tabulate_branch(cfg, grid)
+    good = tabulate_branch(cfg, LogGrid.make(0.01, grid.values[1], 4))
+    with pytest.raises(SolverError, match=named):
+        good.nu_squared_at(grid.values)
 
 
 def test_tabulate_unitarity_is_constant():

@@ -49,6 +49,23 @@ def _unitarity_potential(rho_max, scheme, R=1.0, points=200):
     return effective_potential(branch, scheme)
 
 
+def test_hardwall_levels_match_exact_bessel_zeros():
+    # at unitarity the hard-wall levels are the zeros of K_ib(kappa R);
+    # for small argument K_ib(z) ~ sin(b ln(z/2) - arg Gamma(1 + ib)),
+    # which places the m-th zero close enough to bracket it alone
+    mpmath = pytest.importorskip("mpmath")
+    spec = find_spectrum(_unitarity_potential(1e8, HardWall(1.0)), 1e8)
+    assert len(spec) >= 5
+    b = mpmath.mpf(efimov_constants().b)
+    phase = mpmath.arg(mpmath.gamma(1 + 1j * b))
+    for m, state in enumerate(spec.states, start=1):
+        guess = 2 * mpmath.exp((phase - m * mpmath.pi) / b)
+        z = mpmath.findroot(lambda z: mpmath.besselk(1j * b, z).real,
+                            (0.8 * guess, 1.25 * guess), solver="anderson")
+        exact = float(-z * z / 2)
+        assert abs(state.E - exact) <= 1e-8 * abs(exact), (m, state.E, exact)
+
+
 def nodes_oracle(nu2_at, R, E, tail_factor=36.0, steps_per_unit=4096):
     """Second-order node count of the outward hard-wall solution."""
     kappa = math.sqrt(-2.0 * E)
