@@ -14,16 +14,11 @@ from .core import (
     EfimovLabError,
     GridError,
     InsufficientNodesError,
-    LengthUnit,
     LogGrid,
     PoleError,
     SolverError,
     SystemConfig,
     UnregularizedPotentialError,
-    energy_from_report,
-    energy_to_report,
-    length_from_report,
-    length_to_report,
     make_config,
 )
 from .hyperangular import (

@@ -181,8 +181,8 @@ def _spectrum_for(ns: argparse.Namespace):
     if ns.rho_max <= ns.R:
         raise ConfigError(f"--rho-max must exceed --R, got {ns.rho_max} <= {ns.R}")
     cfg = make_config(ns.a, mu=ns.mu)
-    grid = LogGrid.make(ns.R, ns.rho_max, ns.grid_points)
-    branch = tabulate_branch(cfg, grid, ns.branch)
+    # find_spectrum re-solves nu^2 at its own radii and never reads the table
+    branch = tabulate_branch(cfg, LogGrid.make(ns.R, ns.rho_max, 2), ns.branch)
     pot = effective_potential(branch, _make_scheme(ns.regularization, ns.R))
     return find_spectrum(pot, ns.rho_max, max_levels=ns.levels, tol_E=ns.tol,
                          dt=ns.dt)
@@ -239,7 +239,8 @@ def cmd_nodes(ns: argparse.Namespace) -> int:
             raise ConfigError(f"--probe-E must be negative, got {ns.probe_E}")
         rho_out = DEFAULT_TAIL_FACTOR / kappa
         smallest = ns.base_cutoff * 10.0 ** (-ns.decades)
-        grid = LogGrid.make(smallest, rho_out * (1.0 + 1e-12), 400)
+        # collapse_probe re-solves nu^2 at its own radii and never reads the table
+        grid = LogGrid.make(smallest, rho_out * (1.0 + 1e-12), 2)
         branch = tabulate_branch(cfg, grid, ns.branch)
         pot = effective_potential(branch, None)
         probe = collapse_probe(pot, ns.probe_E, ns.base_cutoff, ns.decades,
@@ -353,10 +354,6 @@ def cmd_branches(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _float_pair_help(default) -> str:
-    return f"(default {default})"
-
-
 def _add_threads(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threads", type=int, default=None, metavar="N",
                    help="accepted for compatibility and ignored: branch "
@@ -415,8 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--branch", type=int, default=0)
     p.add_argument("--dt", type=float, default=DEFAULT_DT,
                    help="log-grid step (default 1/512)")
-    p.add_argument("--grid-points", type=int, default=512,
-                   help="branch tabulation points (default 512)")
     _add_threads(p)
     _add_common(p, 1e-8, "relative energy tolerance (default 1e-8)")
     p.set_defaults(func=cmd_spectrum)
@@ -447,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--periods", type=int, default=6,
                    help="half-periods in the analytic self-test (default 6)")
     p.add_argument("--dt", type=float, default=DEFAULT_DT)
-    p.add_argument("--grid-points", type=int, default=512)
     _add_threads(p)
     _add_common(p, 1e-8, "relative energy tolerance for the level search (default 1e-8)")
     p.set_defaults(func=cmd_nodes)

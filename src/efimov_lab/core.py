@@ -1,24 +1,17 @@
-"""Unit conventions, validated configuration and logarithmic grids.
+"""Error types, validated configuration and logarithmic grids.
 
-Everything downstream works in internal units hbar = m = 1, where m is
-the mass of one particle.  Lengths are measured in an arbitrary internal
-unit L; energies then carry hbar^2/(m L^2).  Reporting units are either
-the regularization radius R or the modulus of the scattering length, and
-conversions are pure rescalings handled here so the physics modules
-never see unit logic.
+Everything works in internal units hbar = m = 1, where m is the mass of
+one particle.  Lengths are measured in an arbitrary internal unit L;
+energies then carry hbar^2/(m L^2).  Every result, in the library and
+on the command line, is reported in these units.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
-
-HBAR = 1.0
-MASS_SCALE = 1.0
-
 
 class EfimovLabError(Exception):
     """Base class for every error raised by this package."""
@@ -52,13 +45,6 @@ class InsufficientNodesError(EfimovLabError, ValueError):
     """Too few interior nodes survive the analysis window."""
 
 
-class LengthUnit(enum.Enum):
-    """Reporting length unit for CLI output and summaries."""
-
-    R = "R"
-    ABS_A = "abs_a"
-
-
 @dataclass(frozen=True)
 class SystemConfig:
     """Physical configuration shared by all solvers.
@@ -71,9 +57,6 @@ class SystemConfig:
 
     scattering_length_a: float
     reduced_mass_mu: float = 0.5
-    length_unit: LengthUnit = LengthUnit.R
-    hbar: float = HBAR
-    mass_scale: float = MASS_SCALE
 
     def __post_init__(self):
         a = self.scattering_length_a
@@ -82,10 +65,6 @@ class SystemConfig:
             raise ConfigError(f"scattering length must be nonzero and not NaN, got {a!r}")
         if not (math.isfinite(mu) and mu > 0.0):
             raise ConfigError(f"reduced mass must be finite and positive, got {mu!r}")
-        if self.length_unit is LengthUnit.ABS_A and math.isinf(a):
-            raise ConfigError("reporting in units of |a| requires a finite scattering length")
-        if self.hbar != HBAR or self.mass_scale != MASS_SCALE:
-            raise ConfigError("internal units are fixed at hbar = m = 1")
 
     @property
     def inverse_scattering_length(self) -> float:
@@ -109,55 +88,10 @@ class SystemConfig:
         x = rho * (self.inverse_scattering_length / math.sqrt(self.reduced_mass_mu))
         return float(x) if x.ndim == 0 else x
 
-    def report_scale(self, R: float | None = None) -> float:
-        """Length scale (in internal units) of the reporting unit."""
-        if self.length_unit is LengthUnit.R:
-            if R is None:
-                raise ConfigError("reporting in units of R requires the regularization radius")
-            if not (math.isfinite(R) and R > 0.0):
-                raise ConfigError(f"regularization radius must be finite and positive, got {R!r}")
-            return R
-        return abs(self.scattering_length_a)
 
-
-def make_config(a: float,
-                mu: float = 0.5,
-                length_unit: LengthUnit | str = LengthUnit.R) -> SystemConfig:
-    """Validated constructor for :class:`SystemConfig`.
-
-    Accepts `length_unit` as the enum or its string value.
-    """
-    if isinstance(length_unit, str):
-        try:
-            length_unit = LengthUnit(length_unit)
-        except ValueError:
-            valid = ", ".join(u.value for u in LengthUnit)
-            raise ConfigError(f"unknown length unit {length_unit!r}; expected one of {valid}")
-    return SystemConfig(scattering_length_a=float(a),
-                        reduced_mass_mu=float(mu),
-                        length_unit=length_unit)
-
-
-def length_to_report(value, scale: float):
-    """Convert a length from internal units to reporting units."""
-    return np.asarray(value, dtype=float) / scale if np.ndim(value) else float(value) / scale
-
-
-def length_from_report(value, scale: float):
-    """Convert a length from reporting units to internal units."""
-    return np.asarray(value, dtype=float) * scale if np.ndim(value) else float(value) * scale
-
-
-def energy_to_report(value, scale: float):
-    """Convert an energy from internal units to hbar^2/(m scale^2) units."""
-    s2 = scale * scale
-    return np.asarray(value, dtype=float) * s2 if np.ndim(value) else float(value) * s2
-
-
-def energy_from_report(value, scale: float):
-    """Convert an energy from hbar^2/(m scale^2) units to internal units."""
-    s2 = scale * scale
-    return np.asarray(value, dtype=float) / s2 if np.ndim(value) else float(value) / s2
+def make_config(a: float, mu: float = 0.5) -> SystemConfig:
+    """Validated constructor for :class:`SystemConfig`."""
+    return SystemConfig(scattering_length_a=float(a), reduced_mass_mu=float(mu))
 
 
 @dataclass(frozen=True)
@@ -207,6 +141,3 @@ class LogGrid:
 
     def __len__(self) -> int:
         return self.points
-
-    def __iter__(self):
-        return iter(self.values)

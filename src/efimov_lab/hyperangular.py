@@ -18,6 +18,11 @@ any branch at many x at once with one bracketed bisection, tabulates
 branches over log grids, and assembles the resulting effective radial
 potential (nu^2(rho) - 1/4) / (2 rho^2) with optional short-range
 regularization (hard wall or cap below a radius R).
+
+A branch has one representation: nu^2 is re-solved exactly at every
+radius a solver asks for, or is one constant (at unitarity, or for a
+hand-built test branch).  Its table over a log grid is output only; no
+solver interpolates it.
 """
 
 from __future__ import annotations
@@ -419,12 +424,13 @@ def _solve_on_grid(config: SystemConfig, rho: np.ndarray, branch_index: int,
 
 @dataclass(frozen=True)
 class AdiabaticBranch:
-    """nu^2 tabulated over a log grid for one branch.
+    """nu^2(rho) on one branch, with its table over a log grid.
 
-    When `config` is present, :meth:`nu_squared_at` re-solves the
-    eigenvalue equation exactly at every requested radius; without it
-    the table is interpolated linearly in ln(rho), clamped at the grid
-    ends.
+    :meth:`nu_squared_at` re-solves the eigenvalue equation exactly at
+    every requested radius when `config` is present and away from
+    unitarity.  At unitarity, or without a `config`, nu^2 is the one
+    constant the table holds.  The table itself is never read back: it
+    is what `EffectivePotential.table` prints.
     """
 
     grid: LogGrid
@@ -436,26 +442,19 @@ class AdiabaticBranch:
     def __post_init__(self):
         if self.nu_squared.shape != (self.grid.points,):
             raise GridError("branch table shape does not match its grid")
+        if self.config is None and np.any(self.nu_squared != self.nu_squared[0]):
+            raise ConfigError("a branch without a config must hold one constant nu^2")
         self.nu_squared.setflags(write=False)
-
-    @property
-    def max_step_change(self) -> float:
-        """Largest |nu^2(rho_{i+1}) - nu^2(rho_i)| over the table."""
-        return float(np.max(np.abs(np.diff(self.nu_squared))))
 
     def nu_squared_at(self, rho):
         """nu^2 at arbitrary rho > 0 (scalar or array)."""
         rho_arr = np.atleast_1d(np.asarray(rho, dtype=float))
         if np.any(rho_arr <= 0.0) or not np.all(np.isfinite(rho_arr)):
             raise ConfigError("rho must be positive and finite")
-        if self.config is not None:
-            if self.config.at_unitarity:
-                out = np.full(rho_arr.shape, float(self.nu_squared[0]))
-            else:
-                out = _solve_on_grid(self.config, rho_arr, self.branch_index, self.tol)
+        if self.config is None or self.config.at_unitarity:
+            out = np.full(rho_arr.shape, float(self.nu_squared[0]))
         else:
-            out = np.interp(np.log(rho_arr), np.log(self.grid.values),
-                            self.nu_squared)
+            out = _solve_on_grid(self.config, rho_arr, self.branch_index, self.tol)
         return float(out[0]) if np.ndim(rho) == 0 else out
 
 
@@ -546,9 +545,6 @@ class EffectivePotential:
             out = self._bare_v(rho_arr)
         return float(out[0]) if np.ndim(rho) == 0 else out
 
-    def nu_squared_at(self, rho):
-        return self.branch.nu_squared_at(rho)
-
     def table(self) -> dict[str, np.ndarray]:
         """Columns over the branch grid, ready for serialization."""
         rho = self.branch.grid.values
@@ -570,8 +566,8 @@ def effective_potential(branch: AdiabaticBranch, scheme: Scheme = None) -> Effec
     """Wrap a tabulated branch as a radial potential with a regularization scheme.
 
     The regularization radius must not exceed the top of the branch grid;
-    radii below the grid are allowed (config-backed branches re-solve
-    exactly there).
+    radii below the grid are allowed, since nu^2 is exact or constant at
+    every radius.
     """
     if scheme is not None:
         if scheme.R > branch.grid.rho_max:

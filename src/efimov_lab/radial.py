@@ -125,7 +125,7 @@ class _Workspace:
         t = self.h * np.arange(self.n_full)
         self.rho = inner_radius * np.exp(t)
         self.rho2 = self.rho * self.rho
-        self.nu2 = np.asarray(potential.nu_squared_at(self.rho), dtype=float)
+        self.nu2 = np.asarray(potential.branch.nu_squared_at(self.rho), dtype=float)
         self.scheme = potential.scheme
 
     def _cap_start(self, kappa: float) -> tuple[float, float, int]:
@@ -410,7 +410,7 @@ def collapse_probe(potential: EffectivePotential, E: float, base_cutoff: float,
     k_axis = np.arange(len(cutoffs)) / per_decade
     slope = float(np.polyfit(k_axis, counts.astype(float), 1)[0])
 
-    nu2_inner = float(np.atleast_1d(potential.nu_squared_at(smallest))[0])
+    nu2_inner = potential.branch.nu_squared_at(smallest)
     if nu2_inner < 0.0:
         reference = math.sqrt(-nu2_inner) * math.log(10.0) / math.pi
     else:

@@ -7,13 +7,8 @@ from hypothesis import given, strategies as st
 from efimov_lab import (
     ConfigError,
     GridError,
-    LengthUnit,
     LogGrid,
     SystemConfig,
-    energy_from_report,
-    energy_to_report,
-    length_from_report,
-    length_to_report,
     make_config,
 )
 
@@ -22,16 +17,7 @@ def test_make_config_defaults():
     cfg = make_config(-2.5)
     assert cfg.scattering_length_a == -2.5
     assert cfg.reduced_mass_mu == 0.5
-    assert cfg.hbar == 1.0
-    assert cfg.mass_scale == 1.0
     assert not cfg.at_unitarity
-
-
-def test_make_config_accepts_unit_string():
-    cfg = make_config(3.0, length_unit="abs_a")
-    assert cfg.length_unit is LengthUnit.ABS_A
-    with pytest.raises(ConfigError, match="unknown length unit"):
-        make_config(3.0, length_unit="bohr")
 
 
 @pytest.mark.parametrize("bad_a", [0.0, float("nan")])
@@ -44,11 +30,6 @@ def test_invalid_scattering_length_rejected(bad_a):
 def test_invalid_reduced_mass_rejected(bad_mu):
     with pytest.raises(ConfigError):
         make_config(1.0, mu=bad_mu)
-
-
-def test_unit_abs_a_needs_finite_a():
-    with pytest.raises(ConfigError):
-        make_config(float("inf"), length_unit=LengthUnit.ABS_A)
 
 
 def test_unitarity_inverse_length_is_exactly_zero():
@@ -87,25 +68,6 @@ def test_config_is_frozen():
     cfg = make_config(1.0)
     with pytest.raises(Exception):
         cfg.scattering_length_a = 2.0  # type: ignore[misc]
-
-
-def test_report_scale_modes():
-    cfg = make_config(-4.0, length_unit=LengthUnit.R)
-    assert cfg.report_scale(R=0.5) == 0.5
-    with pytest.raises(ConfigError):
-        cfg.report_scale()
-    cfg_a = make_config(-4.0, length_unit=LengthUnit.ABS_A)
-    assert cfg_a.report_scale() == 4.0
-
-
-def test_unit_conversions_round_trip():
-    scale = 3.7
-    assert length_from_report(length_to_report(2.5, scale), scale) == pytest.approx(2.5)
-    assert energy_from_report(energy_to_report(-0.02, scale), scale) == pytest.approx(-0.02)
-    # energies scale as 1/length^2
-    assert energy_to_report(1.0, scale) == pytest.approx(scale * scale)
-    out = length_to_report(np.array([1.0, 2.0]), 2.0)
-    assert np.allclose(out, [0.5, 1.0])
 
 
 def test_log_grid_make_exact_endpoints():
@@ -149,5 +111,4 @@ def test_log_grid_geometric_property(lo, span, points):
 
 def test_system_config_direct_construction_validates():
     with pytest.raises(ConfigError):
-        SystemConfig(scattering_length_a=1.0, reduced_mass_mu=-0.5,
-                     length_unit=LengthUnit.R)
+        SystemConfig(scattering_length_a=1.0, reduced_mass_mu=-0.5)

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from efimov_lab import (
+    AdiabaticBranch,
     BracketError,
     Cap,
     ConfigError,
@@ -374,6 +375,13 @@ def test_constant_branch_interpolates_without_config():
     assert np.allclose(arr, -4.2)
 
 
+def test_branch_without_config_must_be_constant():
+    grid = LogGrid.make(1.0, 100.0, 3)
+    with pytest.raises(ConfigError, match="one constant"):
+        AdiabaticBranch(grid=grid, nu_squared=np.array([-1.0, -0.5, 0.0]),
+                        branch_index=0)
+
+
 def test_effective_potential_formula_and_table():
     cfg = make_config(float("inf"))
     grid = LogGrid.make(1.0, 1e3, 30)
@@ -411,17 +419,6 @@ def test_scheme_validation():
     branch = tabulate_branch(cfg, grid)
     with pytest.raises((ConfigError, GridError)):
         effective_potential(branch, HardWall(50.0))
-
-
-def test_max_step_change_reports_table_increments():
-    cfg = make_config(-1.0)
-    grid = LogGrid.make(0.01, 100.0, 400)
-    branch = tabulate_branch(cfg, grid)
-    expected = float(np.max(np.abs(np.diff(branch.nu_squared))))
-    assert branch.max_step_change == expected
-    # at unitarity the branch is flat, so the diagnostic vanishes
-    flat = tabulate_branch(make_config(float("inf")), LogGrid.make(1.0, 10.0, 20))
-    assert flat.max_step_change == 0.0
 
 
 def test_tabulate_through_steep_positive_a_region():

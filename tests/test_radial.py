@@ -34,6 +34,7 @@ from efimov_lab import (
     node_analysis,
     tabulate_branch,
 )
+from efimov_lab.radial import DEFAULT_TAIL_FACTOR
 
 B = efimov_constants().b
 RATIO_E = math.exp(2.0 * math.pi / B)     # 515.035...
@@ -297,3 +298,28 @@ def test_solution_arrays_read_only():
     sol = integrate_radial(pot, -1e-3, 1e4)
     with pytest.raises(ValueError):
         sol.f[0] = 1.0
+
+
+def _dimer_potential(a, rho_lo, rho_hi, points, scheme=None):
+    cfg = make_config(a)
+    branch = tabulate_branch(cfg, LogGrid.make(rho_lo, rho_hi, points))
+    return effective_potential(branch, scheme)
+
+
+def test_spectrum_does_not_read_the_branch_table():
+    # nu^2 is re-solved at the workspace radii, so the table size is invisible
+    runs = [find_spectrum(_dimer_potential(-1e4, 1.0, 1e6, points, HardWall(1.0)), 1e6)
+            for points in (2, 512)]
+    coarse, fine = ([(s.E, s.node_count) for s in spec.states] for spec in runs)
+    assert len(coarse) >= 2
+    assert coarse == fine
+
+
+def test_probe_does_not_read_the_branch_table():
+    E, base, decades = -1e-4, 1e-2, 2
+    rho_out = DEFAULT_TAIL_FACTOR / math.sqrt(-2.0 * E) * (1.0 + 1e-12)
+    smallest = base * 10.0 ** (-decades)
+    coarse, fine = (collapse_probe(_dimer_potential(-1e3, smallest, rho_out, points),
+                                   E, base, decades, per_decade=2).counts.tolist()
+                    for points in (2, 400))
+    assert coarse == fine
