@@ -1,7 +1,11 @@
 """Command-line front end: every library operation as a subcommand.
 
 Subcommands: constants, potential, spectrum, nodes, meanfield, branches.
-Each supports --format {csv,json} and --tol.  CSV bodies are
+Each supports --format {csv,json} and --output.  --tol exists where a
+tolerance binds: the residual of the b root (constants), the relative
+energy of a level (spectrum, nodes) and mean-field stationarity
+(meanfield).  The eigenvalue roots of potential and branches are
+bisected to adjacent doubles and take no tolerance.  CSV bodies are
 deterministic: fixed column order, 12 significant digits, '.' decimal
 separator, '\\n' line endings, header row first.  Every run produces a
 manifest (command, full parameter set, tolerances, unit system, tool
@@ -145,10 +149,9 @@ def _emit(ns: argparse.Namespace, *, csv_body: str, json_payload: dict,
         sys.stderr.write(side_text)
 
 
-def _add_common(p: argparse.ArgumentParser, tol_default: float, tol_help: str) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "json"), default="csv",
                    help="output format (default csv)")
-    p.add_argument("--tol", type=float, default=tol_default, help=tol_help)
     p.add_argument("--output", default=None, metavar="PATH",
                    help="write to PATH instead of stdout (CSV gets a "
                         "PATH.manifest.json sidecar)")
@@ -166,12 +169,12 @@ def cmd_constants(ns: argparse.Namespace) -> int:
 def cmd_potential(ns: argparse.Namespace) -> int:
     cfg = make_config(ns.a, mu=ns.mu)
     grid = LogGrid.make(ns.rho_min, ns.rho_max, ns.points)
-    branch = tabulate_branch(cfg, grid, ns.branch, tol=ns.tol)
+    branch = tabulate_branch(cfg, grid, ns.branch)
     pot = effective_potential(branch, _make_scheme(ns.regularization, ns.R))
     tbl = pot.table()
     cols = ["rho", "x", "nu_squared", "lambda", "v_eff"]
     rows = zip(*(tbl[c] for c in cols))
-    manifest = _manifest(ns, {"branch_tol": ns.tol})
+    manifest = _manifest(ns, {})
     payload = {"table": {c: tbl[c] for c in cols}}
     _emit(ns, csv_body=_csv(cols, rows), json_payload=payload, manifest=manifest)
     return 0
@@ -209,6 +212,10 @@ def cmd_spectrum(ns: argparse.Namespace) -> int:
 
 def _analytic_solution(periods: int, dt: float) -> RadialSolution:
     """Closed-form f = sqrt(rho) sin(b ln rho) sampled like a real run."""
+    if periods < 1:
+        raise ConfigError(f"--periods must be >= 1, got {periods}")
+    if not (0.0 < dt < 1.0):
+        raise ConfigError(f"--dt must be in (0, 1), got {dt!r}")
     b = efimov_constants().b
     T = periods * math.pi / b
     n = int(math.ceil(T / dt)) + 1
@@ -326,6 +333,8 @@ def cmd_meanfield(ns: argparse.Namespace) -> int:
 
     if not (0.0 < ns.n_min < ns.n_max):
         raise ConfigError(f"need 0 < --n-min < --n-max, got {ns.n_min}, {ns.n_max}")
+    if ns.points < 1:
+        raise ConfigError(f"--points must be >= 1, got {ns.points}")
     n = np.geomspace(ns.n_min, ns.n_max, ns.points)
     eps = energy_density(model, n)
     per = energy_per_particle(model, n)
@@ -341,10 +350,10 @@ def cmd_meanfield(ns: argparse.Namespace) -> int:
 
 
 def cmd_branches(ns: argparse.Namespace) -> int:
-    roots = solve_branches(ns.x, ns.count, tol=ns.tol)
+    roots = solve_branches(ns.x, ns.count)
     rows = [[r.branch_index, r.value, r.lam, r.residual, r.near_pole]
             for r in roots]
-    manifest = _manifest(ns, {"root_tol": ns.tol})
+    manifest = _manifest(ns, {})
     csv_body = _csv(["branch", "nu_squared", "lambda", "residual", "near_pole"], rows)
     payload = {"x": ns.x,
                "branches": [{"branch": r.branch_index, "nu_squared": r.value,
@@ -352,12 +361,6 @@ def cmd_branches(ns: argparse.Namespace) -> int:
                              "near_pole": bool(r.near_pole)} for r in roots]}
     _emit(ns, csv_body=csv_body, json_payload=payload, manifest=manifest)
     return 0
-
-
-def _add_threads(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threads", type=int, default=None, metavar="N",
-                   help="accepted for compatibility and ignored: branch "
-                        "tabulation is one array solve")
 
 
 # argparse only reads '-1' and '-.5' as values; '-1e4', '-inf' and '-nan'
@@ -385,7 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("constants", help="transcendental constants b and C at unitarity")
-    _add_common(p, 1e-10, "root tolerance for the b equation (default 1e-10)")
+    p.add_argument("--tol", type=float, default=1e-10,
+                   help="root tolerance for the b equation (default 1e-10)")
+    _add_common(p)
     p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("potential", help="tabulate nu^2(rho) and the effective potential")
@@ -398,8 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--branch", type=int, default=0, help="branch index (default 0)")
     p.add_argument("--regularization", choices=_SCHEMES, default="none")
     p.add_argument("--R", type=float, default=None, help="regularization radius")
-    _add_threads(p)
-    _add_common(p, 1e-10, "eigenvalue root tolerance (default 1e-10)")
+    _add_common(p)
     p.set_defaults(func=cmd_potential)
 
     p = sub.add_parser("spectrum", help="bound levels of the regularized potential")
@@ -412,8 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--branch", type=int, default=0)
     p.add_argument("--dt", type=float, default=DEFAULT_DT,
                    help="log-grid step (default 1/512)")
-    _add_threads(p)
-    _add_common(p, 1e-8, "relative energy tolerance (default 1e-8)")
+    p.add_argument("--tol", type=float, default=1e-8,
+                   help="relative energy tolerance (default 1e-8)")
+    _add_common(p)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("nodes", help="node geometry of a level, a cutoff sweep, "
@@ -442,8 +447,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--periods", type=int, default=6,
                    help="half-periods in the analytic self-test (default 6)")
     p.add_argument("--dt", type=float, default=DEFAULT_DT)
-    _add_threads(p)
-    _add_common(p, 1e-8, "relative energy tolerance for the level search (default 1e-8)")
+    p.add_argument("--tol", type=float, default=1e-8,
+                   help="relative energy tolerance for the level search (default 1e-8)")
+    _add_common(p)
     p.set_defaults(func=cmd_nodes)
 
     p = sub.add_parser("meanfield", help="equation of state and stability class")
@@ -458,13 +464,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-min", type=float, default=1e-4)
     p.add_argument("--n-max", type=float, default=10.0)
     p.add_argument("--points", type=int, default=100)
-    _add_common(p, 1e-10, "relative stationarity tolerance (default 1e-10)")
+    p.add_argument("--tol", type=float, default=1e-10,
+                   help="relative stationarity tolerance (default 1e-10)")
+    _add_common(p)
     p.set_defaults(func=cmd_meanfield)
 
     p = sub.add_parser("branches", help="eigenvalue branches nu^2 at one x = rho/(sqrt(mu) a)")
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--count", type=int, default=4, help="branches to solve (default 4)")
-    _add_common(p, 1e-10, "eigenvalue root tolerance (default 1e-10)")
+    _add_common(p)
     p.set_defaults(func=cmd_branches)
     return ap
 

@@ -9,7 +9,7 @@ on the command line, is reported in these units.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -96,12 +96,16 @@ def make_config(a: float, mu: float = 0.5) -> SystemConfig:
 
 @dataclass(frozen=True)
 class LogGrid:
-    """Strictly increasing grid with a constant ratio between neighbours."""
+    """Strictly increasing grid with a constant ratio between neighbours.
+
+    `values` is derived from the bounds and the point count, never
+    passed in, so every grid is geometric by construction.
+    """
 
     rho_min: float
     rho_max: float
     points: int
-    values: np.ndarray
+    values: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.rho_min) and self.rho_min > 0.0):
@@ -110,29 +114,16 @@ class LogGrid:
             raise GridError("rho_max must be finite and larger than rho_min")
         if self.points < 2:
             raise GridError(f"a log grid needs at least 2 points, got {self.points}")
-        v = self.values
-        if v.shape != (self.points,):
-            raise GridError("grid array shape does not match the declared point count")
-        ratios = v[1:] / v[:-1]
-        # constant-ratio check guards against hand-built non-geometric arrays
-        if not np.allclose(ratios, ratios[0], rtol=1e-12, atol=0.0):
-            raise GridError("grid spacing is not logarithmic to 1e-12")
-        v.setflags(write=False)
+        values = np.geomspace(self.rho_min, self.rho_max, self.points)
+        # endpoints exact so downstream range checks are not off by 1 ulp
+        values[0] = self.rho_min
+        values[-1] = self.rho_max
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def make(cls, rho_min: float, rho_max: float, points: int) -> "LogGrid":
-        if points < 2:
-            raise GridError(f"a log grid needs at least 2 points, got {points}")
-        if not (math.isfinite(rho_min) and rho_min > 0.0):
-            raise GridError(f"rho_min must be finite and positive, got {rho_min!r}")
-        if not (math.isfinite(rho_max) and rho_max > rho_min):
-            raise GridError("rho_max must be finite and larger than rho_min")
-        values = np.geomspace(rho_min, rho_max, points)
-        # endpoints exact so downstream range checks are not off by 1 ulp
-        values[0] = rho_min
-        values[-1] = rho_max
-        return cls(rho_min=float(rho_min), rho_max=float(rho_max),
-                   points=int(points), values=values)
+        return cls(rho_min=float(rho_min), rho_max=float(rho_max), points=int(points))
 
     @property
     def log_step(self) -> float:

@@ -134,7 +134,7 @@ def _lhs(s: np.ndarray, pole_tol: float) -> np.ndarray:
     return out
 
 
-def eigen_lhs(nu_squared: float, pole_tol: float = _POLE_TOL) -> float:
+def eigen_lhs(nu_squared: float) -> float:
     """Evaluate the hyperangular eigenvalue function at s = nu^2.
 
     Stable on both sides of s = 0 and continuous through it; raises
@@ -145,7 +145,7 @@ def eigen_lhs(nu_squared: float, pole_tol: float = _POLE_TOL) -> float:
     s = float(nu_squared)
     if not math.isfinite(s):
         raise ConfigError(f"nu^2 must be finite, got {s!r}")
-    return float(_lhs(np.array([s]), pole_tol)[0])
+    return float(_lhs(np.array([s]), _POLE_TOL)[0])
 
 
 def _at(exc: Exception, index) -> Exception:
@@ -250,44 +250,27 @@ def _interval_brackets(f, x, k, todo, lo, hi) -> None:
                 f"no approach to {limit} near nu = {edge[i]} for x = {x[i]:.17g}"), i)
 
 
-def _polish(f, root, x, k, tol) -> tuple[np.ndarray, np.ndarray]:
-    """Check convergence at every root, reporting |f(root)| / max(1, |x|).
+def _polish(f, root, x) -> tuple[np.ndarray, np.ndarray]:
+    """The best of root and its neighbouring doubles, with |f| / max(1, |x|).
 
-    Near the nu = 2 pole the curve's slope grows like x^2, so one ulp of
-    root can move f by more than any fixed tolerance and no double meets
-    a plain residual test.  A root is therefore also accepted when the
-    sign change is straddled within one ulp of root, or when |f| sits
-    below the slope times a few ulps (the evaluation noise floor); the
-    honest residual is returned either way.
+    The bisection leaves a sign change of f between adjacent doubles, so
+    no residual test can reject its root: near the nu = 2 pole the slope
+    grows like x^2 and one ulp can move f by more than any fixed
+    tolerance.  The neighbour with the smallest |f| is returned with its
+    honest residual.
     """
-    scale = np.maximum(1.0, np.abs(x))
     cands = np.stack([root, np.nextafter(root, -np.inf), np.nextafter(root, np.inf)])
     vals = np.stack([f(c) for c in cands])
     best = np.argmin(np.abs(vals), axis=0)
     cols = np.arange(root.size)
-    best_root, best_val = cands[best, cols], vals[best, cols]
-    residual = np.abs(best_val) / scale
-    straddles = (vals.min(axis=0) <= 0.0) & (vals.max(axis=0) >= 0.0)
-    rise = np.abs(vals[2] - vals[1])
-    bad = (residual > tol) & ~straddles & (np.abs(best_val) > 32.0 * rise)
-    if bad.any():
-        i = int(np.argmax(bad))
-        slope = rise[i] / (cands[2, i] - cands[1, i])
-        raise _at(SolverError(
-            f"branch {k[i]}: residual {residual[i]:.3e} exceeds tol {tol:.3e} "
-            f"at x = {x[i]:.17g} (slope {slope:.3e})"), i)
-    return best_root, residual
+    return cands[best, cols], np.abs(vals[best, cols]) / np.maximum(1.0, np.abs(x))
 
 
-def _solve(x: np.ndarray, k: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _solve(x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Roots nu^2 on branch k[i] at x[i], and their residuals, as one array solve.
 
     Errors raised for a single element carry its position as `index`.
     """
-    if not (0.0 < tol < 1.0):
-        raise ConfigError(f"tol must be in (0, 1), got {tol!r}")
-    if np.any(k < 0):
-        raise ValueError(f"branch index must be >= 0, got {int(k.min())}")
     infinite = ~np.isfinite(x)
     if infinite.any():
         raise ConfigError(f"x must be finite, got {float(x[np.argmax(infinite)])!r}")
@@ -297,9 +280,10 @@ def _solve(x: np.ndarray, k: np.ndarray, tol: float) -> tuple[np.ndarray, np.nda
 
     lo, hi = np.empty(x.shape), np.empty(x.shape)
     _branch0_brackets(f, x, np.flatnonzero(k == 0), lo, hi)
-    _interval_brackets(f, x, k, np.flatnonzero(k > 0), lo, hi)
+    # a negative k reaches branch_interval, which rejects it
+    _interval_brackets(f, x, k, np.flatnonzero(k != 0), lo, hi)
     root = _bisect(f, lo, hi)
-    values, residuals = _polish(lambda s: _lhs(s, _POLE_TOL) - x, root, x, k, tol)
+    values, residuals = _polish(lambda s: _lhs(s, _POLE_TOL) - x, root, x)
     near = _flag_near_pole(values) & (k > 0)
     if near.any():
         warnings.warn(
@@ -326,7 +310,7 @@ class EfimovConstants:
 def efimov_constants(tol: float = 1e-10) -> EfimovConstants:
     """Solve the resonant limit of the lowest branch for b and C."""
     if not (0.0 < tol < 1.0):
-        raise ValueError(f"tol must be in (0, 1), got {tol!r}")
+        raise ConfigError(f"tol must be in (0, 1), got {tol!r}")
     # lhs(-b^2) falls as b grows, so bisect its negative in b directly
     b = float(_bisect(lambda v, idx: -_lhs_negative(v),
                       np.array([0.25]), np.array([4.0]))[0])
@@ -372,9 +356,9 @@ def _root(value, branch_index: int, residual) -> NuSquared:
                      near_pole=bool(_flag_near_pole(value)))
 
 
-def solve_branch0(x: float, tol: float = 1e-10) -> NuSquared:
+def solve_branch0(x: float) -> NuSquared:
     """Root of the eigenvalue equation on the lowest branch, s = nu^2 < 4."""
-    values, residuals = _solve(np.array([float(x)]), np.zeros(1, dtype=int), tol)
+    values, residuals = _solve(np.array([float(x)]), np.zeros(1, dtype=int))
     return _root(values[0], 0, residuals[0])
 
 
@@ -387,7 +371,7 @@ def branch_interval(branch_index: int) -> tuple[float, float]:
     sit between consecutive genuine poles.
     """
     if branch_index < 0:
-        raise ValueError(f"branch index must be >= 0, got {branch_index}")
+        raise ConfigError(f"branch index must be >= 0, got {branch_index}")
     if branch_index == 0:
         return (0.0, 2.0)
     if branch_index == 1:
@@ -395,7 +379,7 @@ def branch_interval(branch_index: int) -> tuple[float, float]:
     return (2.0 * branch_index + 2.0, 2.0 * branch_index + 4.0)
 
 
-def solve_branches(x: float, count: int, tol: float = 1e-10) -> list[NuSquared]:
+def solve_branches(x: float, count: int) -> list[NuSquared]:
     """The `count` lowest eigenvalue roots at fixed x, ascending in nu^2.
 
     Every interval between consecutive genuine poles sweeps the full real
@@ -405,16 +389,15 @@ def solve_branches(x: float, count: int, tol: float = 1e-10) -> list[NuSquared]:
     count = int(count)
     if count < 1:
         raise ConfigError(f"count must be >= 1, got {count}")
-    values, residuals = _solve(np.full(count, float(x)), np.arange(count), tol)
+    values, residuals = _solve(np.full(count, float(x)), np.arange(count))
     return [_root(v, k, r) for k, (v, r) in enumerate(zip(values, residuals))]
 
 
-def _solve_on_grid(config: SystemConfig, rho: np.ndarray, branch_index: int,
-                   tol: float) -> np.ndarray:
+def _solve_on_grid(config: SystemConfig, rho: np.ndarray, branch_index: int) -> np.ndarray:
     """Exact nu^2 on one branch at every radius, naming the radius on failure."""
     x = np.atleast_1d(config.x_of_rho(rho))
     try:
-        values, _ = _solve(x, np.full(x.shape, branch_index), tol)
+        values, _ = _solve(x, np.full(x.shape, branch_index))
     except (BracketError, SolverError) as exc:
         raise SolverError(
             f"branch {branch_index} root failed at rho = "
@@ -437,7 +420,6 @@ class AdiabaticBranch:
     nu_squared: np.ndarray
     branch_index: int
     config: SystemConfig | None = None
-    tol: float = 1e-10
 
     def __post_init__(self):
         if self.nu_squared.shape != (self.grid.points,):
@@ -454,7 +436,7 @@ class AdiabaticBranch:
         if self.config is None or self.config.at_unitarity:
             out = np.full(rho_arr.shape, float(self.nu_squared[0]))
         else:
-            out = _solve_on_grid(self.config, rho_arr, self.branch_index, self.tol)
+            out = _solve_on_grid(self.config, rho_arr, self.branch_index)
         return float(out[0]) if np.ndim(rho) == 0 else out
 
 
@@ -465,8 +447,8 @@ def constant_branch(value: float, grid: LogGrid, branch_index: int = 0) -> Adiab
                            branch_index=branch_index, config=None)
 
 
-def tabulate_branch(config: SystemConfig, grid: LogGrid, branch_index: int = 0,
-                    *, tol: float = 1e-10) -> AdiabaticBranch:
+def tabulate_branch(config: SystemConfig, grid: LogGrid,
+                    branch_index: int = 0) -> AdiabaticBranch:
     """Tabulate nu^2(rho) over the grid in one array solve.
 
     Every point is bracketed and solved on its own, so a tabulated value
@@ -474,15 +456,13 @@ def tabulate_branch(config: SystemConfig, grid: LogGrid, branch_index: int = 0,
     grid around it.  At unitarity x = 0 everywhere and the branch is one
     constant.
     """
-    if branch_index < 0:
-        raise ValueError(f"branch index must be >= 0, got {branch_index}")
     if config.at_unitarity:
-        root = _solve_on_grid(config, grid.values[:1], branch_index, tol)[0]
+        root = _solve_on_grid(config, grid.values[:1], branch_index)[0]
         values = np.full(grid.points, root)
     else:
-        values = _solve_on_grid(config, grid.values, branch_index, tol)
+        values = _solve_on_grid(config, grid.values, branch_index)
     return AdiabaticBranch(grid=grid, nu_squared=values,
-                           branch_index=branch_index, config=config, tol=tol)
+                           branch_index=branch_index, config=config)
 
 
 @dataclass(frozen=True)

@@ -223,6 +223,10 @@ class StabilityReport:
         }
 
 
+# points of the log scan that locates the minimum before Newton polishing
+_SCAN_POINTS = 4001
+
+
 def _scan_bounds(terms) -> tuple[float, float]:
     """Log-scan window bracketing every pairwise term balance point."""
     scales = []
@@ -245,8 +249,7 @@ def _eval_terms(terms, n, shift):
     return out
 
 
-def classify_stability(model: MatterModel, *, tol: float = 1e-10,
-                       scan_points: int = 4001) -> StabilityReport:
+def classify_stability(model: MatterModel, *, tol: float = 1e-10) -> StabilityReport:
     """Classify the density dependence of e(n) = epsilon(n) / n.
 
     The highest power decides boundedness; bounded functionals are
@@ -279,15 +282,15 @@ def classify_stability(model: MatterModel, *, tol: float = 1e-10,
         return sum(c * (p - 1.0) * (p - 2.0) * n ** (p - 3.0) for c, p in terms)
 
     n_lo, n_hi = _scan_bounds(terms)
-    grid = np.geomspace(n_lo, n_hi, scan_points)
-    vals = np.zeros(scan_points)
+    grid = np.geomspace(n_lo, n_hi, _SCAN_POINTS)
+    vals = np.zeros(_SCAN_POINTS)
     for c, p in terms:
         vals += c * grid ** (p - 1.0)
     i_min = int(np.argmin(vals))
     if vals[i_min] >= 0.0:
         return StabilityReport(Classification.TRIVIAL_MINIMUM_AT_ZERO, model,
                                n_sat=0.0, e_min=0.0)
-    if i_min == 0 or i_min == scan_points - 1:
+    if i_min == 0 or i_min == _SCAN_POINTS - 1:
         raise SolverError("stability scan minimum fell on the window edge; "
                           "term balance scales are badly conditioned")
 

@@ -7,10 +7,11 @@ with kappa = sqrt(-2E).  Node-counting bisection on ln(kappa) then
 yields the bound spectrum; for a supercritical branch the levels form a
 geometric tower whose ratio is set by the imaginary order b.
 
-Integration is cut off where kappa * rho reaches `tail_factor`, beyond
-which the solution has grown by e^(tail_factor) and deeper tails carry
-no node information.  States with |E| within `box_flag_factor` times
-the box scale 1/(2 rho_max^2) are flagged as box-limited.
+Integration is cut off where kappa * rho reaches DEFAULT_TAIL_FACTOR,
+beyond which the solution has grown by e^DEFAULT_TAIL_FACTOR and deeper
+tails carry no node information.  States with |E| within
+DEFAULT_BOX_FLAG_FACTOR times the box scale 1/(2 rho_max^2) are flagged
+as box-limited.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ DEFAULT_TAIL_FACTOR = 36.0
 DEFAULT_BOX_FLAG_FACTOR = 100.0
 
 _KAPPA_SEARCH_EDGE = 0.03   # kappa * rho_max at the shallow search edge
-_FLOOR_SCALE = 10.0         # |E_floor| in units of 1/(2 R^2), times safety
+_FLOOR_SCALE = 10.0         # |E_floor| in units of 1/(2 R^2)
 
 
 @dataclass(frozen=True)
@@ -108,17 +109,14 @@ class _Workspace:
     """
 
     def __init__(self, potential: EffectivePotential, inner_radius: float,
-                 rho_max: float, dt: float, tail_factor: float):
+                 rho_max: float, dt: float):
         if not (math.isfinite(rho_max) and rho_max > inner_radius):
             raise ConfigError(
                 f"rho_max must exceed the inner radius {inner_radius}, got {rho_max!r}")
         if not (0.0 < dt < 1.0):
             raise ConfigError(f"dt must be in (0, 1), got {dt!r}")
-        if tail_factor <= 1.0:
-            raise ConfigError(f"tail factor must exceed 1, got {tail_factor!r}")
         self.R = inner_radius
         self.rho_max = rho_max
-        self.tail_factor = tail_factor
         self.T = math.log(rho_max / inner_radius)
         self.n_full = int(math.ceil(self.T / dt)) + 1
         self.h = self.T / (self.n_full - 1)
@@ -159,7 +157,7 @@ class _Workspace:
         if not (math.isfinite(E) and E < 0.0):
             raise ConfigError(f"bound-state integration needs E < 0, got {E!r}")
         kappa = math.sqrt(-2.0 * E)
-        t_tail = math.log(self.tail_factor / (kappa * self.R))
+        t_tail = math.log(DEFAULT_TAIL_FACTOR / (kappa * self.R))
         if t_tail <= self.h:
             raise SolverError(
                 f"energy {E:.6g} too deep: kappa R = {kappa * self.R:.3g} "
@@ -198,24 +196,20 @@ class _Workspace:
 
 
 def integrate_radial(potential: EffectivePotential, E: float, rho_max: float,
-                     *, dt: float = DEFAULT_DT,
-                     tail_factor: float = DEFAULT_TAIL_FACTOR) -> RadialSolution:
+                     *, dt: float = DEFAULT_DT) -> RadialSolution:
     """Integrate outward from the regularization radius at fixed E < 0."""
     if potential.scheme is None:
         raise UnregularizedPotentialError(
             "integration from rho = 0 is ill-defined for the bare "
             "inverse-square attraction; use HardWall or Cap, or the "
             "cutoff-based collapse_probe")
-    ws = _Workspace(potential, potential.R, rho_max, dt, tail_factor)
+    ws = _Workspace(potential, potential.R, rho_max, dt)
     return ws.integrate(E)
 
 
 def find_spectrum(potential: EffectivePotential, rho_max: float,
                   max_levels: int = 8, tol_E: float = 1e-8,
-                  *, dt: float = DEFAULT_DT,
-                  tail_factor: float = DEFAULT_TAIL_FACTOR,
-                  e_floor_safety: float = 1.0,
-                  box_flag_factor: float = DEFAULT_BOX_FLAG_FACTOR) -> BoundStateSpectrum:
+                  *, dt: float = DEFAULT_DT) -> BoundStateSpectrum:
     """Bound spectrum by node-counting bisection on ln(kappa).
 
     The node count of the outward solution at energy E equals the number
@@ -235,15 +229,16 @@ def find_spectrum(potential: EffectivePotential, rho_max: float,
     if not (0.0 < tol_E < 0.1):
         raise ConfigError(f"tol_E must be in (0, 0.1), got {tol_E!r}")
 
-    ws = _Workspace(potential, potential.R, rho_max, dt, tail_factor)
+    ws = _Workspace(potential, potential.R, rho_max, dt)
     R = potential.R
 
-    kappa_floor = math.sqrt(_FLOOR_SCALE * e_floor_safety) / R
+    kappa_floor = math.sqrt(_FLOOR_SCALE) / R
     n_floor = ws.node_count(kappa_floor)
     if n_floor > 0:
         raise SolverError(
             f"{n_floor} level(s) lie below the search floor "
-            f"E = {-0.5 * kappa_floor ** 2:.6g}; raise e_floor_safety")
+            f"E = {-0.5 * kappa_floor ** 2:.6g}; the channel is too deep "
+            f"for R = {R:.6g}")
 
     kappa_edge = _KAPPA_SEARCH_EDGE / rho_max
     if kappa_edge >= kappa_floor:
@@ -268,7 +263,7 @@ def find_spectrum(potential: EffectivePotential, rho_max: float,
             raise SolverError(
                 f"level {k}: bisection landed on a solution with "
                 f"{sol.node_count} nodes; grid too coarse for tol_E = {tol_E}")
-        flagged = abs(sol.E) < box_flag_factor * 0.5 / (rho_max * rho_max)
+        flagged = abs(sol.E) < DEFAULT_BOX_FLAG_FACTOR * 0.5 / (rho_max * rho_max)
         states.append(replace(sol, box_limited=flagged))
         ln_hi = hi
 
@@ -372,15 +367,14 @@ class ProbeResult:
 
 def collapse_probe(potential: EffectivePotential, E: float, base_cutoff: float,
                    decades: int, per_decade: int = 1,
-                   *, dt: float = DEFAULT_DT,
-                   tail_factor: float = DEFAULT_TAIL_FACTOR) -> ProbeResult:
+                   *, dt: float = DEFAULT_DT) -> ProbeResult:
     """Count nodes at fixed E while the inner cutoff shrinks decade by decade.
 
     Only meaningful for the unregularized potential: each decade of
     cutoff adds b ln(10) / pi nodes when the branch is supercritical, the
     discrete signature of the collapse.  The outer end of the integration
-    is fixed by the tail cutoff at kappa rho = `tail_factor`, so all runs
-    share their outer region exactly.
+    is fixed by the tail cutoff at kappa rho = DEFAULT_TAIL_FACTOR, so all
+    runs share their outer region exactly.
     """
     if potential.scheme is not None:
         raise ConfigError(
@@ -394,17 +388,17 @@ def collapse_probe(potential: EffectivePotential, E: float, base_cutoff: float,
         raise ConfigError(f"base cutoff must be positive, got {base_cutoff!r}")
 
     kappa = math.sqrt(-2.0 * E)
-    rho_out = tail_factor / kappa
+    rho_out = DEFAULT_TAIL_FACTOR / kappa
     smallest = base_cutoff * 10.0 ** (-decades)
     if rho_out <= base_cutoff:
         raise ConfigError(
             f"outer end {rho_out:.3g} does not clear the base cutoff "
-            f"{base_cutoff:.3g}; lower |E| or raise the tail factor")
+            f"{base_cutoff:.3g}; lower |E| or the base cutoff")
 
     cutoffs = base_cutoff * 10.0 ** (-np.arange(decades * per_decade + 1) / per_decade)
     counts = np.empty(len(cutoffs), dtype=int)
     for j, rc in enumerate(cutoffs):
-        ws = _Workspace(potential, float(rc), rho_out, dt, tail_factor)
+        ws = _Workspace(potential, float(rc), rho_out, dt)
         counts[j] = ws.node_count(kappa)
 
     k_axis = np.arange(len(cutoffs)) / per_decade

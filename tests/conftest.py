@@ -1,5 +1,4 @@
 import json
-import os
 import pathlib
 import subprocess
 import sys
@@ -10,14 +9,10 @@ SCHEMA_PATH = (pathlib.Path(__file__).resolve().parents[1]
                / "src" / "efimov_lab" / "schemas" / "cli_output.schema.json")
 
 
-def run_cli(args, expect=0, env_extra=None):
+def run_cli(args, expect=0):
     """Run the CLI in a fresh interpreter and assert its exit code."""
-    env = dict(os.environ)
-    env.pop("EFIMOV_LAB_THREADS", None)
-    if env_extra:
-        env.update(env_extra)
     proc = subprocess.run([sys.executable, "-m", "efimov_lab", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True)
     assert proc.returncode == expect, (
         f"exit {proc.returncode}, expected {expect}, for args {args}\n"
         f"--- stdout ---\n{proc.stdout[-1200:]}\n"

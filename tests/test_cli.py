@@ -13,6 +13,8 @@ from datetime import datetime
 
 import pytest
 
+from efimov_lab.cli import main
+
 B_REF = 1.0062378251027815
 C_REF = 1.2625145606675758
 RATIO_E_REF = 515.03500138488278
@@ -24,6 +26,9 @@ BRANCH_ROOTS_AT_X0 = [-1.012514560667576, 19.938856034048226,
 MANIFEST_KEYS = {"command", "version", "kernel_backend", "parameters",
                  "tolerances", "units", "timestamp"}
 
+# subcommands whose --tol bounds a result; potential and branches take none
+TOL_COMMANDS = {"constants", "spectrum", "nodes", "meanfield"}
+
 
 def _manifest_ok(manifest, command):
     assert MANIFEST_KEYS <= set(manifest)
@@ -31,7 +36,8 @@ def _manifest_ok(manifest, command):
     assert manifest["units"]["hbar"] == 1.0
     assert manifest["units"]["mass_scale"] == 1.0
     assert "a < 0" in manifest["units"]["convention"]
-    assert {"format", "tol", "output"} <= set(manifest["parameters"])
+    assert {"format", "output"} <= set(manifest["parameters"])
+    assert ("tol" in manifest["parameters"]) == (command in TOL_COMMANDS)
     datetime.fromisoformat(manifest["timestamp"])
 
 
@@ -79,15 +85,6 @@ def test_reruns_are_byte_identical(cli):
     second = cli(args).stdout
     assert first == second
     assert first.endswith("\n") and "\r" not in first
-
-
-def test_thread_count_does_not_change_output(cli):
-    base = ["potential", "--a", "-2.5", "--rho-min", "0.01",
-            "--rho-max", "1e3", "--points", "80"]
-    one = cli(base + ["--threads", "1"]).stdout
-    four = cli(base + ["--threads", "4"]).stdout
-    via_env = cli(base, env_extra={"EFIMOV_LAB_THREADS": "4"}).stdout
-    assert one == four == via_env
 
 
 @pytest.mark.parametrize("spaced, joined", [
@@ -261,6 +258,37 @@ def test_meanfield_argument_errors(cli):
     proc = cli(["meanfield", "--statistics", "bose", "--t0", "-1",
                 "--stabilizer", "threebody", "--t3", "-1"], expect=2)
     assert proc.stderr.startswith("efimov-lab: error:")
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["constants", "--tol", "2"], "tol"),
+    (["constants", "--tol", "nan"], "tol"),
+    (["potential", "--a", "1", "--rho-min", "0.1", "--rho-max", "10",
+      "--branch", "-1"], "branch index"),
+    (["spectrum", "--a", "1", "--R", "1", "--rho-max", "1e4", "--branch", "-1"],
+     "branch index"),
+    (["nodes", "--a", "1", "--R", "1", "--rho-max", "1e4", "--branch", "-1"],
+     "branch index"),
+    (["nodes", "--analytic", "--periods", "0"], "--periods"),
+    (["nodes", "--analytic", "--periods", "-3"], "--periods"),
+    (["nodes", "--analytic", "--dt", "0"], "--dt"),
+    (["meanfield", "--statistics", "bose", "--t0", "1", "--points", "-1"], "--points"),
+])
+def test_bad_input_exits_2_naming_it(argv, named, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"efimov-lab: error: {named}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["potential", "--a", "inf", "--rho-min", "1", "--rho-max", "10", "--tol", "1e-10"],
+    ["branches", "--x", "0", "--tol", "1e-12"],
+])
+def test_removed_flags_are_unrecognized(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_branches_frozen_roots(cli, schema_validator):

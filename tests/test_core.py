@@ -86,12 +86,6 @@ def test_log_grid_values_read_only():
         g.values[0] = 2.0
 
 
-def test_log_grid_rejects_non_geometric_values():
-    with pytest.raises(GridError):
-        LogGrid(rho_min=1.0, rho_max=4.0, points=4,
-                values=np.array([1.0, 2.0, 3.0, 4.0]))
-
-
 @pytest.mark.parametrize("args", [(0.0, 1.0, 4), (-1.0, 1.0, 4),
                                   (1.0, 1.0, 4), (1.0, 10.0, 1)])
 def test_log_grid_rejects_bad_bounds(args):

@@ -211,7 +211,7 @@ def test_branch0_monotone_in_x(x1, x2):
 
 def test_branch0_residual_within_tol():
     for x in (-17.0, 0.0, 9.5):
-        root = solve_branch0(x, tol=1e-11)
+        root = solve_branch0(x)
         assert root.residual <= 1e-11
 
 
@@ -326,6 +326,20 @@ def test_branches_one_sign_change_per_interval_dense(x):
 @settings(max_examples=40, deadline=None)
 def test_branches_one_sign_change_per_interval_property(x):
     _check_one_root_per_interval(x, 4001)
+
+
+@given(st.floats(min_value=-1e3, max_value=1e3))
+@settings(max_examples=40, deadline=None)
+def test_every_root_has_a_sign_change_within_two_ulps(x):
+    # bisection ends on adjacent doubles around the sign change, and the
+    # polish may then step one ulp past the final bracket
+    for r in solve_branches(x, 8):
+        below = np.nextafter(r.value, -np.inf)
+        above = np.nextafter(r.value, np.inf)
+        near = (np.nextafter(below, -np.inf), below, r.value,
+                above, np.nextafter(above, np.inf))
+        vals = [eigen_lhs(float(s)) - x for s in near]
+        assert min(vals) <= 0.0 <= max(vals), f"branch {r.branch_index} at x = {x!r}"
 
 
 def test_table_at_the_pole_floor_names_the_radius():
