@@ -1,58 +1,37 @@
 """Pure-Python reference kernel for the log-grid radial integrator.
 
-Same interface and semantics as the compiled twin in ``_compiled.pyx``;
-used automatically when the extension is unavailable and kept as the
-ground truth the compiled kernel is tested against.
+`march` is the backend half of `efimov_lab._kernel.integrate_numerov`;
+the C extension `_numerov.c` repeats its arithmetic in the same order
+and is tested against it bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
+RESCALE_THRESHOLD = 1e250
 
 
-def integrate_numerov(w, h, g0, dg0, renorm_threshold=1e250):
-    """March g'' = w(t) g across a uniform grid with the Numerov rule.
+def march(w, h, g0, dg0, g, log_scale):
+    """Fill `g` and `log_scale` (float64, len(w) >= 2) and return the node count.
 
-    Parameters
-    ----------
-    w : float64 array, length n >= 2
-        Coefficient samples on the uniform t grid.
-    h : float
-        Grid spacing, h > 0.
-    g0, dg0 : float
-        Value and t-derivative of g at the first point.
-    renorm_threshold : float
-        When |g| exceeds this, the running pair is rescaled and the
-        accumulated log of the scale is recorded per point; stored
-        samples keep the scale of their own segment.
-
-    Returns
-    -------
-    (g, log_scale, nodes) : ndarray, ndarray, int
-        Samples, per-point log scale and the count of strict sign
-        changes between consecutive nonzero samples.
+    See `efimov_lab._kernel.integrate_numerov` for the meaning of the
+    arguments and outputs.
     """
-    n = len(w)
-    if n < 2:
-        raise ValueError(f"at least 2 grid points required, got {n}")
-    if not (h > 0.0 and math.isfinite(h)):
-        raise ValueError(f"step must be positive and finite, got {h!r}")
-
-    wl = np.asarray(w, dtype=float).tolist()
-    g = [0.0] * n
+    wl = w.tolist()
+    n = len(wl)
+    gl = [0.0] * n
     ls = [0.0] * n
     h2 = h * h
     c12 = h2 / 12.0
 
-    gm = float(g0)
+    gm = g0
     # fourth-order start: Taylor with dw approximated one-sidedly
     dw = (wl[1] - wl[0]) / h
     gi = gm + h * dg0 + 0.5 * h2 * wl[0] * gm \
         + (h2 * h / 6.0) * (wl[0] * dg0 + dw * gm)
-    g[0] = gm
-    g[1] = gi
+    gl[0] = gm
+    gl[1] = gi
 
     running_log = 0.0
     nodes = 0
@@ -65,17 +44,18 @@ def integrate_numerov(w, h, g0, dg0, renorm_threshold=1e250):
             nodes += 1
         sign_prev = s
 
+    top = RESCALE_THRESHOLD  # a local name is faster to read in the loop
     cm = 1.0 - c12 * wl[0]
     ci = 1.0 - c12 * wl[1]
     for i in range(1, n - 1):
         cp = 1.0 - c12 * wl[i + 1]
         gp = ((12.0 - 10.0 * ci) * gi - cm * gm) / cp
-        if gp > renorm_threshold or gp < -renorm_threshold:
+        if gp > top or gp < -top:
             scale = abs(gp)
             gi /= scale
             gp /= scale
             running_log += math.log(scale)
-        g[i + 1] = gp
+        gl[i + 1] = gp
         ls[i + 1] = running_log
         if gp != 0.0:
             s = 1 if gp > 0.0 else -1
@@ -85,4 +65,6 @@ def integrate_numerov(w, h, g0, dg0, renorm_threshold=1e250):
         gm, gi = gi, gp
         cm, ci = ci, cp
 
-    return np.array(g), np.array(ls), nodes
+    g[:] = gl
+    log_scale[:] = ls
+    return nodes

@@ -212,11 +212,13 @@ def cmd_spectrum(ns: argparse.Namespace) -> int:
 
 def _analytic_solution(periods: int, dt: float) -> RadialSolution:
     """Closed-form f = sqrt(rho) sin(b ln rho) sampled like a real run."""
-    if periods < 1:
-        raise ConfigError(f"--periods must be >= 1, got {periods}")
+    b = efimov_constants().b
+    # kappa = 0.02 e^-T must stay a normal float, which also keeps e^T finite
+    max_periods = int(math.log(0.02 / sys.float_info.min) * b / math.pi)
+    if not 1 <= periods <= max_periods:
+        raise ConfigError(f"--periods must be in [1, {max_periods}], got {periods}")
     if not (0.0 < dt < 1.0):
         raise ConfigError(f"--dt must be in (0, 1), got {dt!r}")
-    b = efimov_constants().b
     T = periods * math.pi / b
     n = int(math.ceil(T / dt)) + 1
     t = np.linspace(0.0, T, n)
@@ -245,7 +247,14 @@ def cmd_nodes(ns: argparse.Namespace) -> int:
         if kappa == 0.0:
             raise ConfigError(f"--probe-E must be negative, got {ns.probe_E}")
         rho_out = DEFAULT_TAIL_FACTOR / kappa
+        if not (math.isfinite(ns.base_cutoff) and ns.base_cutoff > 0.0):
+            raise ConfigError(f"--base-cutoff must be positive and finite, got {ns.base_cutoff!r}")
+        if ns.decades < 1:
+            raise ConfigError(f"--decades must be >= 1, got {ns.decades}")
         smallest = ns.base_cutoff * 10.0 ** (-ns.decades)
+        if smallest < sys.float_info.min:
+            raise ConfigError(f"--decades {ns.decades} takes the smallest cutoff "
+                              f"{ns.base_cutoff!r} * 10^-{ns.decades} below the float range")
         # collapse_probe re-solves nu^2 at its own radii and never reads the table
         grid = LogGrid.make(smallest, rho_out * (1.0 + 1e-12), 2)
         branch = tabulate_branch(cfg, grid, ns.branch)

@@ -17,6 +17,7 @@ as box-limited.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -305,6 +306,10 @@ def node_analysis(solution: RadialSolution, *, kappa_rho_max: float = 0.2,
     nodes survive the interior window; deeper levels or a larger domain
     give more usable nodes.
     """
+    if not (math.isfinite(kappa_rho_max) and kappa_rho_max > 0.0):
+        raise ConfigError(f"kappa_rho_max must be finite and > 0, got {kappa_rho_max!r}")
+    if not (math.isfinite(wall_factor) and wall_factor >= 0.0):
+        raise ConfigError(f"wall_factor must be finite and >= 0, got {wall_factor!r}")
     f = solution.f
     rho = solution.rho
     t = np.log(rho)
@@ -390,6 +395,9 @@ def collapse_probe(potential: EffectivePotential, E: float, base_cutoff: float,
     kappa = math.sqrt(-2.0 * E)
     rho_out = DEFAULT_TAIL_FACTOR / kappa
     smallest = base_cutoff * 10.0 ** (-decades)
+    if smallest < sys.float_info.min:
+        raise ConfigError(f"decades = {decades} takes the smallest cutoff "
+                          f"{base_cutoff!r} * 10^-{decades} below the float range")
     if rho_out <= base_cutoff:
         raise ConfigError(
             f"outer end {rho_out:.3g} does not clear the base cutoff "

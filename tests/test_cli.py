@@ -273,6 +273,17 @@ def test_meanfield_argument_errors(cli):
     (["nodes", "--analytic", "--periods", "-3"], "--periods"),
     (["nodes", "--analytic", "--dt", "0"], "--dt"),
     (["meanfield", "--statistics", "bose", "--t0", "1", "--points", "-1"], "--points"),
+    (["nodes", "--analytic", "--periods", "300"], "--periods"),
+    (["nodes", "--analytic", "--periods", "100000000"], "--periods"),
+    (["nodes", "--a", "inf", "--R", "1", "--rho-max", "1e8", "--kappa-rho-max", "nan"],
+     "kappa_rho_max"),
+    (["nodes", "--a", "inf", "--R", "1", "--rho-max", "1e8", "--kappa-rho-max", "-1"],
+     "kappa_rho_max"),
+    (["nodes", "--a", "inf", "--R", "1", "--rho-max", "1e8", "--wall-factor", "nan"],
+     "wall_factor"),
+    (["nodes", "--a", "inf", "--probe-E", "-0.5", "--decades", "400"], "--decades"),
+    (["nodes", "--a", "inf", "--probe-E", "-0.5", "--decades", "-400"], "--decades"),
+    (["nodes", "--a", "inf", "--probe-E", "-0.5", "--base-cutoff", "nan"], "--base-cutoff"),
 ])
 def test_bad_input_exits_2_naming_it(argv, named, capsys):
     assert main(argv) == 2

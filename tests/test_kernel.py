@@ -3,16 +3,55 @@
 Oracle for accuracy: g'' = -k^2 g with g(0) = 0, g'(0) = 1 has the
 exact solution sin(k t) / k, with floor(k T / pi) interior sign
 changes on [0, T].
+
+The compiled backend is built from setup.py into a temporary directory
+once per module, so the comparisons with the pure reference run
+wherever a C compiler is present.
 """
 
+import importlib.util
 import math
+import pathlib
+import shutil
+import subprocess
+import sys
+import sysconfig
 
 import numpy as np
 import pytest
 
-from efimov_lab._kernel import BACKEND, get_backend, integrate_numerov
+import efimov_lab._kernel as kernel
+from efimov_lab._kernel import _pure, integrate_numerov
+from efimov_lab.cli import main
+from test_golden import CASES, GOLDEN_DIR
 
-_HAS_COMPILED = BACKEND == "compiled"
+REPO = pathlib.Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="module")
+def compiled(tmp_path_factory):
+    """The C backend, built out of tree; skipped only without a C compiler."""
+    cc = (sysconfig.get_config_var("CC") or "cc").split()[0]
+    if shutil.which(cc) is None:
+        pytest.skip(f"no C compiler ({cc}) to build the compiled backend")
+    out = tmp_path_factory.mktemp("numerov")
+    proc = subprocess.run(
+        [sys.executable, "setup.py", "build_ext", "--build-lib", str(out),
+         "--build-temp", str(out)],
+        cwd=REPO, capture_output=True, text=True)
+    so = out / "efimov_lab" / "_kernel" / ("_numerov" + sysconfig.get_config_var("EXT_SUFFIX"))
+    if not so.exists():
+        pytest.fail(f"{cc} is present but setup.py built no {so.name}:\n"
+                    f"{proc.stdout[-2000:]}\n{proc.stderr[-2000:]}")
+    spec = importlib.util.spec_from_file_location("efimov_lab._kernel._numerov", so)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _run(backend, monkeypatch, *args):
+    monkeypatch.setattr(kernel, "_impl", backend)
+    return integrate_numerov(*args)
 
 
 def _random_cases(seed=7, count=12):
@@ -28,29 +67,32 @@ def _random_cases(seed=7, count=12):
     return cases
 
 
-@pytest.mark.skipif(not _HAS_COMPILED, reason="compiled backend not built")
-def test_backends_bitwise_identical():
-    pure = get_backend("pure")
-    comp = get_backend("compiled")
-    for w, h, g0, dg0 in _random_cases():
-        gp, lp, np_ = pure.integrate_numerov(w, h, g0, dg0)
-        gc, lc, nc = comp.integrate_numerov(w, h, g0, dg0)
+def test_backends_bitwise_identical(compiled, monkeypatch):
+    for case in _random_cases():
+        gp, lp, np_ = _run(_pure, monkeypatch, *case)
+        gc, lc, nc = _run(compiled, monkeypatch, *case)
         assert np_ == nc
         assert np.array_equal(gp, gc), "sample arrays differ bitwise"
         assert np.array_equal(lp, lc), "log-scale arrays differ bitwise"
 
 
-@pytest.mark.skipif(not _HAS_COMPILED, reason="compiled backend not built")
-def test_backends_identical_under_renormalization():
-    pure = get_backend("pure")
-    comp = get_backend("compiled")
-    w = np.full(4000, 400.0)  # growth e^{20 t}, forces rescaling
-    h = 0.01
-    gp, lp, _ = pure.integrate_numerov(w, h, 0.0, 1.0, 1e30)
-    gc, lc, _ = comp.integrate_numerov(w, h, 0.0, 1.0, 1e30)
+def test_backends_identical_under_renormalization(compiled, monkeypatch):
+    w = np.full(4000, 400.0)  # growth e^{20 t} to e^{800}, forces rescaling
+    case = (w, 0.01, 0.0, 1.0)
+    gp, lp, _ = _run(_pure, monkeypatch, *case)
+    gc, lc, _ = _run(compiled, monkeypatch, *case)
     assert np.array_equal(gp, gc)
     assert np.array_equal(lp, lc)
     assert lp[-1] > 0.0
+
+
+def test_golden_bodies_from_the_c_kernel(compiled, monkeypatch, capsys):
+    monkeypatch.setattr(kernel, "_impl", compiled)
+    for name, argv in sorted(CASES.items()):
+        assert main(argv) == 0, name
+        got = capsys.readouterr().out
+        want = (GOLDEN_DIR / f"{name}.csv").read_bytes().decode("utf-8")
+        assert got == want, name
 
 
 def test_sine_solution_nodes_and_values():
@@ -84,16 +126,15 @@ def test_fourth_order_convergence():
 
 
 def test_renormalization_preserves_log_trajectory():
-    # same problem integrated with and without forced rescaling must
-    # describe the same solution up to the recorded log scale
-    w = np.full(1500, 100.0)
-    h = 0.01
-    g_a, ls_a, _ = integrate_numerov(w, h, 1.0, 0.5)
-    g_b, ls_b, _ = integrate_numerov(w, h, 1.0, 0.5, 1e4)
-    assert np.any(ls_b > 0.0)
-    log_a = np.log(np.abs(g_a)) + ls_a
-    log_b = np.log(np.abs(g_b)) + ls_b
-    assert np.max(np.abs(log_a - log_b)) < 1e-9
+    # g'' = k^2 g, g(0) = 0, g'(0) = 1 gives g = sinh(k t) / k, so
+    # log|g| + log_scale must follow k t - ln 2k across the rescale
+    k, h, n = 50.0, 1e-3, 20000
+    t = h * np.arange(n)
+    g, ls, _ = integrate_numerov(np.full(n, k * k), h, 0.0, 1.0)
+    assert np.any(np.diff(ls) > 0.0), "no rescale happened"
+    late = t > 1.0
+    err = np.log(np.abs(g[late])) + ls[late] - (k * t[late] - math.log(2.0 * k))
+    assert np.max(np.abs(err)) < 5e-5
 
 
 def test_growth_never_overflows():
@@ -118,9 +159,3 @@ def test_input_validation():
         integrate_numerov(np.zeros(8), 0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         integrate_numerov(np.zeros(8), float("nan"), 0.0, 1.0)
-
-
-def test_get_backend_names():
-    assert get_backend("pure").integrate_numerov is not None
-    with pytest.raises(ValueError):
-        get_backend("fortran")

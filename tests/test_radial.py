@@ -283,6 +283,8 @@ def test_probe_argument_validation():
         collapse_probe(pot, -0.5, 1e-2, decades=0)
     with pytest.raises(ConfigError):
         collapse_probe(pot, -1e8, 1e-2, decades=2)  # outer end below cutoff
+    with pytest.raises(ConfigError, match="decades"):
+        collapse_probe(pot, -0.5, 1e-2, decades=400)  # smallest cutoff underflows
 
 
 def test_spectrum_argument_validation():
