@@ -3,11 +3,29 @@
 `march` is the backend half of `efimov_lab._kernel.integrate_numerov`;
 the C extension `_numerov.c` repeats its arithmetic in the same order
 and is tested against it bit for bit.
+
+The work is split three ways so that the Python-level loop carries only
+what is sequential:
+
+1. numpy builds the Numerov coefficients c = 1 - (h^2/12) w and
+   a = 12 - 10 c for the whole grid.  Element-wise these are the same
+   two IEEE operations the C kernel does per step, so the values agree
+   bit for bit.
+2. One scalar loop runs the recurrence g+ = (a_i g_i - c_{i-1} g-) / c_{i+1}
+   over Python floats, rescales the running pair when |g+| passes
+   RESCALE_THRESHOLD, and records each rescale as (index, running log).
+3. numpy then writes the samples, fills the log scale piecewise from
+   the recorded rescales, and counts nodes as sign changes between
+   consecutive nonzero samples (a NaN counts as negative and -0.0 as
+   zero, as in the C kernel's in-loop count).
 """
 
 from __future__ import annotations
 
 import math
+from itertools import islice
+
+import numpy as np
 
 RESCALE_THRESHOLD = 1e250
 
@@ -18,53 +36,41 @@ def march(w, h, g0, dg0, g, log_scale):
     See `efimov_lab._kernel.integrate_numerov` for the meaning of the
     arguments and outputs.
     """
-    wl = w.tolist()
-    n = len(wl)
-    gl = [0.0] * n
-    ls = [0.0] * n
+    n = len(w)
     h2 = h * h
     c12 = h2 / 12.0
+    c = 1.0 - c12 * w
+    a = (12.0 - 10.0 * c[1:-1]).tolist()
+    c = c.tolist()
 
     gm = g0
+    w0 = float(w[0])
     # fourth-order start: Taylor with dw approximated one-sidedly
-    dw = (wl[1] - wl[0]) / h
-    gi = gm + h * dg0 + 0.5 * h2 * wl[0] * gm \
-        + (h2 * h / 6.0) * (wl[0] * dg0 + dw * gm)
-    gl[0] = gm
-    gl[1] = gi
+    dw = (float(w[1]) - w0) / h
+    gi = gm + h * dg0 + 0.5 * h2 * w0 * gm \
+        + (h2 * h / 6.0) * (w0 * dg0 + dw * gm)
 
+    gl = [gm, gi]
+    append = gl.append  # local names are faster to read in the loop
+    rescales = []
     running_log = 0.0
-    nodes = 0
-    sign_prev = 0
-    if gm != 0.0:
-        sign_prev = 1 if gm > 0.0 else -1
-    if gi != 0.0:
-        s = 1 if gi > 0.0 else -1
-        if sign_prev != 0 and s != sign_prev:
-            nodes += 1
-        sign_prev = s
-
-    top = RESCALE_THRESHOLD  # a local name is faster to read in the loop
-    cm = 1.0 - c12 * wl[0]
-    ci = 1.0 - c12 * wl[1]
-    for i in range(1, n - 1):
-        cp = 1.0 - c12 * wl[i + 1]
-        gp = ((12.0 - 10.0 * ci) * gi - cm * gm) / cp
-        if gp > top or gp < -top:
+    top = RESCALE_THRESHOLD
+    bottom = -top
+    for ai, cm, cp in zip(a, c, islice(c, 2, None)):
+        gp = (ai * gi - cm * gm) / cp
+        if gp > top or gp < bottom:
             scale = abs(gp)
             gi /= scale
             gp /= scale
             running_log += math.log(scale)
-        gl[i + 1] = gp
-        ls[i + 1] = running_log
-        if gp != 0.0:
-            s = 1 if gp > 0.0 else -1
-            if sign_prev != 0 and s != sign_prev:
-                nodes += 1
-            sign_prev = s
-        gm, gi = gi, gp
-        cm, ci = ci, cp
+            rescales.append((len(gl), running_log))
+        append(gp)
+        gm = gi
+        gi = gp
 
-    g[:] = gl
-    log_scale[:] = ls
-    return nodes
+    g[:] = np.fromiter(gl, dtype=np.float64, count=n)
+    log_scale[:] = 0.0
+    for (start, value), (end, _) in zip(rescales, rescales[1:] + [(n, 0.0)]):
+        log_scale[start:end] = value
+    positive = g[g != 0.0] > 0.0
+    return int(np.count_nonzero(positive[1:] != positive[:-1]))

@@ -51,6 +51,7 @@ from .meanfield import (
 from .radial import (
     DEFAULT_DT,
     DEFAULT_TAIL_FACTOR,
+    MAX_GRID_POINTS,
     RadialSolution,
     collapse_probe,
     find_spectrum,
@@ -220,6 +221,9 @@ def _analytic_solution(periods: int, dt: float) -> RadialSolution:
     if not (0.0 < dt < 1.0):
         raise ConfigError(f"--dt must be in (0, 1), got {dt!r}")
     T = periods * math.pi / b
+    if T / dt > MAX_GRID_POINTS - 1:
+        raise ConfigError(f"--dt {dt!r} needs {T / dt:.3g} grid steps over {periods} "
+                          f"period(s); at most {MAX_GRID_POINTS} points are allowed")
     n = int(math.ceil(T / dt)) + 1
     t = np.linspace(0.0, T, n)
     rho = np.exp(t)

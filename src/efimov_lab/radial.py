@@ -34,6 +34,9 @@ from .hyperangular import Cap, EffectivePotential, HardWall
 DEFAULT_DT = 1.0 / 512.0
 DEFAULT_TAIL_FACTOR = 36.0
 DEFAULT_BOX_FLAG_FACTOR = 100.0
+# grid points allowed in one workspace, 1000 times the 9,433 of the README
+# spectrum run; a dt that needs more is refused before anything is allocated
+MAX_GRID_POINTS = 10_000_000
 
 _KAPPA_SEARCH_EDGE = 0.03   # kappa * rho_max at the shallow search edge
 _FLOOR_SCALE = 10.0         # |E_floor| in units of 1/(2 R^2)
@@ -119,6 +122,10 @@ class _Workspace:
         self.R = inner_radius
         self.rho_max = rho_max
         self.T = math.log(rho_max / inner_radius)
+        if self.T / dt > MAX_GRID_POINTS - 1:
+            raise ConfigError(
+                f"dt = {dt!r} needs {self.T / dt:.3g} grid steps over t = ln(rho/R) "
+                f"in [0, {self.T:.6g}]; at most {MAX_GRID_POINTS} points are allowed")
         self.n_full = int(math.ceil(self.T / dt)) + 1
         self.h = self.T / (self.n_full - 1)
         t = self.h * np.arange(self.n_full)
@@ -218,7 +225,9 @@ def find_spectrum(potential: EffectivePotential, rho_max: float,
     level is bracketed by where the count steps from k+1 to k.  Returned
     energies sit on the deeper bracket edge, whose solution carries
     exactly k nodes; the relative energy width of the final bracket is
-    below `tol_E`.
+    below `tol_E`.  A midpoint that an earlier integration already
+    settles by that monotonicity is not integrated again, so the
+    brackets are those of integrating every midpoint.
     """
     if potential.scheme is None:
         raise UnregularizedPotentialError(
@@ -249,17 +258,36 @@ def find_spectrum(potential: EffectivePotential, rho_max: float,
     ln_lo_full = math.log(kappa_edge)
     states: list[RadialSolution] = []
     ln_hi = math.log(kappa_floor)
+    # every (ln kappa, node count) integrated so far; the count falls as
+    # kappa grows, so a known point can settle a later midpoint unseen
+    known = [(ln_hi, n_floor), (ln_lo_full, total)]
     # bisection to half the relative energy tolerance (E ~ kappa^2)
     ln_tol = max(0.25 * tol_E, 4.0 * np.finfo(float).eps)
     for k in range(min(max_levels, total)):
+        # deepest point known to hold > k nodes, shallowest known to hold <= k;
+        # points integrated while bisecting for k only become its bracket ends
+        known_lo = max((x for x, c in known if c >= k + 1), default=-math.inf)
+        known_hi = min((x for x, c in known if c < k + 1), default=math.inf)
         lo, hi = ln_lo_full, ln_hi
+        sol = None  # the integrated solution at hi, when there is one
         while hi - lo > ln_tol:
             mid = 0.5 * (lo + hi)
-            if ws.node_count(math.exp(mid)) >= k + 1:
+            if mid <= known_lo:
                 lo = mid
+            elif mid >= known_hi:
+                hi, sol = mid, None
             else:
-                hi = mid
-        sol = ws.integrate(-0.5 * math.exp(hi) ** 2)
+                kappa = math.exp(mid)
+                probe = ws.integrate(-0.5 * kappa * kappa)
+                known.append((mid, probe.node_count))
+                if probe.node_count >= k + 1:
+                    lo = mid
+                else:
+                    hi, sol = mid, probe
+        E = -0.5 * math.exp(hi) ** 2
+        # x ** 2 rounds through pow, which may differ from kappa * kappa
+        if sol is None or sol.E != E:
+            sol = ws.integrate(E)
         if sol.node_count != k:
             raise SolverError(
                 f"level {k}: bisection landed on a solution with "

@@ -284,6 +284,9 @@ def test_meanfield_argument_errors(cli):
     (["nodes", "--a", "inf", "--probe-E", "-0.5", "--decades", "400"], "--decades"),
     (["nodes", "--a", "inf", "--probe-E", "-0.5", "--decades", "-400"], "--decades"),
     (["nodes", "--a", "inf", "--probe-E", "-0.5", "--base-cutoff", "nan"], "--base-cutoff"),
+    (["spectrum", "--a", "inf", "--R", "1", "--rho-max", "1e8", "--dt", "1e-12"], "dt"),
+    (["nodes", "--a", "inf", "--R", "1", "--rho-max", "1e8", "--dt", "1e-12"], "dt"),
+    (["nodes", "--analytic", "--dt", "1e-12"], "--dt"),
 ])
 def test_bad_input_exits_2_naming_it(argv, named, capsys):
     assert main(argv) == 2

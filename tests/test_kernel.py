@@ -67,23 +67,68 @@ def _random_cases(seed=7, count=12):
     return cases
 
 
+def _both(compiled, monkeypatch, *case):
+    """Run both backends; return the pure result after checking the C one
+    matches it bit for bit (so -0.0 differs from 0.0 and NaN equals NaN)."""
+    gp, lp, np_ = _run(_pure, monkeypatch, *case)
+    gc, lc, nc = _run(compiled, monkeypatch, *case)
+    assert np_ == nc, "node counts differ"
+    assert gp.tobytes() == gc.tobytes(), "sample arrays differ bitwise"
+    assert lp.tobytes() == lc.tobytes(), "log-scale arrays differ bitwise"
+    return gp, lp, np_
+
+
 def test_backends_bitwise_identical(compiled, monkeypatch):
     for case in _random_cases():
-        gp, lp, np_ = _run(_pure, monkeypatch, *case)
-        gc, lc, nc = _run(compiled, monkeypatch, *case)
-        assert np_ == nc
-        assert np.array_equal(gp, gc), "sample arrays differ bitwise"
-        assert np.array_equal(lp, lc), "log-scale arrays differ bitwise"
+        _both(compiled, monkeypatch, *case)
 
 
 def test_backends_identical_under_renormalization(compiled, monkeypatch):
     w = np.full(4000, 400.0)  # growth e^{20 t} to e^{800}, forces rescaling
-    case = (w, 0.01, 0.0, 1.0)
-    gp, lp, _ = _run(_pure, monkeypatch, *case)
-    gc, lc, _ = _run(compiled, monkeypatch, *case)
-    assert np.array_equal(gp, gc)
-    assert np.array_equal(lp, lc)
+    _, lp, _ = _both(compiled, monkeypatch, w, 0.01, 0.0, 1.0)
     assert lp[-1] > 0.0
+
+
+def test_backends_identical_on_the_zero_solution(compiled, monkeypatch):
+    g, ls, nodes = _both(compiled, monkeypatch, np.full(50, -3.0), 0.1, 0.0, 0.0)
+    assert not np.any(g) and not np.any(ls)
+    assert nodes == 0
+
+
+@pytest.mark.parametrize("w, g0, dg0, zero_at, signbit, want_nodes", [
+    # w = 0, h = 1: g = 1 - t crosses zero exactly at t = 1
+    (np.zeros(6), 1.0, -1.0, 1, False, 1),
+    # c = 1 - w/12 = -1 at points 2 and 3: 2, 1, 0/(-1) = -0.0, 1, 22, ...
+    (np.array([0.0, 0.0, 24.0, 24.0] + [0.0] * 8), 2.0, -1.0, 2, True, 0),
+])
+def test_backends_identical_on_exact_zeros(compiled, monkeypatch, w, g0, dg0,
+                                           zero_at, signbit, want_nodes):
+    # a zero sample of either sign is skipped when counting sign changes
+    g, _, nodes = _both(compiled, monkeypatch, w, 1.0, g0, dg0)
+    assert g[zero_at] == 0.0 and np.signbit(g[zero_at]) == signbit
+    assert np.all(np.delete(g, zero_at) != 0.0)
+    assert nodes == want_nodes
+
+
+def test_backends_identical_with_nan_in_w(compiled, monkeypatch):
+    w = np.random.default_rng(3).normal(0.0, 30.0, 300)
+    w[100] = np.nan
+    g, _, nodes = _both(compiled, monkeypatch, w, 0.01, 0.0, 1.0)
+    assert np.all(np.isnan(g[100:])) and not np.any(np.isnan(g[:100]))
+    # every NaN counts as a negative sample
+    signs = np.where(g > 0.0, 1, -1)[g != 0.0]
+    assert nodes == np.count_nonzero(np.diff(signs))
+
+
+def test_backends_identical_over_several_rescales(compiled, monkeypatch):
+    w = np.full(4000, 1600.0)  # growth e^{40 t} to e^{1600}
+    _, ls, _ = _both(compiled, monkeypatch, w, 0.01, 0.0, 1.0)
+    steps = np.diff(ls)
+    jumps = steps[steps != 0.0]
+    # constant between rescales, and each rescale divides by more than 1e250
+    assert np.all(steps >= 0.0)
+    assert len(jumps) >= 2
+    assert np.all(jumps > math.log(_pure.RESCALE_THRESHOLD))
 
 
 def test_golden_bodies_from_the_c_kernel(compiled, monkeypatch, capsys):

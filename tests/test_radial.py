@@ -34,6 +34,7 @@ from efimov_lab import (
     node_analysis,
     tabulate_branch,
 )
+from efimov_lab import radial
 from efimov_lab.radial import DEFAULT_TAIL_FACTOR
 
 B = efimov_constants().b
@@ -293,6 +294,36 @@ def test_spectrum_argument_validation():
         find_spectrum(pot, 1e4, max_levels=0)
     with pytest.raises(ConfigError):
         find_spectrum(pot, 1e4, tol_E=0.5)
+
+
+def test_level_search_reuses_known_node_counts(monkeypatch):
+    # reference: the same bisection integrating every midpoint afresh
+    rho_max, tol_E = 1e8, 1e-8
+    pot = _unitarity_potential(rho_max, HardWall(1.0))
+    ws = radial._Workspace(pot, 1.0, rho_max, radial.DEFAULT_DT)
+    ln_lo = math.log(radial._KAPPA_SEARCH_EDGE / rho_max)
+    ln_hi = math.log(math.sqrt(radial._FLOOR_SCALE))
+    want = []
+    for k in range(5):
+        lo, hi = ln_lo, ln_hi
+        while hi - lo > 0.25 * tol_E:
+            mid = 0.5 * (lo + hi)
+            if ws.node_count(math.exp(mid)) >= k + 1:
+                lo = mid
+            else:
+                hi = mid
+        want.append(-0.5 * math.exp(hi) ** 2)
+        ln_hi = hi
+
+    calls = []
+    march = radial.integrate_numerov
+    monkeypatch.setattr(radial, "integrate_numerov",
+                        lambda *args: calls.append(1) or march(*args))
+    spec = find_spectrum(pot, rho_max, tol_E=tol_E)
+    assert spec.energies.tolist() == want
+    # integrating every midpoint, the floor and edge probes and each
+    # level's final solution took 172 calls
+    assert len(calls) == 162
 
 
 def test_solution_arrays_read_only():
