@@ -1,7 +1,8 @@
 """Numerov kernel: one contract, two backends.
 
-`integrate_numerov` checks its inputs, allocates the output arrays and
-hands them to the backend's `march(w, h, g0, dg0, g, log_scale) -> nodes`.
+`integrate_numerov(w, h, g0, dg0) -> (g, nodes)` checks its inputs,
+allocates the samples `g` and hands them to the backend's
+`march(w, h, g0, dg0, g) -> nodes`.
 The backend is the C extension `_numerov` when it has been built
 (`python setup.py build_ext --inplace`), and otherwise the pure-Python
 `_pure`, the reference the extension is tested against bit for bit.
@@ -37,12 +38,11 @@ def integrate_numerov(w, h, g0, dg0):
 
     Returns
     -------
-    (g, log_scale, nodes) : ndarray, ndarray, int
-        Samples, per-point log scale and the count of strict sign
-        changes between consecutive nonzero samples.  Whenever |g|
-        passes the renormalization threshold 1e250 the running pair is
-        rescaled and the accumulated log of the scale is recorded per
-        point; stored samples keep the scale of their own segment.
+    (g, nodes) : ndarray, int
+        Samples and the count of strict sign changes between
+        consecutive nonzero samples.  Whenever |g| passes the
+        renormalization threshold 1e250 the running pair is divided by
+        |g|, unrecorded; stored samples keep the scale of their own segment.
     """
     w = np.ascontiguousarray(w, dtype=np.float64)
     n = len(w)
@@ -51,6 +51,5 @@ def integrate_numerov(w, h, g0, dg0):
     if not (h > 0.0 and math.isfinite(h)):
         raise ValueError(f"step must be positive and finite, got {h!r}")
     g = np.empty(n)
-    log_scale = np.empty(n)
-    nodes = _impl.march(w, float(h), float(g0), float(dg0), g, log_scale)
-    return g, log_scale, nodes
+    nodes = _impl.march(w, float(h), float(g0), float(dg0), g)
+    return g, nodes

@@ -1,9 +1,11 @@
 /* Compiled twin of efimov_lab._kernel._pure.march.
  *
  * Same arithmetic in the same order as the pure kernel, so both give
- * bit-identical samples, log scales and node counts.  It must be built
- * without floating-point contraction (setup.py passes -ffp-contract=off):
- * a fused multiply-add rounds once where the pure kernel rounds twice.
+ * bit-identical samples and node counts; past |g| = 1e250 both divide
+ * the running pair by |g|, so samples keep the scale of their segment.
+ * It must be built without floating-point contraction (setup.py passes
+ * -ffp-contract=off): a fused multiply-add rounds once where the pure
+ * kernel rounds twice.
  * The buffers arrive through the buffer protocol; the caller,
  * efimov_lab._kernel.integrate_numerov, makes them contiguous float64. */
 
@@ -15,19 +17,19 @@
 
 static PyObject *march(PyObject *self, PyObject *args)
 {
-    Py_buffer wb, gb, lb;
+    Py_buffer wb, gb;
     double h, g0, dg0;
-    if (!PyArg_ParseTuple(args, "y*dddw*w*", &wb, &h, &g0, &dg0, &gb, &lb))
+    if (!PyArg_ParseTuple(args, "y*dddw*", &wb, &h, &g0, &dg0, &gb))
         return NULL;
     Py_ssize_t n = wb.len / (Py_ssize_t)sizeof(double);
     PyObject *result = NULL;
-    if (n < 2 || gb.len != wb.len || lb.len != wb.len) {
+    if (n < 2 || gb.len != wb.len) {
         PyErr_SetString(PyExc_ValueError,
-                        "march needs three float64 buffers of one length >= 2");
+                        "march needs two float64 buffers of one length >= 2");
         goto done;
     }
     const double *w = wb.buf;
-    double *g = gb.buf, *ls = lb.buf;
+    double *g = gb.buf;
     double h2 = h * h, c12 = h2 / 12.0;
 
     double gm = g0;
@@ -37,9 +39,7 @@ static PyObject *march(PyObject *self, PyObject *args)
         + (h2 * h / 6.0) * (w[0] * dg0 + dw * gm);
     g[0] = gm;
     g[1] = gi;
-    ls[0] = ls[1] = 0.0;
 
-    double running_log = 0.0;
     long nodes = 0;
     int sign_prev = gm != 0.0 ? (gm > 0.0 ? 1 : -1) : 0;
     if (gi != 0.0) {
@@ -57,10 +57,8 @@ static PyObject *march(PyObject *self, PyObject *args)
             double scale = fabs(gp);
             gi /= scale;
             gp /= scale;
-            running_log += log(scale);
         }
         g[i + 1] = gp;
-        ls[i + 1] = running_log;
         if (gp != 0.0) {
             int s = gp > 0.0 ? 1 : -1;
             if (sign_prev != 0 && s != sign_prev)
@@ -76,13 +74,12 @@ static PyObject *march(PyObject *self, PyObject *args)
 done:
     PyBuffer_Release(&wb);
     PyBuffer_Release(&gb);
-    PyBuffer_Release(&lb);
     return result;
 }
 
 static PyMethodDef methods[] = {
     {"march", march, METH_VARARGS,
-     "march(w, h, g0, dg0, g, log_scale) -> nodes; see _pure.march."},
+     "march(w, h, g0, dg0, g) -> nodes; see _pure.march."},
     {NULL, NULL, 0, NULL},
 };
 

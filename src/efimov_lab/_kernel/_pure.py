@@ -12,17 +12,15 @@ what is sequential:
    two IEEE operations the C kernel does per step, so the values agree
    bit for bit.
 2. One scalar loop runs the recurrence g+ = (a_i g_i - c_{i-1} g-) / c_{i+1}
-   over Python floats, rescales the running pair when |g+| passes
-   RESCALE_THRESHOLD, and records each rescale as (index, running log).
-3. numpy then writes the samples, fills the log scale piecewise from
-   the recorded rescales, and counts nodes as sign changes between
-   consecutive nonzero samples (a NaN counts as negative and -0.0 as
-   zero, as in the C kernel's in-loop count).
+   over Python floats and divides the running pair by |g+| when that
+   passes RESCALE_THRESHOLD, so samples keep the scale of their segment.
+3. numpy then writes the samples and counts nodes as sign changes
+   between consecutive nonzero samples (a NaN counts as negative and
+   -0.0 as zero, as in the C kernel's in-loop count).
 """
 
 from __future__ import annotations
 
-import math
 from itertools import islice
 
 import numpy as np
@@ -30,8 +28,8 @@ import numpy as np
 RESCALE_THRESHOLD = 1e250
 
 
-def march(w, h, g0, dg0, g, log_scale):
-    """Fill `g` and `log_scale` (float64, len(w) >= 2) and return the node count.
+def march(w, h, g0, dg0, g):
+    """Fill `g` (float64, len(w) >= 2) and return the node count.
 
     See `efimov_lab._kernel.integrate_numerov` for the meaning of the
     arguments and outputs.
@@ -52,8 +50,6 @@ def march(w, h, g0, dg0, g, log_scale):
 
     gl = [gm, gi]
     append = gl.append  # local names are faster to read in the loop
-    rescales = []
-    running_log = 0.0
     top = RESCALE_THRESHOLD
     bottom = -top
     for ai, cm, cp in zip(a, c, islice(c, 2, None)):
@@ -62,15 +58,10 @@ def march(w, h, g0, dg0, g, log_scale):
             scale = abs(gp)
             gi /= scale
             gp /= scale
-            running_log += math.log(scale)
-            rescales.append((len(gl), running_log))
         append(gp)
         gm = gi
         gi = gp
 
     g[:] = np.fromiter(gl, dtype=np.float64, count=n)
-    log_scale[:] = 0.0
-    for (start, value), (end, _) in zip(rescales, rescales[1:] + [(n, 0.0)]):
-        log_scale[start:end] = value
     positive = g[g != 0.0] > 0.0
     return int(np.count_nonzero(positive[1:] != positive[:-1]))

@@ -50,7 +50,6 @@ from .meanfield import (
 )
 from .radial import (
     DEFAULT_DT,
-    DEFAULT_TAIL_FACTOR,
     MAX_GRID_POINTS,
     RadialSolution,
     collapse_probe,
@@ -201,8 +200,7 @@ def cmd_spectrum(ns: argparse.Namespace) -> int:
         ratio = float(ratios[k]) if k < len(ratios) else float("nan")
         rows.append([s.E, s.kappa, s.node_count, ratio, s.box_limited])
         levels.append({"E_n": s.E, "kappa_n": s.kappa, "node_count": s.node_count,
-                       "ratio_to_next": ratio, "flag": bool(s.box_limited),
-                       "mismatch": s.mismatch})
+                       "ratio_to_next": ratio, "flag": bool(s.box_limited)})
     manifest = _manifest(ns, {"tol_E": ns.tol, "dt": ns.dt})
     csv_body = _csv(["E_n", "kappa_n", "node_count", "ratio_to_next", "flag"], rows)
     payload = {"levels": levels, "rho_max": ns.rho_max,
@@ -211,11 +209,10 @@ def cmd_spectrum(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _analytic_solution(periods: int, dt: float) -> RadialSolution:
-    """Closed-form f = sqrt(rho) sin(b ln rho) sampled like a real run."""
-    b = efimov_constants().b
-    # kappa = 0.02 e^-T must stay a normal float, which also keeps e^T finite
-    max_periods = int(math.log(0.02 / sys.float_info.min) * b / math.pi)
+def _analytic_solution(periods: int, dt: float, b: float) -> RadialSolution:
+    """Closed-form zero-energy f = sqrt(rho) sin(b ln rho) sampled like a real run."""
+    # the grid ends at rho = e^T, which must stay finite
+    max_periods = int(math.log(sys.float_info.max) * b / math.pi)
     if not 1 <= periods <= max_periods:
         raise ConfigError(f"--periods must be in [1, {max_periods}], got {periods}")
     if not (0.0 < dt < 1.0):
@@ -228,10 +225,8 @@ def _analytic_solution(periods: int, dt: float) -> RadialSolution:
     t = np.linspace(0.0, T, n)
     rho = np.exp(t)
     f = np.sqrt(rho) * np.sin(b * t)
-    kappa = 0.02 / rho[-1]  # window edge 0.2/kappa sits far outside the grid
-    return RadialSolution(E=-0.5 * kappa * kappa, kappa=kappa, node_count=periods,
-                          rho=rho, f=f, log_scale=np.zeros(n), R=1.0,
-                          scheme_name="analytic", dt=t[1] - t[0])
+    # kappa = 0 leaves node_analysis's window open to the end of the grid
+    return RadialSolution(E=0.0, kappa=0.0, node_count=periods, rho=rho, f=f, R=1.0)
 
 
 def cmd_nodes(ns: argparse.Namespace) -> int:
@@ -247,10 +242,8 @@ def cmd_nodes(ns: argparse.Namespace) -> int:
         if ns.a is None:
             raise ConfigError("--probe-E mode requires --a")
         cfg = make_config(ns.a, mu=ns.mu)
-        kappa = math.sqrt(-2.0 * ns.probe_E) if ns.probe_E < 0 else 0.0
-        if kappa == 0.0:
-            raise ConfigError(f"--probe-E must be negative, got {ns.probe_E}")
-        rho_out = DEFAULT_TAIL_FACTOR / kappa
+        if not (math.isfinite(ns.probe_E) and ns.probe_E < 0.0):
+            raise ConfigError(f"--probe-E must be finite and negative, got {ns.probe_E}")
         if not (math.isfinite(ns.base_cutoff) and ns.base_cutoff > 0.0):
             raise ConfigError(f"--base-cutoff must be positive and finite, got {ns.base_cutoff!r}")
         if ns.decades < 1:
@@ -260,7 +253,7 @@ def cmd_nodes(ns: argparse.Namespace) -> int:
             raise ConfigError(f"--decades {ns.decades} takes the smallest cutoff "
                               f"{ns.base_cutoff!r} * 10^-{ns.decades} below the float range")
         # collapse_probe re-solves nu^2 at its own radii and never reads the table
-        grid = LogGrid.make(smallest, rho_out * (1.0 + 1e-12), 2)
+        grid = LogGrid.make(smallest, ns.base_cutoff, 2)
         branch = tabulate_branch(cfg, grid, ns.branch)
         pot = effective_potential(branch, None)
         probe = collapse_probe(pot, ns.probe_E, ns.base_cutoff, ns.decades,
@@ -282,7 +275,7 @@ def cmd_nodes(ns: argparse.Namespace) -> int:
         return 0
 
     if mode == "analytic":
-        sol = _analytic_solution(ns.periods, ns.dt)
+        sol = _analytic_solution(ns.periods, ns.dt, b)
         level_info = {"E": sol.E, "level": None}
     else:
         if ns.a is None or ns.R is None or ns.rho_max is None:
@@ -310,10 +303,8 @@ def cmd_nodes(ns: argparse.Namespace) -> int:
 
     report = node_analysis(sol, kappa_rho_max=ns.kappa_rho_max,
                            wall_factor=ns.wall_factor)
-    rows = []
-    for k, pos in enumerate(report.positions):
-        ratio = report.positions[k] / report.positions[k - 1] if k else float("nan")
-        rows.append([k, pos, ratio])
+    rows = [[k, pos, report.ratios[k - 1] if k else float("nan")]
+            for k, pos in enumerate(report.positions)]
     summary = {"mode": mode,
                "fitted_ratio": report.geometric_ratio,
                "ratio_spread": report.ratio_spread,

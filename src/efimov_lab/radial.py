@@ -29,7 +29,7 @@ from .core import (
     SolverError,
     UnregularizedPotentialError,
 )
-from .hyperangular import Cap, EffectivePotential, HardWall
+from .hyperangular import Cap, EffectivePotential
 
 DEFAULT_DT = 1.0 / 512.0
 DEFAULT_TAIL_FACTOR = 36.0
@@ -47,17 +47,9 @@ class RadialSolution:
     """One integrated radial solution at fixed energy.
 
     `f` holds samples of f(rho) = sqrt(rho) g on the log grid `rho`;
-    the overall normalization is arbitrary and `log_scale` records the
-    per-point rescaling applied while marching (zero unless the solution
-    grew past the renormalization threshold).  `node_count` includes
-    nodes of the analytic cap-region solution when a cap scheme is used.
-
-    `mismatch` is the relative gap at the outer end between the computed
-    logarithmic slope d ln|g| / dt and the decaying-tail value
-    -kappa rho: near 0 for an eigenfunction caught before its exponential
-    blowup, near 2 for a generic growing tail, nan when the final samples
-    straddle a node.  It is diagnostic only; the level search counts
-    nodes instead of shooting on this quantity.
+    the normalization is arbitrary, and past a kernel rescale each
+    segment keeps its own scale.  `node_count` includes nodes of the
+    analytic cap-region solution when a cap scheme is used.
     """
 
     E: float
@@ -65,17 +57,12 @@ class RadialSolution:
     node_count: int
     rho: np.ndarray
     f: np.ndarray
-    log_scale: np.ndarray
     R: float
-    scheme_name: str
-    dt: float
     box_limited: bool = False
-    mismatch: float = float("nan")
 
     def __post_init__(self):
         self.rho.setflags(write=False)
         self.f.setflags(write=False)
-        self.log_scale.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -176,28 +163,13 @@ class _Workspace:
 
         if isinstance(self.scheme, Cap):
             g0, dg0, cap_nodes = self._cap_start(kappa)
-            scheme_name = "cap"
         else:
             g0, dg0, cap_nodes = 0.0, 1.0, 0
-            scheme_name = "hardwall" if isinstance(self.scheme, HardWall) else "none"
 
-        g, log_scale, nodes = integrate_numerov(w, self.h, g0, dg0)
+        g, nodes = integrate_numerov(w, self.h, g0, dg0)
         rho = self.rho[:n]
-        f = g * np.sqrt(rho)
-
-        ga, gb = g[-2], g[-1]
-        if ga != 0.0 and gb != 0.0 and (ga > 0.0) == (gb > 0.0):
-            dlng = (math.log(abs(gb)) + log_scale[-1]
-                    - math.log(abs(ga)) - log_scale[-2]) / self.h
-            edge = kappa * rho[-1]
-            mismatch = (dlng + edge) / edge
-        else:
-            mismatch = float("nan")
-
         return RadialSolution(E=E, kappa=kappa, node_count=nodes + cap_nodes,
-                              rho=rho, f=f, log_scale=log_scale,
-                              R=self.R, scheme_name=scheme_name, dt=self.h,
-                              mismatch=mismatch)
+                              rho=rho, f=g * np.sqrt(rho), R=self.R)
 
     def node_count(self, kappa: float) -> int:
         return self.integrate(-0.5 * kappa * kappa).node_count
@@ -407,7 +379,8 @@ def collapse_probe(potential: EffectivePotential, E: float, base_cutoff: float,
     cutoff adds b ln(10) / pi nodes when the branch is supercritical, the
     discrete signature of the collapse.  The outer end of the integration
     is fixed by the tail cutoff at kappa rho = DEFAULT_TAIL_FACTOR, so all
-    runs share their outer region exactly.
+    runs share their outer region exactly.  A sweep whose grids together
+    exceed MAX_GRID_POINTS is refused before anything is integrated.
     """
     if potential.scheme is not None:
         raise ConfigError(
@@ -431,7 +404,20 @@ def collapse_probe(potential: EffectivePotential, E: float, base_cutoff: float,
             f"outer end {rho_out:.3g} does not clear the base cutoff "
             f"{base_cutoff:.3g}; lower |E| or the base cutoff")
 
-    cutoffs = base_cutoff * 10.0 ** (-np.arange(decades * per_decade + 1) / per_decade)
+    if not (0.0 < dt < 1.0):
+        raise ConfigError(f"dt must be in (0, 1), got {dt!r}")
+
+    # each cutoff gets a grid of its own, of at least 2 points, out to rho_out;
+    # logs taken apart keep the total finite however far the sweep reaches
+    n_cutoffs = decades * per_decade + 1
+    points = 2 * n_cutoffs
+    if points <= MAX_GRID_POINTS:
+        cutoffs = base_cutoff * 10.0 ** (-np.arange(n_cutoffs) / per_decade)
+        points = int(np.sum(np.ceil((math.log(rho_out) - np.log(cutoffs)) / dt) + 1.0))
+    if points > MAX_GRID_POINTS:
+        raise ConfigError(
+            f"decades = {decades} with per_decade = {per_decade} needs at least {points} "
+            f"grid points over {n_cutoffs} cutoffs; at most {MAX_GRID_POINTS} are allowed")
     counts = np.empty(len(cutoffs), dtype=int)
     for j, rc in enumerate(cutoffs):
         ws = _Workspace(potential, float(rc), rho_out, dt)

@@ -44,11 +44,11 @@ CAP_GROUND_EXACT = 0.08915686561    # matched cap solution, kappa0 R = 0.2985914
 
 
 @functools.lru_cache(maxsize=None)
-def _unitarity_spectrum(scheme_name):
+def _unitarity_spectrum(regularization):
     cfg = make_config(float("inf"))
     grid = LogGrid.make(1.0, 1e8, 200)
     branch = tabulate_branch(cfg, grid)
-    scheme = HardWall(1.0) if scheme_name == "hardwall" else Cap(1.0)
+    scheme = HardWall(1.0) if regularization == "hardwall" else Cap(1.0)
     pot = effective_potential(branch, scheme)
     return find_spectrum(pot, 1e8)
 

@@ -287,11 +287,47 @@ def test_meanfield_argument_errors(cli):
     (["spectrum", "--a", "inf", "--R", "1", "--rho-max", "1e8", "--dt", "1e-12"], "dt"),
     (["nodes", "--a", "inf", "--R", "1", "--rho-max", "1e8", "--dt", "1e-12"], "dt"),
     (["nodes", "--analytic", "--dt", "1e-12"], "--dt"),
+    (["nodes", "--analytic", "--periods", "228"], "--periods"),
+    (["nodes", "--a", "inf", "--probe-E", "-0.5", "--decades", "305"], "decades"),
+    (["nodes", "--a", "inf", "--probe-E", "-0.5", "--per-decade", "1000000000"],
+     "decades"),
+    (["nodes", "--a", "inf", "--probe-E", "-0.5", "--dt", "0"], "dt"),
+    (["nodes", "--a", "inf", "--probe-E", "-inf"], "--probe-E"),
+    (["nodes", "--a", "inf", "--probe-E", "-1e300"], "outer end"),
+    (["nodes", "--a", "inf", "--probe-E", "0.5"], "--probe-E"),
+    (["nodes", "--probe-E", "-0.5"], "--probe-E"),
+    (["spectrum", "--a", "inf", "--R", "10", "--rho-max", "5"], "--rho-max"),
+    (["nodes", "--a", "inf", "--R", "1", "--rho-max", "1e4", "--level", "9"], "--level"),
+    (["potential", "--a", "inf", "--rho-min", "0.1", "--rho-max", "10",
+      "--regularization", "cap"], "--regularization"),
 ])
 def test_bad_input_exits_2_naming_it(argv, named, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert f"efimov-lab: error: {named}" in err
+
+
+@pytest.mark.parametrize("argv, code, fragment", [
+    (["nodes", "--analytic", "--probe-E", "-0.5"], 2,
+     "error: choose one of --analytic or --probe-E"),
+    (["nodes", "--a", "inf", "--R", "1"], 2,
+     "error: level mode requires --a, --R and --rho-max"),
+    (["nodes", "--a", "inf", "--R", "1", "--rho-max", "1e4",
+      "--regularization", "none"], 3, "forbidden: node analysis of a bound level"),
+    (["meanfield", "--statistics", "bose", "--t0", "-1", "--n-min", "5",
+      "--n-max", "1"], 2, "error: need 0 < --n-min < --n-max"),
+])
+def test_refused_requests_exit_with_their_reason(argv, code, fragment, capsys):
+    assert main(argv) == code
+    assert f"efimov-lab: {fragment}" in capsys.readouterr().err
+
+
+def test_nodes_analytic_is_the_zero_energy_solution(capsys):
+    # E = -kappa^2 / 2 of a fake kappa = 0.02 e^-T used to underflow to -0.0
+    assert main(["nodes", "--analytic", "--periods", "225", "--format", "json"]) == 0
+    s = json.loads(capsys.readouterr().out)["summary"]
+    assert s["E"] == 0.0 and math.copysign(1.0, s["E"]) == 1.0
+    assert s["kappa"] == 0.0
 
 
 @pytest.mark.parametrize("argv", [

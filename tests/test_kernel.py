@@ -2,7 +2,9 @@
 
 Oracle for accuracy: g'' = -k^2 g with g(0) = 0, g'(0) = 1 has the
 exact solution sin(k t) / k, with floor(k T / pi) interior sign
-changes on [0, T].
+changes on [0, T].  Its growing twin g'' = k^2 g gives sinh(k t) / k,
+whose rescales are checked through the step-by-step growth of ln|g|,
+which does not depend on the scale each segment carries.
 
 The compiled backend is built from setup.py into a temporary directory
 once per module, so the comparisons with the pure reference run
@@ -70,12 +72,45 @@ def _random_cases(seed=7, count=12):
 def _both(compiled, monkeypatch, *case):
     """Run both backends; return the pure result after checking the C one
     matches it bit for bit (so -0.0 differs from 0.0 and NaN equals NaN)."""
-    gp, lp, np_ = _run(_pure, monkeypatch, *case)
-    gc, lc, nc = _run(compiled, monkeypatch, *case)
+    gp, np_ = _run(_pure, monkeypatch, *case)
+    gc, nc = _run(compiled, monkeypatch, *case)
     assert np_ == nc, "node counts differ"
     assert gp.tobytes() == gc.tobytes(), "sample arrays differ bitwise"
-    assert lp.tobytes() == lc.tobytes(), "log-scale arrays differ bitwise"
-    return gp, lp, np_
+    return gp, np_
+
+
+def _rescales_of_growing_sinh(g, k, h):
+    """Check the samples of g = sinh(k t) / k step by step; return the rescales.
+
+    Past t = 1 each step must grow ln|g| as the closed form k t - ln 2k
+    does, to 5e-5, except at exactly the expected rescale steps: there
+    the step falls short of it by more than ln 1e250.  A rescale is
+    expected where the unscaled march has grown past ln 1e250 since the
+    last one.  The unscaled march is the exact solution of the Numerov
+    recurrence c g+ - (12 - 10 c) g + c g- = 0 from the Taylor start
+    g1 = h + h^3 k^2 / 6: g_i = g1 (l^i - l^-i) / (l - 1/l), with l its
+    root above 1; its drift from k t decides which step crosses first.
+    """
+    t = h * np.arange(len(g))
+    closed = k * t - math.log(2.0 * k)
+    c = 1.0 - h * h * k * k / 12.0
+    a = 12.0 - 10.0 * c
+    lam = (a + math.sqrt(a * a - 4.0 * c * c)) / (2.0 * c)
+    g1 = h + h ** 3 * k * k / 6.0
+    threshold = math.log(_pure.RESCALE_THRESHOLD)
+    late = np.flatnonzero(t > 1.0)
+    unscaled = math.log(g1 / (lam - 1.0 / lam)) + late * math.log(lam)
+    expected, base = [], 0.0
+    for i, log_g in zip(late.tolist(), unscaled):
+        if log_g - base > threshold:
+            expected.append(i)
+            base = log_g
+    i = late[1:]
+    excess = np.log(np.abs(g[i] / g[i - 1])) - (closed[i] - closed[i - 1])
+    rescaled = excess < -threshold
+    assert i[rescaled].tolist() == expected
+    assert np.max(np.abs(excess[~rescaled])) < 5e-5
+    return expected
 
 
 def test_backends_bitwise_identical(compiled, monkeypatch):
@@ -85,13 +120,13 @@ def test_backends_bitwise_identical(compiled, monkeypatch):
 
 def test_backends_identical_under_renormalization(compiled, monkeypatch):
     w = np.full(4000, 400.0)  # growth e^{20 t} to e^{800}, forces rescaling
-    _, lp, _ = _both(compiled, monkeypatch, w, 0.01, 0.0, 1.0)
-    assert lp[-1] > 0.0
+    g, _ = _both(compiled, monkeypatch, w, 0.01, 0.0, 1.0)
+    assert len(_rescales_of_growing_sinh(g, 20.0, 0.01)) == 1
 
 
 def test_backends_identical_on_the_zero_solution(compiled, monkeypatch):
-    g, ls, nodes = _both(compiled, monkeypatch, np.full(50, -3.0), 0.1, 0.0, 0.0)
-    assert not np.any(g) and not np.any(ls)
+    g, nodes = _both(compiled, monkeypatch, np.full(50, -3.0), 0.1, 0.0, 0.0)
+    assert not np.any(g)
     assert nodes == 0
 
 
@@ -104,7 +139,7 @@ def test_backends_identical_on_the_zero_solution(compiled, monkeypatch):
 def test_backends_identical_on_exact_zeros(compiled, monkeypatch, w, g0, dg0,
                                            zero_at, signbit, want_nodes):
     # a zero sample of either sign is skipped when counting sign changes
-    g, _, nodes = _both(compiled, monkeypatch, w, 1.0, g0, dg0)
+    g, nodes = _both(compiled, monkeypatch, w, 1.0, g0, dg0)
     assert g[zero_at] == 0.0 and np.signbit(g[zero_at]) == signbit
     assert np.all(np.delete(g, zero_at) != 0.0)
     assert nodes == want_nodes
@@ -113,7 +148,7 @@ def test_backends_identical_on_exact_zeros(compiled, monkeypatch, w, g0, dg0,
 def test_backends_identical_with_nan_in_w(compiled, monkeypatch):
     w = np.random.default_rng(3).normal(0.0, 30.0, 300)
     w[100] = np.nan
-    g, _, nodes = _both(compiled, monkeypatch, w, 0.01, 0.0, 1.0)
+    g, nodes = _both(compiled, monkeypatch, w, 0.01, 0.0, 1.0)
     assert np.all(np.isnan(g[100:])) and not np.any(np.isnan(g[:100]))
     # every NaN counts as a negative sample
     signs = np.where(g > 0.0, 1, -1)[g != 0.0]
@@ -122,13 +157,8 @@ def test_backends_identical_with_nan_in_w(compiled, monkeypatch):
 
 def test_backends_identical_over_several_rescales(compiled, monkeypatch):
     w = np.full(4000, 1600.0)  # growth e^{40 t} to e^{1600}
-    _, ls, _ = _both(compiled, monkeypatch, w, 0.01, 0.0, 1.0)
-    steps = np.diff(ls)
-    jumps = steps[steps != 0.0]
-    # constant between rescales, and each rescale divides by more than 1e250
-    assert np.all(steps >= 0.0)
-    assert len(jumps) >= 2
-    assert np.all(jumps > math.log(_pure.RESCALE_THRESHOLD))
+    g, _ = _both(compiled, monkeypatch, w, 0.01, 0.0, 1.0)
+    assert len(_rescales_of_growing_sinh(g, 40.0, 0.01)) >= 2
 
 
 def test_golden_bodies_from_the_c_kernel(compiled, monkeypatch, capsys):
@@ -147,9 +177,9 @@ def test_sine_solution_nodes_and_values():
     h = T / (n - 1)
     t = np.linspace(0.0, T, n)
     w = np.full(n, -k * k)
-    g, log_scale, nodes = integrate_numerov(w, h, 0.0, 1.0)
+    g, nodes = integrate_numerov(w, h, 0.0, 1.0)
     assert nodes == math.floor(k * T / math.pi)
-    assert np.all(log_scale == 0.0)
+    # no rescale: the samples carry the scale of the exact solution
     exact = np.sin(k * t) / k
     assert np.max(np.abs(g - exact)) < 1e-8
 
@@ -162,7 +192,7 @@ def test_fourth_order_convergence():
         h = T / (n - 1)
         t = np.linspace(0.0, T, n)
         w = np.full(n, -k * k)
-        g, _, _ = integrate_numerov(w, h, 0.0, 1.0)
+        g, _ = integrate_numerov(w, h, 0.0, 1.0)
         return np.max(np.abs(g - np.sin(k * t) / k))
 
     e1, e2 = max_err(501), max_err(1001)
@@ -171,29 +201,26 @@ def test_fourth_order_convergence():
 
 
 def test_renormalization_preserves_log_trajectory():
-    # g'' = k^2 g, g(0) = 0, g'(0) = 1 gives g = sinh(k t) / k, so
-    # log|g| + log_scale must follow k t - ln 2k across the rescale
+    # g'' = k^2 g, g(0) = 0, g'(0) = 1 gives g = sinh(k t) / k, so ln|g|
+    # must grow as k t - ln 2k on both sides of the rescale
     k, h, n = 50.0, 1e-3, 20000
-    t = h * np.arange(n)
-    g, ls, _ = integrate_numerov(np.full(n, k * k), h, 0.0, 1.0)
-    assert np.any(np.diff(ls) > 0.0), "no rescale happened"
-    late = t > 1.0
-    err = np.log(np.abs(g[late])) + ls[late] - (k * t[late] - math.log(2.0 * k))
-    assert np.max(np.abs(err)) < 5e-5
+    g, _ = integrate_numerov(np.full(n, k * k), h, 0.0, 1.0)
+    assert len(_rescales_of_growing_sinh(g, k, h)) == 1, "no rescale happened"
 
 
 def test_growth_never_overflows():
     w = np.full(20000, 2500.0)  # bare growth e^{50 t} over t in [0, 20]
-    g, ls, nodes = integrate_numerov(w, 1e-3, 0.0, 1.0)
+    g, nodes = integrate_numerov(w, 1e-3, 0.0, 1.0)
     assert np.all(np.isfinite(g))
-    assert ls[-1] > 100.0
+    assert np.max(np.abs(g)) <= _pure.RESCALE_THRESHOLD
+    assert len(_rescales_of_growing_sinh(g, 50.0, 1e-3)) >= 1
     assert nodes == 0
 
 
 def test_node_counting_ignores_touching_zero():
     # start exactly at zero: the leading zero sample is not a node
     w = np.full(64, -1.0)
-    _, _, nodes = integrate_numerov(w, 0.01, 0.0, 1.0)
+    _, nodes = integrate_numerov(w, 0.01, 0.0, 1.0)
     assert nodes == 0
 
 

@@ -209,15 +209,6 @@ def test_box_limited_levels_are_flagged():
         assert s.box_limited == (abs(s.E) < 100.0 * box_scale)
 
 
-def test_mismatch_diagnostic_populated():
-    pot = _unitarity_potential(1e5, HardWall(1.0))
-    sol = integrate_radial(pot, -1e-3, 1e5)
-    assert math.isnan(sol.mismatch) or abs(sol.mismatch) < 10.0
-    spec = find_spectrum(pot, 1e5, max_levels=1)
-    m = spec.states[0].mismatch
-    assert math.isnan(m) or math.isfinite(m)
-
-
 def test_unregularized_requests_are_refused():
     pot = _unitarity_potential(1e4, None)
     with pytest.raises(UnregularizedPotentialError):
