@@ -12,6 +12,7 @@ modified Bessel function K_{ib} boundary conditions:
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -287,15 +288,15 @@ def test_spectrum_argument_validation():
         find_spectrum(pot, 1e4, tol_E=0.5)
 
 
-def test_level_search_reuses_known_node_counts(monkeypatch):
-    # reference: the same bisection integrating every midpoint afresh
-    rho_max, tol_E = 1e8, 1e-8
-    pot = _unitarity_potential(rho_max, HardWall(1.0))
-    ws = radial._Workspace(pot, 1.0, rho_max, radial.DEFAULT_DT)
-    ln_lo = math.log(radial._KAPPA_SEARCH_EDGE / rho_max)
-    ln_hi = math.log(math.sqrt(radial._FLOOR_SCALE))
-    want = []
-    for k in range(5):
+def _plain_bisection(pot, rho_max, tol_E=1e-8, max_levels=8):
+    """Reference levels: the same bisection, integrating every midpoint afresh."""
+    R = pot.R
+    ws = radial._Workspace(pot, R, rho_max, radial.DEFAULT_DT)
+    kappa_edge = radial._KAPPA_SEARCH_EDGE / rho_max
+    ln_lo = math.log(kappa_edge)
+    ln_hi = math.log(math.sqrt(radial._FLOOR_SCALE) / R)
+    levels = []
+    for k in range(min(max_levels, ws.node_count(kappa_edge))):
         lo, hi = ln_lo, ln_hi
         while hi - lo > 0.25 * tol_E:
             mid = 0.5 * (lo + hi)
@@ -303,18 +304,68 @@ def test_level_search_reuses_known_node_counts(monkeypatch):
                 lo = mid
             else:
                 hi = mid
-        want.append(-0.5 * math.exp(hi) ** 2)
+        levels.append(-0.5 * math.exp(hi) ** 2)
         ln_hi = hi
+    return levels
+
+
+def test_level_search_reuses_known_node_counts(monkeypatch):
+    rho_max = 1e8
+    pot = _unitarity_potential(rho_max, HardWall(1.0))
+    want = _plain_bisection(pot, rho_max)
+    assert len(want) == 5
 
     calls = []
     march = radial.integrate_numerov
     monkeypatch.setattr(radial, "integrate_numerov",
                         lambda *args: calls.append(1) or march(*args))
-    spec = find_spectrum(pot, rho_max, tol_E=tol_E)
+    spec = find_spectrum(pot, rho_max)
     assert spec.energies.tolist() == want
     # integrating every midpoint, the floor and edge probes and each
-    # level's final solution took 172 calls
-    assert len(calls) == 162
+    # level's final solution took 172 calls; reusing known counts alone, 162
+    assert len(calls) == 47
+
+
+@pytest.mark.parametrize("scheme", [HardWall, Cap])
+@pytest.mark.parametrize("a", [math.inf, -1e2, -1e4])
+def test_guided_search_matches_plain_bisection(a, scheme):
+    rho_max = 1e6
+    branch = tabulate_branch(make_config(a), LogGrid.make(1.0, rho_max, 64))
+    pot = effective_potential(branch, scheme(1.0))
+    want = _plain_bisection(pot, rho_max)
+    assert len(want) >= 2
+    assert find_spectrum(pot, rho_max).energies.tolist() == want
+
+
+def test_contradicting_counts_fall_back_to_every_midpoint(monkeypatch):
+    rho_max = 1e6
+    pot = _unitarity_potential(rho_max, HardWall(1.0))
+    want = _plain_bisection(pot, rho_max)
+    integrate = radial._Workspace.integrate
+    seen = []
+
+    def recording(self, E):
+        sol = integrate(self, E)
+        seen.append((E, sol.node_count))
+        return sol
+
+    monkeypatch.setattr(radial._Workspace, "integrate", recording)
+    assert find_spectrum(pot, rho_max).energies.tolist() == want
+    honest_calls = len(seen)
+    # the second probe holding one node lies deeper than the first; a false
+    # count of two there leaves level 0 as it was but contradicts the first
+    # probe for level 1, which must then integrate every midpoint
+    bad_E = [E for E, n in seen if n == 1][1]
+    seen.clear()
+
+    def lying(self, E):
+        sol = recording(self, E)
+        return replace(sol, node_count=2) if E == bad_E else sol
+
+    monkeypatch.setattr(radial._Workspace, "integrate", lying)
+    assert find_spectrum(pot, rho_max).energies.tolist() == want
+    assert bad_E in [E for E, _ in seen]
+    assert len(seen) > honest_calls + 15
 
 
 def test_solution_arrays_read_only():
