@@ -7,11 +7,14 @@ energy of a level (spectrum, nodes) and mean-field stationarity
 (meanfield).  The eigenvalue roots of potential and branches are
 bisected to adjacent doubles and take no tolerance.  CSV bodies are
 deterministic: fixed column order, 12 significant digits, '.' decimal
-separator, '\\n' line endings, header row first.  Every run produces a
+separator, '\\n' line endings, header row first.  JSON records of
+tabular rows use the CSV header as their keys.  Every run produces a
 manifest (command, full parameter set, tolerances, unit system, tool
 version, timestamp): embedded under the "manifest" key in JSON output,
 written to <output>.manifest.json next to a --output CSV file, or sent
-to stderr when CSV goes to stdout.
+to stderr when CSV goes to stdout.  Every subcommand writes through
+`_emit`, the one place that builds the CSV body, the JSON document and
+the manifest.
 
 Exit codes: 0 success, 2 numerical or configuration failure,
 3 physically forbidden request (e.g. a spectrum of the unregularized
@@ -122,23 +125,33 @@ def _manifest(ns: argparse.Namespace, tolerances: dict) -> dict:
     }
 
 
-def _emit(ns: argparse.Namespace, *, csv_body: str, json_payload: dict,
-          manifest: dict, sidecar_extra: dict | None = None) -> None:
-    """Write the chosen format; keep CSV bodies free of the manifest."""
+def _records(header: list[str], rows) -> list[dict]:
+    """JSON records of CSV rows, keyed by the CSV header."""
+    return [dict(zip(header, row)) for row in rows]
+
+
+def _emit(ns: argparse.Namespace, tolerances: dict, header: list[str], rows,
+          doc: dict, sidecar: dict | None = None) -> int:
+    """Write one result in the chosen format and return exit code 0.
+
+    CSV writes `header` and `rows` as the body and `sidecar` plus the
+    manifest as JSON next to it; JSON writes `doc` plus the manifest.
+    The manifest never enters a CSV body.
+    """
+    manifest = _manifest(ns, tolerances)
     if ns.format == "json":
-        doc = dict(json_payload)
-        doc["manifest"] = manifest
-        text = json.dumps(_jsonable(doc), indent=2, allow_nan=False) + "\n"
+        text = json.dumps(_jsonable({**doc, "manifest": manifest}),
+                          indent=2, allow_nan=False) + "\n"
         if ns.output:
             with open(ns.output, "w", encoding="utf-8") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)
-        return
+        return 0
 
-    side = dict(sidecar_extra or {})
-    side["manifest"] = manifest
-    side_text = json.dumps(_jsonable(side), indent=2, allow_nan=False) + "\n"
+    csv_body = _csv(header, rows)
+    side_text = json.dumps(_jsonable({**(sidecar or {}), "manifest": manifest}),
+                           indent=2, allow_nan=False) + "\n"
     if ns.output:
         with open(ns.output, "w", encoding="utf-8", newline="") as fh:
             fh.write(csv_body)
@@ -147,6 +160,7 @@ def _emit(ns: argparse.Namespace, *, csv_body: str, json_payload: dict,
     else:
         sys.stdout.write(csv_body)
         sys.stderr.write(side_text)
+    return 0
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -159,11 +173,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def cmd_constants(ns: argparse.Namespace) -> int:
     c = efimov_constants(tol=ns.tol)
-    manifest = _manifest(ns, {"root_tol": ns.tol})
-    csv_body = _csv(["b", "C", "residual"], [[c.b, c.C, c.residual]])
-    payload = {"b": c.b, "C": c.C, "residual": c.residual}
-    _emit(ns, csv_body=csv_body, json_payload=payload, manifest=manifest)
-    return 0
+    header, rows = ["b", "C", "residual"], [[c.b, c.C, c.residual]]
+    return _emit(ns, {"root_tol": ns.tol}, header, rows, _records(header, rows)[0])
 
 
 def cmd_potential(ns: argparse.Namespace) -> int:
@@ -174,10 +185,7 @@ def cmd_potential(ns: argparse.Namespace) -> int:
     tbl = pot.table()
     cols = ["rho", "x", "nu_squared", "lambda", "v_eff"]
     rows = zip(*(tbl[c] for c in cols))
-    manifest = _manifest(ns, {})
-    payload = {"table": {c: tbl[c] for c in cols}}
-    _emit(ns, csv_body=_csv(cols, rows), json_payload=payload, manifest=manifest)
-    return 0
+    return _emit(ns, {}, cols, rows, {"table": {c: tbl[c] for c in cols}})
 
 
 def _spectrum_for(ns: argparse.Namespace):
@@ -194,19 +202,13 @@ def _spectrum_for(ns: argparse.Namespace):
 def cmd_spectrum(ns: argparse.Namespace) -> int:
     spec = _spectrum_for(ns)
     ratios = spec.energy_ratios()
-    rows = []
-    levels = []
-    for k, s in enumerate(spec.states):
-        ratio = float(ratios[k]) if k < len(ratios) else float("nan")
-        rows.append([s.E, s.kappa, s.node_count, ratio, s.box_limited])
-        levels.append({"E_n": s.E, "kappa_n": s.kappa, "node_count": s.node_count,
-                       "ratio_to_next": ratio, "flag": bool(s.box_limited)})
-    manifest = _manifest(ns, {"tol_E": ns.tol, "dt": ns.dt})
-    csv_body = _csv(["E_n", "kappa_n", "node_count", "ratio_to_next", "flag"], rows)
-    payload = {"levels": levels, "rho_max": ns.rho_max,
-               "total_nodes_at_edge": spec.total_nodes_at_edge}
-    _emit(ns, csv_body=csv_body, json_payload=payload, manifest=manifest)
-    return 0
+    header = ["E_n", "kappa_n", "node_count", "ratio_to_next", "flag"]
+    rows = [[s.E, s.kappa, s.node_count,
+             float(ratios[k]) if k < len(ratios) else float("nan"), s.box_limited]
+            for k, s in enumerate(spec.states)]
+    doc = {"levels": _records(header, rows), "rho_max": ns.rho_max,
+           "total_nodes_at_edge": spec.total_nodes_at_edge}
+    return _emit(ns, {"tol_E": ns.tol, "dt": ns.dt}, header, rows, doc)
 
 
 def _analytic_solution(periods: int, dt: float, b: float) -> RadialSolution:
@@ -258,6 +260,7 @@ def cmd_nodes(ns: argparse.Namespace) -> int:
         pot = effective_potential(branch, None)
         probe = collapse_probe(pot, ns.probe_E, ns.base_cutoff, ns.decades,
                                ns.per_decade, dt=ns.dt)
+        header = ["k", "cutoff", "node_count"]
         rows = [[k, c, int(cnt)]
                 for k, (c, cnt) in enumerate(zip(probe.cutoffs, probe.counts))]
         summary = {"mode": mode,
@@ -265,14 +268,8 @@ def cmd_nodes(ns: argparse.Namespace) -> int:
                    "reference_slope": probe.reference_slope,
                    "reference_formula": "b ln(10) / pi",
                    "E": probe.E, "rho_out": probe.rho_out}
-        manifest = _manifest(ns, {"dt": ns.dt})
-        csv_body = _csv(["k", "cutoff", "node_count"], rows)
-        payload = {"sweep": [{"k": r[0], "cutoff": r[1], "node_count": r[2]}
-                             for r in rows],
-                   "summary": summary, "mode": mode}
-        _emit(ns, csv_body=csv_body, json_payload=payload, manifest=manifest,
-              sidecar_extra={"summary": summary})
-        return 0
+        doc = {"sweep": _records(header, rows), "summary": summary, "mode": mode}
+        return _emit(ns, {"dt": ns.dt}, header, rows, doc, {"summary": summary})
 
     if mode == "analytic":
         sol = _analytic_solution(ns.periods, ns.dt, b)
@@ -303,6 +300,7 @@ def cmd_nodes(ns: argparse.Namespace) -> int:
 
     report = node_analysis(sol, kappa_rho_max=ns.kappa_rho_max,
                            wall_factor=ns.wall_factor)
+    header = ["k", "rho_k", "ratio"]
     rows = [[k, pos, report.ratios[k - 1] if k else float("nan")]
             for k, pos in enumerate(report.positions)]
     summary = {"mode": mode,
@@ -312,13 +310,9 @@ def cmd_nodes(ns: argparse.Namespace) -> int:
                "reference_formula": "exp(pi / b)",
                "interior_count": int(len(report.interior_positions)),
                "kappa": report.kappa, **level_info}
-    manifest = _manifest(ns, {"tol_E": ns.tol, "dt": ns.dt})
-    csv_body = _csv(["k", "rho_k", "ratio"], rows)
-    payload = {"nodes": [{"k": r[0], "rho_k": r[1], "ratio": r[2]} for r in rows],
-               "summary": summary, "mode": mode}
-    _emit(ns, csv_body=csv_body, json_payload=payload, manifest=manifest,
-          sidecar_extra={"summary": summary})
-    return 0
+    doc = {"nodes": _records(header, rows), "summary": summary, "mode": mode}
+    return _emit(ns, {"tol_E": ns.tol, "dt": ns.dt}, header, rows, doc,
+                 {"summary": summary})
 
 
 def cmd_meanfield(ns: argparse.Namespace) -> int:
@@ -342,29 +336,18 @@ def cmd_meanfield(ns: argparse.Namespace) -> int:
     n = np.geomspace(ns.n_min, ns.n_max, ns.points)
     eps = energy_density(model, n)
     per = energy_per_particle(model, n)
-    rows = zip(n, eps, per)
-    manifest = _manifest(ns, {"stationarity_tol": ns.tol})
+    cols = {"n": n, "epsilon": eps, "epsilon_per_particle": per}
     rep = report.to_dict()
-    payload = {"report": rep,
-               "table": {"n": n, "epsilon": eps, "epsilon_per_particle": per}}
-    csv_body = _csv(["n", "epsilon", "epsilon_per_particle"], rows)
-    _emit(ns, csv_body=csv_body, json_payload=payload, manifest=manifest,
-          sidecar_extra={"report": rep})
-    return 0
+    return _emit(ns, {"stationarity_tol": ns.tol}, list(cols), zip(*cols.values()),
+                 {"report": rep, "table": cols}, {"report": rep})
 
 
 def cmd_branches(ns: argparse.Namespace) -> int:
     roots = solve_branches(ns.x, ns.count)
+    header = ["branch", "nu_squared", "lambda", "residual", "near_pole"]
     rows = [[r.branch_index, r.value, r.lam, r.residual, r.near_pole]
             for r in roots]
-    manifest = _manifest(ns, {})
-    csv_body = _csv(["branch", "nu_squared", "lambda", "residual", "near_pole"], rows)
-    payload = {"x": ns.x,
-               "branches": [{"branch": r.branch_index, "nu_squared": r.value,
-                             "lambda": r.lam, "residual": r.residual,
-                             "near_pole": bool(r.near_pole)} for r in roots]}
-    _emit(ns, csv_body=csv_body, json_payload=payload, manifest=manifest)
-    return 0
+    return _emit(ns, {}, header, rows, {"x": ns.x, "branches": _records(header, rows)})
 
 
 # argparse only reads '-1' and '-.5' as values; '-1e4', '-inf' and '-nan'

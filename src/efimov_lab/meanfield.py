@@ -151,6 +151,14 @@ class MatterModel:
         return tuple(sorted((c, p) for p, c in terms.items() if c != 0.0))
 
 
+def _eval_terms(terms, n, shift):
+    """Sum of c n^(p + shift) over the (c, p) terms, zeros shaped like n if none."""
+    out = np.zeros(np.shape(n))
+    for c, p in terms:
+        out += c * n ** (p + shift)
+    return out
+
+
 def kinetic_density_fermi(n):
     """Kinetic energy density tau_F(n) of an ideal two-component Fermi gas."""
     n_arr = np.asarray(n, dtype=float)
@@ -165,9 +173,7 @@ def energy_density(model: MatterModel, n):
     n_arr = np.asarray(n, dtype=float)
     if np.any(n_arr < 0.0) or not np.all(np.isfinite(n_arr)):
         raise ConfigError("density must be nonnegative and finite")
-    out = np.zeros_like(n_arr, dtype=float)
-    for coeff, power in model.energy_terms():
-        out += coeff * n_arr ** power
+    out = _eval_terms(model.energy_terms(), n_arr, 0.0)
     return float(out) if np.ndim(n) == 0 else out
 
 
@@ -176,9 +182,7 @@ def energy_per_particle(model: MatterModel, n):
     n_arr = np.asarray(n, dtype=float)
     if np.any(n_arr <= 0.0) or not np.all(np.isfinite(n_arr)):
         raise ConfigError("energy per particle needs n > 0")
-    out = np.zeros_like(n_arr, dtype=float)
-    for coeff, power in model.energy_terms():
-        out += coeff * n_arr ** (power - 1.0)
+    out = _eval_terms(model.energy_terms(), n_arr, -1.0)
     return float(out) if np.ndim(n) == 0 else out
 
 
@@ -242,13 +246,6 @@ def _scan_bounds(terms) -> tuple[float, float]:
     return min(scales) * 1e-4, max(scales) * 1e4
 
 
-def _eval_terms(terms, n, shift):
-    out = 0.0
-    for c, p in terms:
-        out += c * n ** (p + shift)
-    return out
-
-
 def classify_stability(model: MatterModel, *, tol: float = 1e-10) -> StabilityReport:
     """Classify the density dependence of e(n) = epsilon(n) / n.
 
@@ -283,9 +280,7 @@ def classify_stability(model: MatterModel, *, tol: float = 1e-10) -> StabilityRe
 
     n_lo, n_hi = _scan_bounds(terms)
     grid = np.geomspace(n_lo, n_hi, _SCAN_POINTS)
-    vals = np.zeros(_SCAN_POINTS)
-    for c, p in terms:
-        vals += c * grid ** (p - 1.0)
+    vals = e(grid)
     i_min = int(np.argmin(vals))
     if vals[i_min] >= 0.0:
         return StabilityReport(Classification.TRIVIAL_MINIMUM_AT_ZERO, model,

@@ -156,7 +156,8 @@ class _Workspace:
             cap_nodes = 0
         return 1.0, R * L - 0.5, cap_nodes
 
-    def integrate(self, E: float) -> RadialSolution:
+    def integrate(self, E: float) -> tuple[np.ndarray, np.ndarray, int]:
+        """(w, g, node count) at E < 0 over the grid up to the tail cutoff."""
         if not (math.isfinite(E) and E < 0.0):
             raise ConfigError(f"bound-state integration needs E < 0, got {E!r}")
         kappa = math.sqrt(-2.0 * E)
@@ -175,12 +176,14 @@ class _Workspace:
             g0, dg0, cap_nodes = 0.0, 1.0, 0
 
         g, nodes = integrate_numerov(w, self.h, g0, dg0)
-        rho = self.rho[:n]
-        return RadialSolution(E=E, kappa=kappa, node_count=nodes + cap_nodes,
-                              rho=rho, f=g * np.sqrt(rho), R=self.R)
+        return w, g, nodes + cap_nodes
 
-    def node_count(self, kappa: float) -> int:
-        return self.integrate(-0.5 * kappa * kappa).node_count
+    def solution(self, E: float) -> RadialSolution:
+        """The integrated solution at E as f = sqrt(rho) g."""
+        _, g, count = self.integrate(E)
+        rho = self.rho[:len(g)]
+        return RadialSolution(E=E, kappa=math.sqrt(-2.0 * E), node_count=count,
+                              rho=rho, f=g * np.sqrt(rho), R=self.R)
 
 
 def integrate_radial(potential: EffectivePotential, E: float, rho_max: float,
@@ -192,21 +195,18 @@ def integrate_radial(potential: EffectivePotential, E: float, rho_max: float,
             "inverse-square attraction; use HardWall or Cap, or the "
             "cutoff-based collapse_probe")
     ws = _Workspace(potential, potential.R, rho_max, dt)
-    return ws.integrate(E)
+    return ws.solution(E)
 
 
-def _guide(ws: _Workspace, sol: RadialSolution) -> float:
-    """Signed guide value q = g_end exp(-S) of an integrated solution.
+def _guide(h: float, w: np.ndarray, g: np.ndarray) -> float:
+    """Signed guide value q = g_end exp(-S) of one integration.
 
-    g_end = f / sqrt(rho) at the last grid point, and S = h sum sqrt(max(w, 0))
-    over the integrated grid is the WKB growth exponent of the tail, so q
-    varies smoothly with E where the kappa rho growth does not.  At fixed grid
+    g_end is g at the last grid point, and S = h sum sqrt(max(w, 0)) over the
+    integrated grid is the WKB growth exponent of the tail, so q varies
+    smoothly with E where the kappa rho growth does not.  At fixed grid
     length the node count steps where g_end, and so q, crosses zero.
     """
-    n = len(sol.rho)
-    w = ws.nu2[:n] + (sol.kappa * sol.kappa) * ws.rho2[:n]
-    S = ws.h * float(np.sum(np.sqrt(np.maximum(w, 0.0))))
-    return float(sol.f[-1]) / math.sqrt(float(sol.rho[-1])) * math.exp(-S)
+    return float(g[-1]) * math.exp(-h * float(np.sum(np.sqrt(np.maximum(w, 0.0)))))
 
 
 def _search_level(ws: _Workspace, k: int, lo: float, hi: float, ln_tol: float,
@@ -215,7 +215,8 @@ def _search_level(ws: _Workspace, k: int, lo: float, hi: float, ln_tol: float,
     """Bisect ln kappa on [lo, hi] for the step of the node count from k+1 to k.
 
     Returns the final upper bracket end, or None when the points in `known`
-    contradict a count that falls as kappa grows.
+    contradict a count that falls as kappa grows.  The bisection also stops
+    when lo and hi are adjacent doubles, however small `ln_tol` is.
     Every integration is appended to `known` as (ln kappa, count, q).
 
     Only where it integrates depends on `guided`; the midpoints and the final
@@ -244,6 +245,8 @@ def _search_level(ws: _Workspace, k: int, lo: float, hi: float, ln_tol: float,
     gaps = []       # gap width before each guided probe
     while hi - lo > ln_tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:   # lo and hi are adjacent doubles
+            break
         if mid <= x_lo:
             lo = mid
             continue
@@ -262,18 +265,18 @@ def _search_level(ws: _Workspace, k: int, lo: float, hi: float, ln_tol: float,
                 falsi = True
             gaps.append(gap)
         kappa = math.exp(x)
-        probe = ws.integrate(-0.5 * kappa * kappa)
-        q = _guide(ws, probe)
-        known.append((x, probe.node_count, q))
-        if probe.node_count >= k + 1:
+        w, g, count = ws.integrate(-0.5 * kappa * kappa)
+        q = _guide(ws.h, w, g)
+        known.append((x, count, q))
+        if count >= k + 1:
             if falsi and moved == "lo":
                 q_hi *= 0.5
-            x_lo, n_lo, q_lo = x, probe.node_count, q
+            x_lo, n_lo, q_lo = x, count, q
             moved = "lo" if falsi else moved
         else:
             if falsi and moved == "hi":
                 q_lo *= 0.5
-            x_hi, n_hi, q_hi = x, probe.node_count, q
+            x_hi, n_hi, q_hi = x, count, q
             moved = "hi" if falsi else moved
     return hi
 
@@ -288,7 +291,8 @@ def find_spectrum(potential: EffectivePotential, rho_max: float,
     level is bracketed by where the count steps from k+1 to k.  Returned
     energies sit on the deeper bracket edge, whose solution carries
     exactly k nodes; the relative energy width of the final bracket is
-    below `tol_E`.
+    below `tol_E`.  A `tol_E` below the spacing of doubles in ln kappa
+    ends each bisection at adjacent doubles instead.
 
     The brackets are those of integrating every midpoint, but far fewer
     points are integrated.  Every integration is kept, and a midpoint that
@@ -315,31 +319,31 @@ def find_spectrum(potential: EffectivePotential, rho_max: float,
     R = potential.R
 
     kappa_floor = math.sqrt(_FLOOR_SCALE) / R
-    floor = ws.integrate(-0.5 * kappa_floor * kappa_floor)
-    if floor.node_count > 0:
+    w_floor, g_floor, n_floor = ws.integrate(-0.5 * kappa_floor * kappa_floor)
+    if n_floor > 0:
         raise SolverError(
-            f"{floor.node_count} level(s) lie below the search floor "
+            f"{n_floor} level(s) lie below the search floor "
             f"E = {-0.5 * kappa_floor ** 2:.6g}; the channel is too deep "
             f"for R = {R:.6g}")
 
     kappa_edge = _KAPPA_SEARCH_EDGE / rho_max
     if kappa_edge >= kappa_floor:
         raise ConfigError("rho_max too small: search window is empty")
-    edge = ws.integrate(-0.5 * kappa_edge * kappa_edge)
-    total = edge.node_count
+    w_edge, g_edge, total = ws.integrate(-0.5 * kappa_edge * kappa_edge)
 
     ln_lo_full = math.log(kappa_edge)
     states: list[RadialSolution] = []
     ln_hi = math.log(kappa_floor)
     # every (ln kappa, node count, guide value) integrated so far
-    known = [(ln_hi, 0, _guide(ws, floor)), (ln_lo_full, total, _guide(ws, edge))]
+    known = [(ln_hi, 0, _guide(ws.h, w_floor, g_floor)),
+             (ln_lo_full, total, _guide(ws.h, w_edge, g_edge))]
     # bisection to half the relative energy tolerance (E ~ kappa^2)
     ln_tol = max(0.25 * tol_E, 4.0 * np.finfo(float).eps)
     for k in range(min(max_levels, total)):
         hi = _search_level(ws, k, ln_lo_full, ln_hi, ln_tol, known, guided=True)
         if hi is None:
             hi = _search_level(ws, k, ln_lo_full, ln_hi, ln_tol, known, guided=False)
-        sol = ws.integrate(-0.5 * math.exp(hi) ** 2)
+        sol = ws.solution(-0.5 * math.exp(hi) ** 2)
         if sol.node_count != k:
             raise SolverError(
                 f"level {k}: bisection landed on a solution with "
@@ -377,19 +381,8 @@ class NodeReport:
             a.setflags(write=False)
 
 
-def node_analysis(solution: RadialSolution, *, kappa_rho_max: float = 0.2,
-                  wall_factor: float = 2.0,
-                  min_interior: int = 3) -> NodeReport:
-    """Locate nodes of f by sign changes with linear interpolation in t.
-
-    Raises :class:`InsufficientNodesError` when fewer than `min_interior`
-    nodes survive the interior window; deeper levels or a larger domain
-    give more usable nodes.
-    """
-    if not (math.isfinite(kappa_rho_max) and kappa_rho_max > 0.0):
-        raise ConfigError(f"kappa_rho_max must be finite and > 0, got {kappa_rho_max!r}")
-    if not (math.isfinite(wall_factor) and wall_factor >= 0.0):
-        raise ConfigError(f"wall_factor must be finite and >= 0, got {wall_factor!r}")
+def _node_positions(solution: RadialSolution) -> np.ndarray:
+    """Nodes of f by sign changes with linear interpolation in t."""
     f = solution.f
     rho = solution.rho
     t = np.log(rho)
@@ -409,18 +402,32 @@ def node_analysis(solution: RadialSolution, *, kappa_rho_max: float = 0.2,
         i += 1
     if n and f[-1] == 0.0:
         positions.append(rho[-1])
+    return np.array(positions)
 
-    positions = np.array(positions)
+
+def node_analysis(solution: RadialSolution, *, kappa_rho_max: float = 0.2,
+                  wall_factor: float = 2.0) -> NodeReport:
+    """Locate the nodes of f and fit their geometric spacing.
+
+    Raises :class:`InsufficientNodesError` when fewer than three nodes
+    survive the interior window; deeper levels or a larger domain give
+    more usable nodes.
+    """
+    if not (math.isfinite(kappa_rho_max) and kappa_rho_max > 0.0):
+        raise ConfigError(f"kappa_rho_max must be finite and > 0, got {kappa_rho_max!r}")
+    if not (math.isfinite(wall_factor) and wall_factor >= 0.0):
+        raise ConfigError(f"wall_factor must be finite and >= 0, got {wall_factor!r}")
+    positions = _node_positions(solution)
     ratios = positions[1:] / positions[:-1] if len(positions) > 1 else np.empty(0)
 
     lo_edge = wall_factor * solution.R
     hi_edge = kappa_rho_max / solution.kappa if solution.kappa > 0 else np.inf
     keep = (positions >= lo_edge) & (positions <= hi_edge)
     interior = positions[keep]
-    if len(interior) < max(min_interior, 2):
+    if len(interior) < 3:
         raise InsufficientNodesError(
             f"{len(interior)} interior node(s) in the window "
-            f"[{lo_edge:.3g}, {hi_edge:.3g}]; at least {min_interior} needed "
+            f"[{lo_edge:.3g}, {hi_edge:.3g}]; at least 3 needed "
             f"(solution has {len(positions)} nodes total)")
     interior_ratios = interior[1:] / interior[:-1]
     log_ratios = np.log(interior_ratios)
@@ -501,7 +508,7 @@ def collapse_probe(potential: EffectivePotential, E: float, base_cutoff: float,
     counts = np.empty(len(cutoffs), dtype=int)
     for j, rc in enumerate(cutoffs):
         ws = _Workspace(potential, float(rc), rho_out, dt)
-        counts[j] = ws.node_count(kappa)
+        counts[j] = ws.integrate(-0.5 * kappa * kappa)[2]
 
     k_axis = np.arange(len(cutoffs)) / per_decade
     slope = float(np.polyfit(k_axis, counts.astype(float), 1)[0])

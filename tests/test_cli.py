@@ -376,3 +376,50 @@ def test_output_file_and_manifest_sidecar(cli, schema_validator, tmp_path):
     doc = json.loads(jout.read_text(encoding="utf-8"))
     schema_validator.validate(doc)
     _manifest_ok(doc["manifest"], "potential")
+
+
+def _cell(value):
+    """The CSV cell a JSON record value stands for."""
+    if value is None:
+        return "nan"
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, int):
+        return str(value)
+    return "%.12g" % value
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["constants"], None),
+    (["spectrum", "--a", "inf", "--R", "1", "--rho-max", "1e6"], "levels"),
+    (["nodes", "--a", "inf", "--R", "1", "--rho-max", "1e8"], "nodes"),
+    (["nodes", "--a", "inf", "--probe-E", "-0.5", "--decades", "2"], "sweep"),
+    (["branches", "--x", "-3", "--count", "3"], "branches"),
+])
+def test_json_records_are_the_csv_rows(argv, key, capsys):
+    assert main(argv) == 0
+    header, *rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+    assert main(argv + ["--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    if key is None:
+        records = [{k: v for k, v in doc.items() if k != "manifest"}]
+    else:
+        records = doc[key]
+    assert rows and len(records) == len(rows)
+    for record, row in zip(records, rows):
+        assert list(record) == header
+        assert [_cell(v) for v in record.values()] == row
+
+
+def test_tolerance_below_double_spacing_ends_at_adjacent_doubles():
+    # near ln kappa ~ 15 the doubles are 1.8e-15 apart, wider than the
+    # 4 eps bisection floor, so the midpoint used to round onto an end forever
+    proc = subprocess.run(
+        [sys.executable, "-m", "efimov_lab", "spectrum", "--a", "inf", "--R", "1e-6",
+         "--rho-max", "1e2", "--tol", "1e-15"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "E_n,kappa_n,node_count,ratio_to_next,flag"
+    counts = [int(line.split(",")[2]) for line in lines[1:]]
+    assert counts == list(range(5))

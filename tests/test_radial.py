@@ -12,7 +12,6 @@ modified Bessel function K_{ib} boundary conditions:
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -168,9 +167,7 @@ def test_node_positions_energy_independent_at_small_rho():
     window_hi = 0.2 / deep.kappa
 
     def windowed(sol):
-        rep = node_analysis(sol, kappa_rho_max=0.2, wall_factor=2.0,
-                            min_interior=2)
-        pos = rep.positions
+        pos = radial._node_positions(sol)
         return pos[(pos >= 2.0) & (pos <= window_hi)]
 
     p_deep = windowed(deep)
@@ -295,12 +292,18 @@ def _plain_bisection(pot, rho_max, tol_E=1e-8, max_levels=8):
     kappa_edge = radial._KAPPA_SEARCH_EDGE / rho_max
     ln_lo = math.log(kappa_edge)
     ln_hi = math.log(math.sqrt(radial._FLOOR_SCALE) / R)
+
+    def count(kappa):
+        return ws.integrate(-0.5 * kappa * kappa)[2]
+
     levels = []
-    for k in range(min(max_levels, ws.node_count(kappa_edge))):
+    for k in range(min(max_levels, count(kappa_edge))):
         lo, hi = ln_lo, ln_hi
         while hi - lo > 0.25 * tol_E:
             mid = 0.5 * (lo + hi)
-            if ws.node_count(math.exp(mid)) >= k + 1:
+            if not lo < mid < hi:   # adjacent doubles
+                break
+            if count(math.exp(mid)) >= k + 1:
                 lo = mid
             else:
                 hi = mid
@@ -345,9 +348,9 @@ def test_contradicting_counts_fall_back_to_every_midpoint(monkeypatch):
     seen = []
 
     def recording(self, E):
-        sol = integrate(self, E)
-        seen.append((E, sol.node_count))
-        return sol
+        w, g, count = integrate(self, E)
+        seen.append((E, count))
+        return w, g, count
 
     monkeypatch.setattr(radial._Workspace, "integrate", recording)
     assert find_spectrum(pot, rho_max).energies.tolist() == want
@@ -359,8 +362,8 @@ def test_contradicting_counts_fall_back_to_every_midpoint(monkeypatch):
     seen.clear()
 
     def lying(self, E):
-        sol = recording(self, E)
-        return replace(sol, node_count=2) if E == bad_E else sol
+        w, g, count = recording(self, E)
+        return w, g, 2 if E == bad_E else count
 
     monkeypatch.setattr(radial._Workspace, "integrate", lying)
     assert find_spectrum(pot, rho_max).energies.tolist() == want
