@@ -238,8 +238,6 @@ def cmd_nodes(ns: argparse.Namespace) -> int:
         raise ConfigError("choose one of --analytic or --probe-E")
     mode = modes[0] if modes else "level"
 
-    b = efimov_constants().b
-
     if mode == "probe":
         if ns.a is None:
             raise ConfigError("--probe-E mode requires --a")
@@ -254,7 +252,7 @@ def cmd_nodes(ns: argparse.Namespace) -> int:
         if smallest < sys.float_info.min:
             raise ConfigError(f"--decades {ns.decades} takes the smallest cutoff "
                               f"{ns.base_cutoff!r} * 10^-{ns.decades} below the float range")
-        # collapse_probe re-solves nu^2 at its own radii and never reads the table
+        # collapse_probe solves nu^2 once on its own grid and never reads the table
         grid = LogGrid.make(smallest, ns.base_cutoff, 2)
         branch = tabulate_branch(cfg, grid, ns.branch)
         pot = effective_potential(branch, None)
@@ -267,10 +265,15 @@ def cmd_nodes(ns: argparse.Namespace) -> int:
                    "slope_per_decade": probe.slope_per_decade,
                    "reference_slope": probe.reference_slope,
                    "reference_formula": "b ln(10) / pi",
+                   "zeros": probe.zeros,
+                   "zero_ratio": probe.zero_ratio,
+                   "reference_ratio": probe.reference_ratio,
+                   "reference_ratio_formula": "exp(pi / b)",
                    "E": probe.E, "rho_out": probe.rho_out}
         doc = {"sweep": _records(header, rows), "summary": summary, "mode": mode}
         return _emit(ns, {"dt": ns.dt}, header, rows, doc, {"summary": summary})
 
+    b = efimov_constants().b
     if mode == "analytic":
         sol = _analytic_solution(ns.periods, ns.dt, b)
         level_info = {"E": sol.E, "level": None}

@@ -116,7 +116,11 @@ class _Workspace:
             raise ConfigError(f"dt must be in (0, 1), got {dt!r}")
         self.R = inner_radius
         self.rho_max = rho_max
-        self.T = math.log(rho_max / inner_radius)
+        # rho_max / R overflows only for an R near the float floor, as in a
+        # cutoff sweep over 300 decades; there the logs are taken apart
+        ratio = rho_max / inner_radius
+        wide = ratio == math.inf
+        self.T = math.log(rho_max) - math.log(inner_radius) if wide else math.log(ratio)
         if self.T / dt > MAX_GRID_POINTS - 1:
             raise ConfigError(
                 f"dt = {dt!r} needs {self.T / dt:.3g} grid steps over t = ln(rho/R) "
@@ -124,7 +128,11 @@ class _Workspace:
         self.n_full = int(math.ceil(self.T / dt)) + 1
         self.h = self.T / (self.n_full - 1)
         t = self.h * np.arange(self.n_full)
-        self.rho = inner_radius * np.exp(t)
+        if wide:
+            self.rho = np.exp(t + math.log(inner_radius))
+            self.rho[0] = inner_radius
+        else:
+            self.rho = inner_radius * np.exp(t)
         self.rho2 = self.rho * self.rho
         self.nu2 = np.asarray(potential.branch.nu_squared_at(self.rho), dtype=float)
         self.scheme = potential.scheme
@@ -381,28 +389,25 @@ class NodeReport:
             a.setflags(write=False)
 
 
+def _zeros(t: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """t of each zero of g, ascending, by linear interpolation in t.
+
+    A zero lies at each sign change between consecutive nonzero samples,
+    as the kernel counts nodes, so there is one per counted node.
+    """
+    nonzero = np.flatnonzero(g)
+    positive = g[nonzero] > 0.0
+    k = np.flatnonzero(positive[1:] != positive[:-1])
+    i, j = nonzero[k], nonzero[k + 1]
+    a, b = g[i], g[j]
+    return t[i] + (t[j] - t[i]) * (a / (a - b))
+
+
 def _node_positions(solution: RadialSolution) -> np.ndarray:
-    """Nodes of f by sign changes with linear interpolation in t."""
-    f = solution.f
-    rho = solution.rho
-    t = np.log(rho)
-    positions = []
-    n = len(f)
-    i = 0
-    while i < n - 1:
-        a, b = f[i], f[i + 1]
-        if a == 0.0:
-            if i > 0:
-                positions.append(rho[i])
-            i += 1
-            continue
-        if a * b < 0.0:
-            frac = a / (a - b)
-            positions.append(math.exp(t[i] + frac * (t[i + 1] - t[i])))
-        i += 1
-    if n and f[-1] == 0.0:
-        positions.append(rho[-1])
-    return np.array(positions)
+    """Nodes of f, placed by linear interpolation in t = ln rho."""
+    # math.exp, not np.exp, which can differ in the last bit from the
+    # positions the node CSV has always printed
+    return np.array([math.exp(t) for t in _zeros(np.log(solution.rho), solution.f)])
 
 
 def node_analysis(solution: RadialSolution, *, kappa_rho_max: float = 0.2,
@@ -443,7 +448,12 @@ def node_analysis(solution: RadialSolution, *, kappa_rho_max: float = 0.2,
 
 @dataclass(frozen=True)
 class ProbeResult:
-    """Node counts of the unregularized problem versus inner cutoff."""
+    """Node counts of the unregularized problem versus inner cutoff.
+
+    `zeros` holds the radii, ascending, where the count steps inside the
+    sweep; `zero_ratio` is their fitted geometric ratio (NaN below two
+    zeros) and `reference_ratio` the exp(pi / b) it tends to.
+    """
 
     cutoffs: np.ndarray
     counts: np.ndarray
@@ -451,10 +461,14 @@ class ProbeResult:
     reference_slope: float
     E: float
     rho_out: float
+    zeros: np.ndarray
+    zero_ratio: float
+    reference_ratio: float
 
     def __post_init__(self):
         self.cutoffs.setflags(write=False)
         self.counts.setflags(write=False)
+        self.zeros.setflags(write=False)
 
 
 def collapse_probe(potential: EffectivePotential, E: float, base_cutoff: float,
@@ -464,10 +478,19 @@ def collapse_probe(potential: EffectivePotential, E: float, base_cutoff: float,
 
     Only meaningful for the unregularized potential: each decade of
     cutoff adds b ln(10) / pi nodes when the branch is supercritical, the
-    discrete signature of the collapse.  The outer end of the integration
-    is fixed by the tail cutoff at kappa rho = DEFAULT_TAIL_FACTOR, so all
-    runs share their outer region exactly.  A sweep whose grids together
-    exceed MAX_GRID_POINTS is refused before anything is integrated.
+    discrete signature of the collapse.
+
+    One grid spans the sweep, from the smallest cutoff out to the tail
+    cutoff rho_out at kappa rho = DEFAULT_TAIL_FACTOR, and the solution
+    that decays beyond rho_out is marched across it once, inward.  By
+    Sturm oscillation its zeros in (rc, rho_out) count the levels below
+    E with a wall at rc, as the nodes of the solution marched outward
+    from rc do, so the count at every cutoff rc is the number of zeros
+    beyond it.  The zeros inside the sweep are the cutoffs where the
+    count steps, a geometric staircase of ratio exp(pi / b).  E must lie
+    below the channel at rho_out, so that a solution decays there; on the
+    dimer side that is below the atom-dimer threshold.  A sweep of more
+    than MAX_GRID_POINTS cutoffs is refused before anything is built.
     """
     if potential.scheme is not None:
         raise ConfigError(
@@ -491,33 +514,42 @@ def collapse_probe(potential: EffectivePotential, E: float, base_cutoff: float,
             f"outer end {rho_out:.3g} does not clear the base cutoff "
             f"{base_cutoff:.3g}; lower |E| or the base cutoff")
 
-    if not (0.0 < dt < 1.0):
-        raise ConfigError(f"dt must be in (0, 1), got {dt!r}")
-
-    # each cutoff gets a grid of its own, of at least 2 points, out to rho_out;
-    # logs taken apart keep the total finite however far the sweep reaches
     n_cutoffs = decades * per_decade + 1
-    points = 2 * n_cutoffs
-    if points <= MAX_GRID_POINTS:
-        cutoffs = base_cutoff * 10.0 ** (-np.arange(n_cutoffs) / per_decade)
-        points = int(np.sum(np.ceil((math.log(rho_out) - np.log(cutoffs)) / dt) + 1.0))
-    if points > MAX_GRID_POINTS:
+    if n_cutoffs > MAX_GRID_POINTS:
         raise ConfigError(
-            f"decades = {decades} with per_decade = {per_decade} needs at least {points} "
-            f"grid points over {n_cutoffs} cutoffs; at most {MAX_GRID_POINTS} are allowed")
-    counts = np.empty(len(cutoffs), dtype=int)
-    for j, rc in enumerate(cutoffs):
-        ws = _Workspace(potential, float(rc), rho_out, dt)
-        counts[j] = ws.integrate(-0.5 * kappa * kappa)[2]
+            f"decades = {decades} with per_decade = {per_decade} gives {n_cutoffs} "
+            f"cutoffs; at most {MAX_GRID_POINTS} are allowed")
 
-    k_axis = np.arange(len(cutoffs)) / per_decade
+    ws = _Workspace(potential, smallest, rho_out, dt)
+    w_in = ws.nu2[::-1] + (kappa * kappa) * ws.rho2[::-1]   # from rho_out inward
+    if not w_in[0] > 0.0:
+        raise ConfigError(
+            f"probe energy {E!r} is not below the channel at the outer end "
+            f"rho_out = {rho_out:.6g}, so no solution decays there; on the dimer "
+            f"side it must lie below the atom-dimer threshold")
+    # marched inward, the solution that decays outward grows: WKB start
+    g, _ = integrate_numerov(w_in, ws.h, 1.0, math.sqrt(w_in[0]))
+    ln_zeros = _zeros(np.log(ws.rho), g[::-1])
+
+    cutoffs = base_cutoff * 10.0 ** (-np.arange(n_cutoffs) / per_decade)
+    counts = len(ln_zeros) - np.searchsorted(ln_zeros, np.log(cutoffs), side="right")
+
+    k_axis = np.arange(n_cutoffs) / per_decade
     slope = float(np.polyfit(k_axis, counts.astype(float), 1)[0])
 
-    nu2_inner = potential.branch.nu_squared_at(smallest)
+    ln_zeros = ln_zeros[ln_zeros <= math.log(base_cutoff)]
+    zero_ratio = (math.exp((ln_zeros[-1] - ln_zeros[0]) / (len(ln_zeros) - 1))
+                  if len(ln_zeros) > 1 else math.nan)
+
+    # rho[0] is the smallest cutoff exactly
+    nu2_inner = float(ws.nu2[0])
     if nu2_inner < 0.0:
-        reference = math.sqrt(-nu2_inner) * math.log(10.0) / math.pi
+        b_inner = math.sqrt(-nu2_inner)
+        reference = b_inner * math.log(10.0) / math.pi
+        reference_ratio = math.exp(math.pi / b_inner)
     else:
-        reference = float("nan")
+        reference = reference_ratio = math.nan
     return ProbeResult(cutoffs=cutoffs, counts=counts,
                        slope_per_decade=slope, reference_slope=reference,
-                       E=E, rho_out=rho_out)
+                       E=E, rho_out=rho_out, zeros=np.exp(ln_zeros), zero_ratio=zero_ratio,
+                       reference_ratio=reference_ratio)

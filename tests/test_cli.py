@@ -215,6 +215,9 @@ def test_nodes_probe_mode(cli, schema_validator):
     assert s["mode"] == "probe"
     assert s["reference_slope"] == pytest.approx(SLOPE_REF, rel=1e-9)
     assert s["slope_per_decade"] == pytest.approx(SLOPE_REF, rel=0.10)
+    assert s["reference_ratio"] == pytest.approx(RATIO_NODE_REF, rel=1e-12)
+    assert len(s["zeros"]) == 2
+    assert s["zero_ratio"] == pytest.approx(RATIO_NODE_REF, rel=1e-3)
     counts = [row["node_count"] for row in doc["sweep"]]
     assert len(counts) == 3 * 4 + 1
     assert all(b >= a for a, b in zip(counts, counts[1:]))
@@ -288,7 +291,7 @@ def test_meanfield_argument_errors(cli):
     (["nodes", "--a", "inf", "--R", "1", "--rho-max", "1e8", "--dt", "1e-12"], "dt"),
     (["nodes", "--analytic", "--dt", "1e-12"], "--dt"),
     (["nodes", "--analytic", "--periods", "228"], "--periods"),
-    (["nodes", "--a", "inf", "--probe-E", "-0.5", "--decades", "305"], "decades"),
+    (["nodes", "--a", "inf", "--probe-E", "-0.5", "--decades", "300", "--dt", "1e-5"], "dt"),
     (["nodes", "--a", "inf", "--probe-E", "-0.5", "--per-decade", "1000000000"],
      "decades"),
     (["nodes", "--a", "inf", "--probe-E", "-0.5", "--dt", "0"], "dt"),
@@ -300,6 +303,7 @@ def test_meanfield_argument_errors(cli):
     (["nodes", "--a", "inf", "--R", "1", "--rho-max", "1e4", "--level", "9"], "--level"),
     (["potential", "--a", "inf", "--rho-min", "0.1", "--rho-max", "10",
       "--regularization", "cap"], "--regularization"),
+    (["nodes", "--a=-1e4", "--probe-E", "-5e-9"], "probe energy"),
 ])
 def test_bad_input_exits_2_naming_it(argv, named, capsys):
     assert main(argv) == 2
@@ -320,6 +324,33 @@ def test_bad_input_exits_2_naming_it(argv, named, capsys):
 def test_refused_requests_exit_with_their_reason(argv, code, fragment, capsys):
     assert main(argv) == code
     assert f"efimov-lab: {fragment}" in capsys.readouterr().err
+
+
+def test_probe_sweep_of_305_decades_computes(capsys):
+    # one grid from 1e-307 out to rho_out = 36 holds about 364k points
+    assert main(["nodes", "--a", "inf", "--probe-E", "-0.5", "--decades", "305",
+                 "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    counts = [row["node_count"] for row in doc["sweep"]]
+    assert len(counts) == 305 * 8 + 1
+    assert all(b >= a for a, b in zip(counts, counts[1:]))
+    assert abs(doc["summary"]["slope_per_decade"] - SLOPE_REF) < 1.0
+    assert abs(counts[-1] - counts[0] - 305 * SLOPE_REF) < 1.0
+
+
+def test_probe_sidecar_reports_the_staircase(schema_validator, tmp_path):
+    out = tmp_path / "probe.csv"
+    assert main(["nodes", "--a", "inf", "--probe-E", "-0.5", "--decades", "4",
+                 "--output", str(out)]) == 0
+    assert out.read_text(encoding="utf-8").startswith("k,cutoff,node_count\n")
+    side = json.loads((tmp_path / "probe.csv.manifest.json").read_text())
+    schema_validator.validate(side)
+    s = side["summary"]
+    # the count steps at each zero: 1 -> 4 over the README sweep
+    assert len(s["zeros"]) == 3
+    assert all(1e-6 <= z <= 1e-2 for z in s["zeros"])
+    assert s["zero_ratio"] == pytest.approx(RATIO_NODE_REF, rel=1e-3)
+    assert s["reference_ratio_formula"] == "exp(pi / b)"
 
 
 def test_nodes_analytic_is_the_zero_energy_solution(capsys):

@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from efimov_lab import (
     Cap,
@@ -35,7 +36,8 @@ from efimov_lab import (
     tabulate_branch,
 )
 from efimov_lab import radial
-from efimov_lab.radial import DEFAULT_TAIL_FACTOR
+from efimov_lab._kernel import integrate_numerov
+from efimov_lab.radial import DEFAULT_DT, DEFAULT_TAIL_FACTOR, MAX_GRID_POINTS
 
 B = efimov_constants().b
 RATIO_E = math.exp(2.0 * math.pi / B)     # 515.035...
@@ -275,6 +277,91 @@ def test_probe_argument_validation():
         collapse_probe(pot, -1e8, 1e-2, decades=2)  # outer end below cutoff
     with pytest.raises(ConfigError, match="decades"):
         collapse_probe(pot, -0.5, 1e-2, decades=400)  # smallest cutoff underflows
+    with pytest.raises(ConfigError, match="decades"):
+        collapse_probe(pot, -0.5, 1e-2, decades=1, per_decade=MAX_GRID_POINTS)
+    with pytest.raises(ConfigError, match="^dt = "):
+        collapse_probe(pot, -0.5, 1e-2, decades=300, dt=1e-5)  # one grid too fine
+
+
+def test_probe_refuses_energy_above_dimer_threshold():
+    # at a = -1e3 the atom-dimer threshold is -1e-6: no solution decays above it
+    pot = _dimer_potential(-1e3, 1e-4, 1e5, 2)
+    with pytest.raises(ConfigError, match="probe energy"):
+        collapse_probe(pot, -0.5e-6, 1e-2, decades=2)
+
+
+@pytest.mark.parametrize("decades, per_decade", [(1, 1), (6, 16), (40, 3)])
+def test_probe_is_one_workspace_and_one_kernel_call(monkeypatch, decades, per_decade):
+    calls, workspaces = [], []
+    march, init = radial.integrate_numerov, radial._Workspace.__init__
+    monkeypatch.setattr(radial, "integrate_numerov",
+                        lambda *args: calls.append(1) or march(*args))
+    monkeypatch.setattr(radial._Workspace, "__init__",
+                        lambda self, *args: workspaces.append(1) or init(self, *args))
+    probe = collapse_probe(_unitarity_potential(1e3, None), -0.5, 1e-2,
+                           decades=decades, per_decade=per_decade)
+    assert len(probe.counts) == decades * per_decade + 1
+    assert (len(calls), len(workspaces)) == (1, 1)
+
+
+def test_probe_zeros_are_the_staircase():
+    probe = collapse_probe(_unitarity_potential(1e3, None), -0.5, 1e-2,
+                           decades=6, per_decade=16)
+    zeros = probe.zeros
+    assert np.all(np.diff(zeros) > 0.0)
+    assert zeros[0] >= probe.cutoffs[-1] and zeros[-1] <= probe.cutoffs[0]
+    # the count steps by one at each zero inside the sweep
+    above = np.sum(zeros[None, :] > probe.cutoffs[:, None], axis=1)
+    assert probe.counts.tolist() == (probe.counts[0] + above).tolist()
+    assert probe.reference_ratio == pytest.approx(RATIO_NODE, rel=1e-12)
+    assert probe.zero_ratio == pytest.approx(RATIO_NODE, rel=1e-3)
+
+
+def test_probe_reference_slope_is_the_pointwise_root():
+    # the workspace's nu^2 at its first radius is the size-1 root at the
+    # smallest cutoff, bit for bit
+    pot = _dimer_potential(-1e4, 1e-6, 1e6, 2)
+    probe = collapse_probe(pot, -1e-6, 1e-2, decades=4, per_decade=2)
+    nu2 = pot.branch.nu_squared_at(1e-2 * 10.0 ** -4)
+    assert probe.reference_slope == math.sqrt(-nu2) * math.log(10.0) / math.pi
+
+
+def _outward_counts(pot, E, cutoffs, rho_out, dt):
+    """Reference: for each cutoff, a grid of its own from a wall there out
+    to rho_out, marched outward; its node count is the count at that cutoff."""
+    kappa2 = -2.0 * E
+    counts = []
+    for rc in cutoffs:
+        T = math.log(rho_out / rc)
+        n = int(math.ceil(T / dt)) + 1
+        rho = rc * np.exp(np.linspace(0.0, T, n))
+        w = pot.branch.nu_squared_at(rho) + kappa2 * rho * rho
+        counts.append(integrate_numerov(w, T / (n - 1), 0.0, 1.0)[1])
+    return np.array(counts)
+
+
+@given(a=st.one_of(st.just(math.inf), st.floats(min_value=-1e5, max_value=-1e2)),
+       depth=st.floats(min_value=1.2, max_value=100.0),
+       base_frac=st.floats(min_value=1e-3, max_value=0.3),
+       decades=st.integers(min_value=1, max_value=6),
+       per_decade=st.integers(min_value=1, max_value=8))
+@settings(max_examples=20, deadline=None)
+def test_inward_counts_match_outward_counts(a, depth, base_frac, decades, per_decade):
+    # E lies `depth` times below the threshold -1/a^2, or below -1 at unitarity;
+    # the base cutoff is a fraction of the outer end rho_out
+    E = -depth / (a * a) if math.isfinite(a) else -depth
+    rho_out = DEFAULT_TAIL_FACTOR / math.sqrt(-2.0 * E)
+    base = base_frac * rho_out
+    pot = _dimer_potential(a, base * 10.0 ** -decades, rho_out, 2)
+    probe = collapse_probe(pot, E, base, decades, per_decade)
+    assert np.all(np.diff(probe.counts) >= 0)   # counts never fall as rc shrinks
+
+    want = _outward_counts(pot, E, probe.cutoffs, rho_out, DEFAULT_DT)
+    differ = np.flatnonzero(probe.counts != want)
+    # where a zero lies within a grid step of a cutoff the two grids may
+    # disagree; a finer outward count settles those cutoffs
+    fine = _outward_counts(pot, E, probe.cutoffs[differ], rho_out, DEFAULT_DT / 16)
+    assert probe.counts[differ].tolist() == fine.tolist(), (differ, want[differ])
 
 
 def test_spectrum_argument_validation():
