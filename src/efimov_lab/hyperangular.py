@@ -14,10 +14,12 @@ small x; there nu = i b and the equation continues analytically to
 
 an exponentially scaled form that stays finite for every b > 0.  This
 module evaluates both forms stably on whole arrays, locates the roots of
-any branch at many x at once with one bracketed bisection, tabulates
-branches over log grids, and assembles the resulting effective radial
-potential (nu^2(rho) - 1/4) / (2 rho^2) with optional short-range
-regularization (hard wall or cap below a radius R).
+any branch at many x at once with one array solve (each element brackets
+its root and narrows the bracket by safeguarded Illinois regula-falsi
+steps down to adjacent doubles), tabulates branches over log grids, and
+assembles the resulting effective radial potential
+(nu^2(rho) - 1/4) / (2 rho^2) with optional short-range regularization
+(hard wall or cap below a radius R).
 
 A branch has one representation: nu^2 is re-solved exactly at every
 radius a solver asks for, or is one constant (at unitarity, or for a
@@ -66,9 +68,18 @@ _MAX_EXPANSIONS = 60
 _POLE_FLAG_DISTANCE = 1e-8
 
 # |sin(nu pi/2)| below which an evaluation counts as sitting on a pole;
-# bracketing and bisection refuse only exact poles
+# bracketing and the bracketed root search refuse only exact poles
 _POLE_TOL = 1e-12
 _BRACKET_POLE_TOL = 1e-300
+
+# elements narrowed together; bounds the root search's temporaries to
+# about 1 MB whatever the batch size
+_SOLVE_CHUNK = 4096
+
+# finished elements leave the batch only while this many others remain:
+# numpy keeps up to 7 freed buffers of each size under 1 kB for reuse, and
+# a batch shrinking through every size below that leaves megabytes of them
+_COMPACT_FLOOR = 1024
 
 # stay this far below nu^2 = 4 when bracketing branch-0 roots; the pole
 # guard in _lhs_positive trips about 2.6e-12 from the pole itself
@@ -154,34 +165,63 @@ def _at(exc: Exception, index) -> Exception:
     return exc
 
 
-def _bisect(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Roots of increasing functions bracketed by f(lo) <= 0 <= f(hi).
+def _bracketed_roots(f, lo_all: np.ndarray, hi_all: np.ndarray) -> np.ndarray:
+    """Roots of increasing functions, f <= 0 at lo_all and f >= 0 at hi_all.
 
     `f(v, idx)` evaluates the functions of elements `idx` at `v`.  Every
-    element halves its own bracket until its ends are adjacent doubles or
-    f vanishes at a midpoint, so a root never depends on the other
-    elements of the batch.  Each root is the bracket end with the smaller
-    |f|.
+    element narrows its own bracket at the Illinois regula-falsi point
+    (Dowell & Jarratt, BIT 11, 168 (1971)): the end that two such steps in
+    a row leave standing has its weight halved, and a point that rounds
+    onto an end moves one double inside.  Where two steps have not halved
+    the bracket, the next one is its midpoint.  An element stops when its
+    ends are adjacent doubles or f vanishes at one of them; from then on
+    every step re-evaluates one of its ends and leaves it unchanged, so it
+    may stay in the batch until `_COMPACT_FLOOR` others remain.  A root
+    never depends on the other elements of the batch, nor on how the batch
+    is cut into chunks of `_SOLVE_CHUNK`.  Each root is the bracket end
+    with the smaller |f|.
     """
-    roots = np.empty(lo.size)
-    idx = np.arange(lo.size)
-    flo, fhi = f(lo, idx), f(hi, idx)
-    while idx.size:
-        mid = 0.5 * (lo + hi)
-        done = (mid == lo) | (mid == hi) | (flo == 0.0) | (fhi == 0.0)
-        if done.any():
-            roots[idx[done]] = np.where(np.abs(flo[done]) <= np.abs(fhi[done]),
-                                        lo[done], hi[done])
-            keep = ~done
-            idx, lo, hi, flo, fhi, mid = (
-                idx[keep], lo[keep], hi[keep], flo[keep], fhi[keep], mid[keep])
-            if not idx.size:
-                break
-        fm = f(mid, idx)
-        # a zero at mid collapses the bracket onto it
-        up, down = fm <= 0.0, ~(fm < 0.0)
-        lo, flo = np.where(up, mid, lo), np.where(up, fm, flo)
-        hi, fhi = np.where(down, mid, hi), np.where(down, fm, fhi)
+    roots = np.empty(lo_all.size)
+    for start in range(0, lo_all.size, _SOLVE_CHUNK):
+        idx = np.arange(start, min(start + _SOLVE_CHUNK, lo_all.size))
+        lo, hi = lo_all[idx], hi_all[idx]
+        flo, fhi = f(lo, idx), f(hi, idx)
+        # a zero at an end collapses the bracket onto it
+        hi = np.where(flo == 0.0, lo, hi)
+        lo = np.where(fhi == 0.0, hi, lo)
+        wlo, whi = flo, fhi            # the values the falsi point is drawn from
+        moved = np.zeros(lo.size)      # end the last falsi step replaced: -1 lo, +1 hi
+        width1 = width2 = np.full(lo.size, np.inf)  # widths before the last two steps
+        while idx.size:
+            mid = 0.5 * (lo + hi)
+            done = ~((lo < mid) & (mid < hi))
+            n_done = np.count_nonzero(done)
+            if n_done == idx.size or (n_done and idx.size - n_done >= _COMPACT_FLOOR):
+                roots[idx[done]] = np.where(np.abs(flo[done]) <= np.abs(fhi[done]),
+                                            lo[done], hi[done])
+                keep = ~done
+                idx, lo, hi, flo, fhi, wlo, whi, moved, width1, width2, mid = (
+                    idx[keep], lo[keep], hi[keep], flo[keep], fhi[keep], wlo[keep],
+                    whi[keep], moved[keep], width1[keep], width2[keep], mid[keep])
+                if not idx.size:
+                    break
+            width = hi - lo
+            falsi = width <= 0.5 * width2
+            with np.errstate(invalid="ignore"):   # 0/0 on a bracket collapsed onto a zero
+                v = np.fmin(np.fmax(hi - width * (whi / (whi - wlo)), np.nextafter(lo, hi)),
+                            np.nextafter(hi, lo))
+            v = np.where(falsi, v, mid)
+            fv = f(v, idx)
+            # a zero at v collapses the bracket onto it
+            up, down = fv <= 0.0, fv >= 0.0
+            side = np.where(up, -1.0, 1.0)
+            # the end a second falsi step in a row leaves standing has its weight halved
+            half = np.where(falsi & (moved == side), 0.5, 1.0)
+            moved = np.where(falsi, side, moved)
+            lo, flo = np.where(up, v, lo), np.where(up, fv, flo)
+            hi, fhi = np.where(down, v, hi), np.where(down, fv, fhi)
+            wlo, whi = np.where(up, fv, half * wlo), np.where(down, fv, half * whi)
+            width1, width2 = width, width1
     return roots
 
 
@@ -190,12 +230,19 @@ def _branch0_brackets(f, x, todo, lo, hi) -> None:
 
     The left-hand side is monotone increasing on (-inf, 4), diverging to
     +inf at the nu = 2 pole, so a bracket always exists; its sign at
-    s = 0 decides which side to expand.
+    s = 0 decides which side to expand.  Below s = 0 the first bracket is
+    already [-(|x| + 3)^2, 0], since lhs(-b^2) <= -b + 0.3 for every b >= 3.
     """
     up = todo[x[todo] >= LHS_AT_ZERO]
     down = todo[x[todo] < LHS_AT_ZERO]
     lo[up], hi[up] = 0.0, 2.0
-    lo[down], hi[down] = -1.0, 0.0
+    with np.errstate(over="ignore"):
+        lo[down], hi[down] = -(np.abs(x[down]) + 3.0) ** 2, 0.0
+    huge = down[np.isinf(lo[down])]
+    if huge.size:
+        raise ConfigError(
+            f"x = {x[huge[0]]:.17g} is too large in magnitude: its branch-0 "
+            "root nu^2 ~ -x^2 overflows a double")
     gap = np.full(x.shape, 2.0)
     for _ in range(_MAX_EXPANSIONS):
         if not up.size:
@@ -253,7 +300,7 @@ def _interval_brackets(f, x, k, todo, lo, hi) -> None:
 def _polish(f, root, x) -> tuple[np.ndarray, np.ndarray]:
     """The best of root and its neighbouring doubles, with |f| / max(1, |x|).
 
-    The bisection leaves a sign change of f between adjacent doubles, so
+    The root search leaves a sign change of f between adjacent doubles, so
     no residual test can reject its root: near the nu = 2 pole the slope
     grows like x^2 and one ulp can move f by more than any fixed
     tolerance.  The neighbour with the smallest |f| is returned with its
@@ -282,7 +329,7 @@ def _solve(x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     _branch0_brackets(f, x, np.flatnonzero(k == 0), lo, hi)
     # a negative k reaches branch_interval, which rejects it
     _interval_brackets(f, x, k, np.flatnonzero(k != 0), lo, hi)
-    root = _bisect(f, lo, hi)
+    root = _bracketed_roots(f, lo, hi)
     values, residuals = _polish(lambda s: _lhs(s, _POLE_TOL) - x, root, x)
     near = _flag_near_pole(values) & (k > 0)
     if near.any():
@@ -311,9 +358,9 @@ def efimov_constants(tol: float = 1e-10) -> EfimovConstants:
     """Solve the resonant limit of the lowest branch for b and C."""
     if not (0.0 < tol < 1.0):
         raise ConfigError(f"tol must be in (0, 1), got {tol!r}")
-    # lhs(-b^2) falls as b grows, so bisect its negative in b directly
-    b = float(_bisect(lambda v, idx: -_lhs_negative(v),
-                      np.array([0.25]), np.array([4.0]))[0])
+    # lhs(-b^2) falls as b grows, so solve for its negative in b directly
+    b = float(_bracketed_roots(lambda v, idx: -_lhs_negative(v),
+                               np.array([0.25]), np.array([4.0]))[0])
     residual = abs(float(_lhs_negative(np.array([b]))[0]))
     if residual > tol:
         raise SolverError(f"resonant root residual {residual:.3e} exceeds tol {tol:.3e}")

@@ -304,6 +304,7 @@ def test_meanfield_argument_errors(cli):
     (["potential", "--a", "inf", "--rho-min", "0.1", "--rho-max", "10",
       "--regularization", "cap"], "--regularization"),
     (["nodes", "--a=-1e4", "--probe-E", "-5e-9"], "probe energy"),
+    (["branches", "--x", "-1e160", "--count", "1"], "x = -1e+160"),
 ])
 def test_bad_input_exits_2_naming_it(argv, named, capsys):
     assert main(argv) == 2
@@ -324,6 +325,17 @@ def test_bad_input_exits_2_naming_it(argv, named, capsys):
 def test_refused_requests_exit_with_their_reason(argv, code, fragment, capsys):
     assert main(argv) == code
     assert f"efimov-lab: {fragment}" in capsys.readouterr().err
+
+
+def test_branch0_brackets_every_finite_x(capsys):
+    # the lower end of the first bracket is -(|x| + 3)^2, so no doubling
+    # budget caps x; nu^2 -> -x^2 on the dimer side
+    assert main(["branches", "--x", "-1e30", "--count", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "0,-1e+60,-1e+60,0,0"
+    # x = rho / (sqrt(mu) a) reaches -1.4e11 at rho = 1e8: the branch is
+    # solved and the search floor, not the bracket, refuses the channel
+    assert main(["spectrum", "--a=-1e-3", "--R", "1", "--rho-max", "1e8"]) == 2
+    assert "lie below the search floor" in capsys.readouterr().err
 
 
 def test_probe_sweep_of_305_decades_computes(capsys):

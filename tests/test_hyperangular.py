@@ -41,7 +41,8 @@ from efimov_lab import (
     solve_branches,
     tabulate_branch,
 )
-from efimov_lab.hyperangular import LHS_AT_ZERO, _flag_near_pole
+from efimov_lab import hyperangular
+from efimov_lab.hyperangular import LHS_AT_ZERO, _POLE_TOL, _flag_near_pole, _lhs, _solve
 
 _EIGHT = 8.0 / math.sqrt(3.0)
 
@@ -328,18 +329,106 @@ def test_branches_one_sign_change_per_interval_property(x):
     _check_one_root_per_interval(x, 4001)
 
 
+def _two_ulps_around(s):
+    """s and the two doubles on either side of it."""
+    below = np.nextafter(s, -np.inf)
+    above = np.nextafter(s, np.inf)
+    return [float(v) for v in (np.nextafter(below, -np.inf), below, s,
+                               above, np.nextafter(above, np.inf))]
+
+
 @given(st.floats(min_value=-1e3, max_value=1e3))
 @settings(max_examples=40, deadline=None)
 def test_every_root_has_a_sign_change_within_two_ulps(x):
-    # bisection ends on adjacent doubles around the sign change, and the
+    # the root search ends on adjacent doubles around the sign change, and the
     # polish may then step one ulp past the final bracket
     for r in solve_branches(x, 8):
-        below = np.nextafter(r.value, -np.inf)
-        above = np.nextafter(r.value, np.inf)
-        near = (np.nextafter(below, -np.inf), below, r.value,
-                above, np.nextafter(above, np.inf))
-        vals = [eigen_lhs(float(s)) - x for s in near]
+        vals = [eigen_lhs(s) - x for s in _two_ulps_around(r.value)]
         assert min(vals) <= 0.0 <= max(vals), f"branch {r.branch_index} at x = {x!r}"
+
+
+def _ulps(a, b):
+    """How many doubles apart a and b are; 0 when equal."""
+    ia, ib = (int(np.array(v, dtype=float).view(np.int64)) for v in (a, b))
+    ia, ib = (i if i >= 0 else -(1 << 63) - i for i in (ia, ib))
+    return abs(ia - ib)
+
+
+def _plain_bisection_branch0(x):
+    """Reference branch-0 root below s = 0: double the lower end from -1
+    without limit, halve [lo, 0] down to adjacent doubles, keep the end
+    with the smaller |F - x|, then the best of it and its neighbours."""
+    def f(s):
+        return eigen_lhs(s) - x
+    lo, hi = -1.0, 0.0
+    while f(lo) > 0.0:
+        lo *= 2.0
+    flo, fhi = f(lo), f(hi)
+    while flo != 0.0 and fhi != 0.0:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        fm = f(mid)
+        if fm <= 0.0:
+            lo, flo = mid, fm
+        if fm >= 0.0:
+            hi, fhi = mid, fm
+    root = lo if abs(flo) <= abs(fhi) else hi
+    return min((root, float(np.nextafter(root, -np.inf)), float(np.nextafter(root, np.inf))),
+               key=lambda s: abs(f(s)))
+
+
+def _log_uniform(lo, hi):
+    return st.floats(min_value=math.log(lo), max_value=math.log(hi)).map(math.exp)
+
+
+_X_WIDE = st.one_of(_log_uniform(1e-6, 1e12).map(lambda v: -v),
+                    _log_uniform(1e-6, 1e3), st.just(0.0))
+
+
+@given(st.lists(st.tuples(_X_WIDE, st.integers(0, 2)), min_size=1, max_size=12),
+       st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+@pytest.mark.filterwarnings("ignore:root nu")
+def test_illinois_roots_against_plain_bisection(cases, rng):
+    xs = np.array([x for x, _ in cases])
+    ks = np.array([k for _, k in cases])
+    order = list(range(len(cases)))
+    rng.shuffle(order)
+    batch, _ = _solve(xs[order], ks[order])
+    for j, i in enumerate(order):
+        x, k = cases[i]
+        one, _ = _solve(xs[i:i + 1], ks[i:i + 1])
+        # no root depends on the rest of its batch
+        assert batch[j].tobytes() == one[0].tobytes(), (x, k)
+        s = float(one[0])
+        vals = [eigen_lhs(v) - x for v in _two_ulps_around(s)]
+        assert min(vals) <= 0.0 <= max(vals), f"branch {k} at x = {x!r}"
+        if k == 0 and x < 0.0:
+            assert _ulps(s, _plain_bisection_branch0(x)) <= 8, x
+
+
+def test_branch0_first_bracket_holds():
+    # the first lower end -(|x| + 3)^2 rests on lhs(-b^2) <= -b + 0.3, b >= 3
+    b = np.concatenate([np.linspace(3.0, 50.0, 2001), np.logspace(1.7, 154.0, 2001)])
+    assert np.all(_lhs(-b * b, _POLE_TOL) <= -b + 0.3)
+
+
+def test_workspace_resolve_evaluation_budget(monkeypatch):
+    # Illinois steps and the first bracket [-(|x| + 3)^2, 0] need about 18
+    # evaluations per point here, polish included; plain bisection from a
+    # doubled bracket took about 66
+    cfg = make_config(-1e4)
+    branch = tabulate_branch(cfg, LogGrid.make(1.0, 1e8, 2))
+    T = math.log(1e8)
+    n = int(math.ceil(T * 512)) + 1
+    rho = np.exp((T / (n - 1)) * np.arange(n))
+    evaluated = []
+    lhs = hyperangular._lhs
+    monkeypatch.setattr(hyperangular, "_lhs",
+                        lambda s, tol: evaluated.append(s.size) or lhs(s, tol))
+    branch.nu_squared_at(rho)
+    assert sum(evaluated) <= 30 * n
 
 
 def test_table_at_the_pole_floor_names_the_radius():
