@@ -5,7 +5,7 @@ Each supports --format {csv,json} and --output.  --tol exists where a
 tolerance binds: the residual of the b root (constants), the relative
 energy of a level (spectrum, nodes) and mean-field stationarity
 (meanfield).  The eigenvalue roots of potential and branches are
-bisected to adjacent doubles and take no tolerance.  CSV bodies are
+narrowed to adjacent doubles and take no tolerance.  CSV bodies are
 deterministic: fixed column order, 12 significant digits, '.' decimal
 separator, '\\n' line endings, header row first.  JSON records of
 tabular rows use the CSV header as their keys.  Every run produces a

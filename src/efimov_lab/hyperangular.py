@@ -21,6 +21,12 @@ assembles the resulting effective radial potential
 (nu^2(rho) - 1/4) / (2 rho^2) with optional short-range regularization
 (hard wall or cap below a radius R).
 
+Every bracket end next to a genuine pole of the left-hand side, on any
+branch, steps toward it by factors of 8 and stops 1e-11 short of it in
+nu^2; a root closer to a pole than that is refused with a SolverError
+naming the branch, x and the pole.  The residual of a root is the
+search's own |lhs - x| / max(1, |x|) at it.
+
 A branch has one representation: nu^2 is re-solved exactly at every
 radius a solver asks for, or is one constant (at unitarity, or for a
 hand-built test branch).  Its table over a log grid is output only; no
@@ -36,7 +42,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    BracketError,
     ConfigError,
     GridError,
     LogGrid,
@@ -61,14 +66,12 @@ _N3 = 3.0 * math.pi ** 2 / 4.0 + math.pi ** 3 / (54.0 * math.sqrt(3.0))
 _D1 = math.pi / 2.0
 _D3 = -math.pi ** 3 / 8.0
 
-_MAX_EXPANSIONS = 60
-
 # poles sit at even integer nu >= 2 except nu = 4 where the numerator
 # also vanishes; branch k >= 2 lives between consecutive genuine poles
 _POLE_FLAG_DISTANCE = 1e-8
 
 # |sin(nu pi/2)| below which an evaluation counts as sitting on a pole;
-# bracketing and the bracketed root search refuse only exact poles
+# the root search refuses only exact poles, which its ends never reach
 _POLE_TOL = 1e-12
 _BRACKET_POLE_TOL = 1e-300
 
@@ -81,9 +84,11 @@ _SOLVE_CHUNK = 4096
 # a batch shrinking through every size below that leaves megabytes of them
 _COMPACT_FLOOR = 1024
 
-# stay this far below nu^2 = 4 when bracketing branch-0 roots; the pole
-# guard in _lhs_positive trips about 2.6e-12 from the pole itself
-_BRANCH0_GAP_FLOOR = 1e-11
+# no bracket end comes closer than this in nu^2 to a genuine pole, on any
+# branch, and a root inside it is refused.  Near nu = 2 that is |x| above
+# about 1.5e12, where one ulp of nu^2 moves the left-hand side by about
+# 1e-4 of |x|
+_POLE_FLOOR = 1e-11
 
 
 def _lhs_negative(b: np.ndarray) -> np.ndarray:
@@ -165,7 +170,8 @@ def _at(exc: Exception, index) -> Exception:
     return exc
 
 
-def _bracketed_roots(f, lo_all: np.ndarray, hi_all: np.ndarray) -> np.ndarray:
+def _bracketed_roots(f, lo_all: np.ndarray,
+                     hi_all: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Roots of increasing functions, f <= 0 at lo_all and f >= 0 at hi_all.
 
     `f(v, idx)` evaluates the functions of elements `idx` at `v`.  Every
@@ -179,9 +185,9 @@ def _bracketed_roots(f, lo_all: np.ndarray, hi_all: np.ndarray) -> np.ndarray:
     may stay in the batch until `_COMPACT_FLOOR` others remain.  A root
     never depends on the other elements of the batch, nor on how the batch
     is cut into chunks of `_SOLVE_CHUNK`.  Each root is the bracket end
-    with the smaller |f|.
+    with the smaller |f|, returned together with that |f|.
     """
-    roots = np.empty(lo_all.size)
+    roots, closing = np.empty(lo_all.size), np.empty(lo_all.size)
     for start in range(0, lo_all.size, _SOLVE_CHUNK):
         idx = np.arange(start, min(start + _SOLVE_CHUNK, lo_all.size))
         lo, hi = lo_all[idx], hi_all[idx]
@@ -197,8 +203,9 @@ def _bracketed_roots(f, lo_all: np.ndarray, hi_all: np.ndarray) -> np.ndarray:
             done = ~((lo < mid) & (mid < hi))
             n_done = np.count_nonzero(done)
             if n_done == idx.size or (n_done and idx.size - n_done >= _COMPACT_FLOOR):
-                roots[idx[done]] = np.where(np.abs(flo[done]) <= np.abs(fhi[done]),
-                                            lo[done], hi[done])
+                afl, afh = np.abs(flo[done]), np.abs(fhi[done])
+                roots[idx[done]] = np.where(afl <= afh, lo[done], hi[done])
+                closing[idx[done]] = np.minimum(afl, afh)
                 keep = ~done
                 idx, lo, hi, flo, fhi, wlo, whi, moved, width1, width2, mid = (
                     idx[keep], lo[keep], hi[keep], flo[keep], fhi[keep], wlo[keep],
@@ -222,95 +229,51 @@ def _bracketed_roots(f, lo_all: np.ndarray, hi_all: np.ndarray) -> np.ndarray:
             hi, fhi = np.where(down, v, hi), np.where(down, fv, fhi)
             wlo, whi = np.where(up, fv, half * wlo), np.where(down, fv, half * whi)
             width1, width2 = width, width1
-    return roots
+    return roots, closing
 
 
-def _branch0_brackets(f, x, todo, lo, hi) -> None:
-    """Fill [lo, hi] around the branch-0 root of every element in `todo`.
+def _brackets(f, x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """[lo, hi] in s around the root of branch k[i] at x[i], for every element.
 
-    The left-hand side is monotone increasing on (-inf, 4), diverging to
-    +inf at the nu = 2 pole, so a bracket always exists; its sign at
-    s = 0 decides which side to expand.  Below s = 0 the first bracket is
-    already [-(|x| + 3)^2, 0], since lhs(-b^2) <= -b + 0.3 for every b >= 3.
+    Each branch holds exactly one root: the left-hand side increases
+    strictly over it, from -inf (as s -> -inf on branch 0, at the lower
+    pole otherwise) to +inf at the upper pole, smoothly across the
+    removable point nu = 4 on branch 1.  Branch 0 below `LHS_AT_ZERO`
+    starts from [-(|x| + 3)^2, 0], since lhs(-b^2) <= -b + 0.3 for every
+    b >= 3; above it the lower end is s = 0.  Every end next to a pole
+    steps toward it by a factor of 8 in nu until the sign is right, and
+    stops at `_POLE_FLOOR`.
     """
-    up = todo[x[todo] >= LHS_AT_ZERO]
-    down = todo[x[todo] < LHS_AT_ZERO]
-    lo[up], hi[up] = 0.0, 2.0
+    lo, hi = np.zeros(x.shape), np.zeros(x.shape)
+    below = (k == 0) & (x < LHS_AT_ZERO)
     with np.errstate(over="ignore"):
-        lo[down], hi[down] = -(np.abs(x[down]) + 3.0) ** 2, 0.0
-    huge = down[np.isinf(lo[down])]
-    if huge.size:
+        lo[below] = -(np.abs(x[below]) + 3.0) ** 2
+    if np.isinf(lo).any():
         raise ConfigError(
-            f"x = {x[huge[0]]:.17g} is too large in magnitude: its branch-0 "
-            "root nu^2 ~ -x^2 overflows a double")
-    gap = np.full(x.shape, 2.0)
-    for _ in range(_MAX_EXPANSIONS):
-        if not up.size:
-            break
-        up = up[f(hi[up], up) < 0.0]
-        gap[up] *= 0.5
-        short = gap[up] < _BRANCH0_GAP_FLOOR
-        if short.any():
-            i = up[np.argmax(short)]
-            raise _at(SolverError(
-                f"branch 0 root at x = {x[i]:.17g} lies within "
-                f"{_BRANCH0_GAP_FLOOR:g} of the pole at nu^2 = 4; double "
-                "precision cannot separate them"), i)
-        hi[up] = 4.0 - gap[up]
-    for _ in range(_MAX_EXPANSIONS):
-        if not down.size:
-            break
-        down = down[f(lo[down], down) > 0.0]
-        lo[down] *= 2.0
-    for rest in (up, down):
-        if rest.size:
-            raise _at(BracketError(
-                f"no bracket found on branch 0 for x = {x[rest[0]]:.17g}"), rest[0])
-
-
-def _interval_brackets(f, x, k, todo, lo, hi) -> None:
-    """Fill [lo, hi] in s around the root of branch k >= 1 for every element in `todo`.
-
-    Between the two genuine poles bounding the branch the left-hand side
-    increases strictly from -inf to +inf (smoothly across the removable
-    point nu = 4 on branch 1), so the interval holds exactly one root;
-    each end steps toward its pole until the sign is right.
-    """
+            f"x = {x[np.argmax(np.isinf(lo))]:.17g} is too large in magnitude: its "
+            "branch-0 root nu^2 ~ -x^2 overflows a double")
     nu_lo, nu_hi = np.empty(x.shape), np.empty(x.shape)
-    for kk in np.unique(k[todo]):
-        sel = todo[k[todo] == kk]
-        nu_lo[sel], nu_hi[sel] = branch_interval(int(kk))
-    for edge, side, s_end, limit in ((nu_lo, 1.0, lo, "-inf"), (nu_hi, -1.0, hi, "+inf")):
+    for kk in np.unique(k):
+        # a negative k reaches branch_interval, which rejects it
+        nu_lo[k == kk], nu_hi[k == kk] = branch_interval(int(kk))
+    for todo, edge, side, end in ((np.flatnonzero(k > 0), nu_lo, 1.0, lo),
+                                  (np.flatnonzero(~below), nu_hi, -1.0, hi)):
         eps = 1e-6 * (nu_hi - nu_lo)
-        s_end[todo] = (edge[todo] + side * eps[todo]) ** 2
-        left = todo
-        for _ in range(_MAX_EXPANSIONS):
-            if not left.size:
-                break
-            fv = f(s_end[left], left)
-            left = left[fv > 0.0] if side > 0.0 else left[fv < 0.0]
-            eps[left] *= 0.125
-            s_end[left] = (edge[left] + side * eps[left]) ** 2
-        if left.size:
-            i = left[0]
-            raise _at(BracketError(
-                f"no approach to {limit} near nu = {edge[i]} for x = {x[i]:.17g}"), i)
-
-
-def _polish(f, root, x) -> tuple[np.ndarray, np.ndarray]:
-    """The best of root and its neighbouring doubles, with |f| / max(1, |x|).
-
-    The root search leaves a sign change of f between adjacent doubles, so
-    no residual test can reject its root: near the nu = 2 pole the slope
-    grows like x^2 and one ulp can move f by more than any fixed
-    tolerance.  The neighbour with the smallest |f| is returned with its
-    honest residual.
-    """
-    cands = np.stack([root, np.nextafter(root, -np.inf), np.nextafter(root, np.inf)])
-    vals = np.stack([f(c) for c in cands])
-    best = np.argmin(np.abs(vals), axis=0)
-    cols = np.arange(root.size)
-    return cands[best, cols], np.abs(vals[best, cols]) / np.maximum(1.0, np.abs(x))
+        while todo.size:
+            pole = edge[todo] ** 2
+            s = (edge[todo] + side * eps[todo]) ** 2
+            at_floor = side * (s - pole) <= _POLE_FLOOR
+            end[todo] = np.where(at_floor, pole + side * _POLE_FLOOR, s)
+            wrong = side * f(end[todo], todo) > 0.0
+            if (wrong & at_floor).any():
+                i = todo[np.argmax(wrong & at_floor)]
+                raise _at(SolverError(
+                    f"branch {k[i]} root at x = {x[i]:.17g} lies within "
+                    f"{_POLE_FLOOR:g} of the pole at nu^2 = {edge[i] ** 2:g}; double "
+                    "precision cannot separate them"), i)
+            todo = todo[wrong]
+            eps[todo] *= 0.125
+    return lo, hi
 
 
 def _solve(x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -325,19 +288,14 @@ def _solve(x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     def f(s, idx):
         return _lhs(s, _BRACKET_POLE_TOL) - x[idx]
 
-    lo, hi = np.empty(x.shape), np.empty(x.shape)
-    _branch0_brackets(f, x, np.flatnonzero(k == 0), lo, hi)
-    # a negative k reaches branch_interval, which rejects it
-    _interval_brackets(f, x, k, np.flatnonzero(k != 0), lo, hi)
-    root = _bracketed_roots(f, lo, hi)
-    values, residuals = _polish(lambda s: _lhs(s, _POLE_TOL) - x, root, x)
+    values, closing = _bracketed_roots(f, *_brackets(f, x, k))
     near = _flag_near_pole(values) & (k > 0)
     if near.any():
         warnings.warn(
             f"root nu^2 = {values[np.argmax(near)]:.12g} lies within "
             f"{_POLE_FLAG_DISTANCE} of a pole; pole classification may be "
             "unreliable", RuntimeWarning)
-    return values, residuals
+    return values, closing / np.maximum(1.0, np.abs(x))
 
 
 @dataclass(frozen=True)
@@ -359,9 +317,9 @@ def efimov_constants(tol: float = 1e-10) -> EfimovConstants:
     if not (0.0 < tol < 1.0):
         raise ConfigError(f"tol must be in (0, 1), got {tol!r}")
     # lhs(-b^2) falls as b grows, so solve for its negative in b directly
-    b = float(_bracketed_roots(lambda v, idx: -_lhs_negative(v),
-                               np.array([0.25]), np.array([4.0]))[0])
-    residual = abs(float(_lhs_negative(np.array([b]))[0]))
+    roots, closing = _bracketed_roots(lambda v, idx: -_lhs_negative(v),
+                                      np.array([0.25]), np.array([4.0]))
+    b, residual = float(roots[0]), float(closing[0])
     if residual > tol:
         raise SolverError(f"resonant root residual {residual:.3e} exceeds tol {tol:.3e}")
     return EfimovConstants(b=b, C=b * b + 0.25, residual=residual)
@@ -445,7 +403,7 @@ def _solve_on_grid(config: SystemConfig, rho: np.ndarray, branch_index: int) -> 
     x = np.atleast_1d(config.x_of_rho(rho))
     try:
         values, _ = _solve(x, np.full(x.shape, branch_index))
-    except (BracketError, SolverError) as exc:
+    except SolverError as exc:
         raise SolverError(
             f"branch {branch_index} root failed at rho = "
             f"{rho[exc.index]:.12g}: {exc}") from exc

@@ -305,6 +305,9 @@ def test_meanfield_argument_errors(cli):
       "--regularization", "cap"], "--regularization"),
     (["nodes", "--a=-1e4", "--probe-E", "-5e-9"], "probe energy"),
     (["branches", "--x", "-1e160", "--count", "1"], "x = -1e+160"),
+    (["branches", "--x=-1e13", "--count", "2"], "branch 1 root at x = -10000000000000"),
+    (["potential", "--a=-1e-13", "--rho-min", "1", "--rho-max", "10", "--points", "3",
+      "--branch", "1"], "branch 1 root failed at rho = 1"),
 ])
 def test_bad_input_exits_2_naming_it(argv, named, capsys):
     assert main(argv) == 2

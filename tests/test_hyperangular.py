@@ -340,8 +340,8 @@ def _two_ulps_around(s):
 @given(st.floats(min_value=-1e3, max_value=1e3))
 @settings(max_examples=40, deadline=None)
 def test_every_root_has_a_sign_change_within_two_ulps(x):
-    # the root search ends on adjacent doubles around the sign change, and the
-    # polish may then step one ulp past the final bracket
+    # the root search ends on adjacent doubles around the sign change and
+    # returns one of them
     for r in solve_branches(x, 8):
         vals = [eigen_lhs(s) - x for s in _two_ulps_around(r.value)]
         assert min(vals) <= 0.0 <= max(vals), f"branch {r.branch_index} at x = {x!r}"
@@ -382,8 +382,9 @@ def _log_uniform(lo, hi):
     return st.floats(min_value=math.log(lo), max_value=math.log(hi)).map(math.exp)
 
 
+# out to x = 1e11 the ends of branches 0-2 step toward their poles
 _X_WIDE = st.one_of(_log_uniform(1e-6, 1e12).map(lambda v: -v),
-                    _log_uniform(1e-6, 1e3), st.just(0.0))
+                    _log_uniform(1e-6, 1e11), st.just(0.0))
 
 
 @given(st.lists(st.tuples(_X_WIDE, st.integers(0, 2)), min_size=1, max_size=12),
@@ -395,15 +396,17 @@ def test_illinois_roots_against_plain_bisection(cases, rng):
     ks = np.array([k for _, k in cases])
     order = list(range(len(cases)))
     rng.shuffle(order)
-    batch, _ = _solve(xs[order], ks[order])
+    batch, batch_res = _solve(xs[order], ks[order])
     for j, i in enumerate(order):
         x, k = cases[i]
-        one, _ = _solve(xs[i:i + 1], ks[i:i + 1])
+        one, one_res = _solve(xs[i:i + 1], ks[i:i + 1])
         # no root depends on the rest of its batch
         assert batch[j].tobytes() == one[0].tobytes(), (x, k)
         s = float(one[0])
         vals = [eigen_lhs(v) - x for v in _two_ulps_around(s)]
         assert min(vals) <= 0.0 <= max(vals), f"branch {k} at x = {x!r}"
+        # the residual is the root search's own closing value
+        assert batch_res[j] == one_res[0] == abs(eigen_lhs(s) - x) / max(1.0, abs(x)), (x, k)
         if k == 0 and x < 0.0:
             assert _ulps(s, _plain_bisection_branch0(x)) <= 8, x
 
@@ -414,11 +417,13 @@ def test_branch0_first_bracket_holds():
     assert np.all(_lhs(-b * b, _POLE_TOL) <= -b + 0.3)
 
 
-def test_workspace_resolve_evaluation_budget(monkeypatch):
-    # Illinois steps and the first bracket [-(|x| + 3)^2, 0] need about 18
-    # evaluations per point here, polish included; plain bisection from a
+@pytest.mark.parametrize("a", [-1e4, 3.3])
+def test_workspace_resolve_evaluation_budget(a, monkeypatch):
+    # Illinois steps need about 14 evaluations per point at a = -1e4, from
+    # the first bracket [-(|x| + 3)^2, 0], and about 26 at a = 3.3, where
+    # the upper end steps toward the nu = 2 pole; plain bisection from a
     # doubled bracket took about 66
-    cfg = make_config(-1e4)
+    cfg = make_config(a)
     branch = tabulate_branch(cfg, LogGrid.make(1.0, 1e8, 2))
     T = math.log(1e8)
     n = int(math.ceil(T * 512)) + 1
@@ -551,3 +556,25 @@ def test_branch0_unresolvable_against_pole():
     from efimov_lab import SolverError
     with pytest.raises(SolverError):
         solve_branch0(1e13)
+
+
+@pytest.mark.parametrize("k, pole", [(0, 2.0), (1, 2.0), (1, 6.0), (2, 6.0), (2, 8.0)])
+@pytest.mark.filterwarnings("ignore:root nu")
+def test_one_pole_floor_on_every_branch(k, pole):
+    # every bracket end stops 1e-11 in nu^2 short of the pole it approaches
+    side = 1.0 if pole == branch_interval(k)[0] else -1.0
+
+    def x_with_root_at(gap):
+        return float(_lhs(np.array([pole * pole + side * gap]), 0.0)[0])
+
+    # branch k alone: the lower branches meet their own floors at such x
+    x = x_with_root_at(1.2e-11)
+    values, _ = _solve(np.array([x]), np.array([k]))
+    assert _flag_near_pole(values[0])
+    vals = [eigen_lhs(s) - x for s in _two_ulps_around(values[0])]
+    assert min(vals) <= 0.0 <= max(vals)
+    x = x_with_root_at(0.8e-11)
+    named = re.escape(f"branch {k} root at x = {x:.17g} lies within 1e-11 "
+                      f"of the pole at nu^2 = {pole * pole:g}")
+    with pytest.raises(SolverError, match=named):
+        _solve(np.array([x]), np.array([k]))
