@@ -9,7 +9,6 @@ stabilizing terms can or cannot restore a bounded energy density.
 """
 
 from .core import (
-    BracketError,
     ConfigError,
     EfimovLabError,
     GridError,

@@ -3,9 +3,11 @@
 Subcommands: constants, potential, spectrum, nodes, meanfield, branches.
 Each supports --format {csv,json} and --output.  --tol exists where a
 tolerance binds: the residual of the b root (constants), the relative
-energy of a level (spectrum, nodes) and mean-field stationarity
-(meanfield).  The eigenvalue roots of potential and branches are
-narrowed to adjacent doubles and take no tolerance.  CSV bodies are
+energy of a level (spectrum, nodes) and the pressure residual at the
+mean-field saturation point (meanfield).  Every root (b, each nu^2 and
+n_sat) is narrowed to adjacent doubles by one solver, so the tolerances
+of constants and meanfield gate a root and do not steer it; potential
+and branches take none.  CSV bodies are
 deterministic: fixed column order, 12 significant digits, '.' decimal
 separator, '\\n' line endings, header row first.  JSON records of
 tabular rows use the CSV header as their keys.  Every run produces a
@@ -455,7 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=float, default=10.0)
     p.add_argument("--points", type=int, default=100)
     p.add_argument("--tol", type=float, default=1e-10,
-                   help="relative stationarity tolerance (default 1e-10)")
+                   help="gate on the saturation point: pressure residual within "
+                        "sqrt(tol) of |epsilon| (default 1e-10)")
     _add_common(p)
     p.set_defaults(func=cmd_meanfield)
 

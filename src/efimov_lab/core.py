@@ -1,9 +1,15 @@
-"""Error types, validated configuration and logarithmic grids.
+"""Error types, validated configuration, logarithmic grids and the root solver.
 
 Everything works in internal units hbar = m = 1, where m is the mass of
 one particle.  Lengths are measured in an arbitrary internal unit L;
 energies then carry hbar^2/(m L^2).  Every result, in the library and
 on the command line, is reported in these units.
+
+`bracketed_roots` is the package's one solver for roots of continuous
+increasing functions: every nu^2 root and b (`hyperangular`) and the
+mean-field saturation density n_sat (`meanfield`) come from it, narrowed
+to adjacent doubles.  Only the level search in `radial`, which looks for
+steps of a node count, has its own.
 """
 
 from __future__ import annotations
@@ -27,10 +33,6 @@ class GridError(EfimovLabError, ValueError):
 
 class PoleError(EfimovLabError, ArithmeticError):
     """Evaluation requested at a genuine pole of the eigenvalue function."""
-
-
-class BracketError(EfimovLabError, RuntimeError):
-    """A root bracket could not be established."""
 
 
 class SolverError(EfimovLabError, RuntimeError):
@@ -132,3 +134,75 @@ class LogGrid:
 
     def __len__(self) -> int:
         return self.points
+
+
+# elements narrowed together; bounds the root search's temporaries to
+# about 1 MB whatever the batch size
+_SOLVE_CHUNK = 4096
+
+# finished elements leave the batch only while this many others remain:
+# numpy keeps up to 7 freed buffers of each size under 1 kB for reuse, and
+# a batch shrinking through every size below that leaves megabytes of them
+_COMPACT_FLOOR = 1024
+
+
+def bracketed_roots(f, lo_all: np.ndarray,
+                    hi_all: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of increasing functions, f <= 0 at lo_all and f >= 0 at hi_all.
+
+    `f(v, idx)` evaluates the functions of elements `idx` at `v`.  Every
+    element narrows its own bracket at the Illinois regula-falsi point
+    (Dowell & Jarratt, BIT 11, 168 (1971)): the end that two such steps in
+    a row leave standing has its weight halved, and a point that rounds
+    onto an end moves one double inside.  Where two steps have not halved
+    the bracket, the next one is its midpoint.  An element stops when its
+    ends are adjacent doubles or f vanishes at one of them; from then on
+    every step re-evaluates one of its ends and leaves it unchanged, so it
+    may stay in the batch until `_COMPACT_FLOOR` others remain.  A root
+    never depends on the other elements of the batch, nor on how the batch
+    is cut into chunks of `_SOLVE_CHUNK`.  Each root is the bracket end
+    with the smaller |f|, returned together with that |f|.
+    """
+    roots, closing = np.empty(lo_all.size), np.empty(lo_all.size)
+    for start in range(0, lo_all.size, _SOLVE_CHUNK):
+        idx = np.arange(start, min(start + _SOLVE_CHUNK, lo_all.size))
+        lo, hi = lo_all[idx], hi_all[idx]
+        flo, fhi = f(lo, idx), f(hi, idx)
+        # a zero at an end collapses the bracket onto it
+        hi = np.where(flo == 0.0, lo, hi)
+        lo = np.where(fhi == 0.0, hi, lo)
+        wlo, whi = flo, fhi            # the values the falsi point is drawn from
+        moved = np.zeros(lo.size)      # end the last falsi step replaced: -1 lo, +1 hi
+        width1 = width2 = np.full(lo.size, np.inf)  # widths before the last two steps
+        while idx.size:
+            mid = 0.5 * (lo + hi)
+            done = ~((lo < mid) & (mid < hi))
+            n_done = np.count_nonzero(done)
+            if n_done == idx.size or (n_done and idx.size - n_done >= _COMPACT_FLOOR):
+                afl, afh = np.abs(flo[done]), np.abs(fhi[done])
+                roots[idx[done]] = np.where(afl <= afh, lo[done], hi[done])
+                closing[idx[done]] = np.minimum(afl, afh)
+                keep = ~done
+                idx, lo, hi, flo, fhi, wlo, whi, moved, width1, width2, mid = (
+                    idx[keep], lo[keep], hi[keep], flo[keep], fhi[keep], wlo[keep],
+                    whi[keep], moved[keep], width1[keep], width2[keep], mid[keep])
+                if not idx.size:
+                    break
+            width = hi - lo
+            falsi = width <= 0.5 * width2
+            with np.errstate(invalid="ignore"):   # 0/0 on a bracket collapsed onto a zero
+                v = np.fmin(np.fmax(hi - width * (whi / (whi - wlo)), np.nextafter(lo, hi)),
+                            np.nextafter(hi, lo))
+            v = np.where(falsi, v, mid)
+            fv = f(v, idx)
+            # a zero at v collapses the bracket onto it
+            up, down = fv <= 0.0, fv >= 0.0
+            side = np.where(up, -1.0, 1.0)
+            # the end a second falsi step in a row leaves standing has its weight halved
+            half = np.where(falsi & (moved == side), 0.5, 1.0)
+            moved = np.where(falsi, side, moved)
+            lo, flo = np.where(up, v, lo), np.where(up, fv, flo)
+            hi, fhi = np.where(down, v, hi), np.where(down, fv, fhi)
+            wlo, whi = np.where(up, fv, half * wlo), np.where(down, fv, half * whi)
+            width1, width2 = width, width1
+    return roots, closing

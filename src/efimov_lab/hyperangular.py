@@ -15,17 +15,17 @@ small x; there nu = i b and the equation continues analytically to
 an exponentially scaled form that stays finite for every b > 0.  This
 module evaluates both forms stably on whole arrays, locates the roots of
 any branch at many x at once with one array solve (each element brackets
-its root and narrows the bracket by safeguarded Illinois regula-falsi
-steps down to adjacent doubles), tabulates branches over log grids, and
-assembles the resulting effective radial potential
-(nu^2(rho) - 1/4) / (2 rho^2) with optional short-range regularization
-(hard wall or cap below a radius R).
+its root, and `core.bracketed_roots` narrows the bracket down to adjacent
+doubles), tabulates branches over log grids, and assembles the resulting
+effective radial potential (nu^2(rho) - 1/4) / (2 rho^2) with optional
+short-range regularization (hard wall or cap below a radius R).
 
 Every bracket end next to a genuine pole of the left-hand side, on any
 branch, steps toward it by factors of 8 and stops 1e-11 short of it in
 nu^2; a root closer to a pole than that is refused with a SolverError
-naming the branch, x and the pole.  The residual of a root is the
-search's own |lhs - x| / max(1, |x|) at it.
+naming the branch, x and the pole.  The search therefore never evaluates
+at a pole, and only `eigen_lhs` checks for one.  The residual of a root
+is the search's own |lhs - x| / max(1, |x|) at it.
 
 A branch has one representation: nu^2 is re-solved exactly at every
 radius a solver asks for, or is one constant (at unitarity, or for a
@@ -48,6 +48,7 @@ from .core import (
     PoleError,
     SolverError,
     SystemConfig,
+    bracketed_roots,
 )
 
 _EIGHT_OVER_SQRT3 = 8.0 / math.sqrt(3.0)
@@ -70,19 +71,9 @@ _D3 = -math.pi ** 3 / 8.0
 # also vanishes; branch k >= 2 lives between consecutive genuine poles
 _POLE_FLAG_DISTANCE = 1e-8
 
-# |sin(nu pi/2)| below which an evaluation counts as sitting on a pole;
-# the root search refuses only exact poles, which its ends never reach
+# |sin(nu pi/2)| below which `eigen_lhs` counts its argument as sitting
+# on a pole
 _POLE_TOL = 1e-12
-_BRACKET_POLE_TOL = 1e-300
-
-# elements narrowed together; bounds the root search's temporaries to
-# about 1 MB whatever the batch size
-_SOLVE_CHUNK = 4096
-
-# finished elements leave the batch only while this many others remain:
-# numpy keeps up to 7 freed buffers of each size under 1 kB for reuse, and
-# a batch shrinking through every size below that leaves megabytes of them
-_COMPACT_FLOOR = 1024
 
 # no bracket end comes closer than this in nu^2 to a genuine pole, on any
 # branch, and a root inside it is refused.  Near nu = 2 that is |x| above
@@ -110,7 +101,7 @@ def _lhs_near_four(h):
     return num / den
 
 
-def _lhs_positive(nu: np.ndarray, pole_tol: float) -> np.ndarray:
+def _lhs_positive(nu: np.ndarray) -> np.ndarray:
     """Left-hand side at s = nu^2 > 0 with argument reduction.
 
     sin and cos of nu pi/2 are computed from the residue of nu modulo 4
@@ -125,28 +116,18 @@ def _lhs_positive(nu: np.ndarray, pole_tol: float) -> np.ndarray:
     sin_sixth = np.sin(np.pi / 6.0 * r6)
     num = -nu * cos_half + _EIGHT_OVER_SQRT3 * sin_sixth
     h = nu - 4.0
-    near_four = np.abs(h) <= _NEAR_FOUR_RADIUS
-    # the numerator vanishes with sin(nu pi/2) at nu = 0 as well, so only
-    # k >= 1 away from nu = 4 is a genuine pole
-    pole = (np.abs(sin_half) < pole_tol) & ~near_four & (k >= 1.0)
-    if pole.any():
-        i = int(np.argmax(pole))
-        kp = int(k[i])
-        raise PoleError(
-            f"eigenvalue function has a pole at nu = {2 * kp} "
-            f"(nu^2 = {(2 * kp) ** 2}); requested nu^2 = {nu[i] * nu[i]:.17g}")
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(near_four, _lhs_near_four(h), num / sin_half)
+        return np.where(np.abs(h) <= _NEAR_FOUR_RADIUS, _lhs_near_four(h), num / sin_half)
 
 
-def _lhs(s: np.ndarray, pole_tol: float) -> np.ndarray:
+def _lhs(s: np.ndarray) -> np.ndarray:
     """Left-hand side at every s = nu^2 of a finite float array."""
     if np.all(s < 0.0):  # the whole dimer side, no masks needed
         return _lhs_negative(np.sqrt(-s))
     out = np.full(s.shape, LHS_AT_ZERO)
     neg, pos = s < 0.0, s > 0.0
     out[neg] = _lhs_negative(np.sqrt(-s[neg]))
-    out[pos] = _lhs_positive(np.sqrt(s[pos]), pole_tol)
+    out[pos] = _lhs_positive(np.sqrt(s[pos]))
     return out
 
 
@@ -161,75 +142,21 @@ def eigen_lhs(nu_squared: float) -> float:
     s = float(nu_squared)
     if not math.isfinite(s):
         raise ConfigError(f"nu^2 must be finite, got {s!r}")
-    return float(_lhs(np.array([s]), _POLE_TOL)[0])
+    nu = math.sqrt(max(s, 0.0))
+    k = round(nu / 2.0)
+    # the numerator vanishes with sin(nu pi/2) at nu = 0 as well, so only
+    # k >= 1 away from nu = 4 is a genuine pole
+    if (k >= 1 and abs(nu - 4.0) > _NEAR_FOUR_RADIUS
+            and abs(math.sin(0.5 * math.pi * (nu - 2.0 * k))) < _POLE_TOL):
+        raise PoleError(f"eigenvalue function has a pole at nu = {2 * k} "
+                        f"(nu^2 = {(2 * k) ** 2}); requested nu^2 = {s:.17g}")
+    return float(_lhs(np.array([s]))[0])
 
 
 def _at(exc: Exception, index) -> Exception:
     """Tag a solver error with the array element it concerns."""
     exc.index = int(index)
     return exc
-
-
-def _bracketed_roots(f, lo_all: np.ndarray,
-                     hi_all: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Roots of increasing functions, f <= 0 at lo_all and f >= 0 at hi_all.
-
-    `f(v, idx)` evaluates the functions of elements `idx` at `v`.  Every
-    element narrows its own bracket at the Illinois regula-falsi point
-    (Dowell & Jarratt, BIT 11, 168 (1971)): the end that two such steps in
-    a row leave standing has its weight halved, and a point that rounds
-    onto an end moves one double inside.  Where two steps have not halved
-    the bracket, the next one is its midpoint.  An element stops when its
-    ends are adjacent doubles or f vanishes at one of them; from then on
-    every step re-evaluates one of its ends and leaves it unchanged, so it
-    may stay in the batch until `_COMPACT_FLOOR` others remain.  A root
-    never depends on the other elements of the batch, nor on how the batch
-    is cut into chunks of `_SOLVE_CHUNK`.  Each root is the bracket end
-    with the smaller |f|, returned together with that |f|.
-    """
-    roots, closing = np.empty(lo_all.size), np.empty(lo_all.size)
-    for start in range(0, lo_all.size, _SOLVE_CHUNK):
-        idx = np.arange(start, min(start + _SOLVE_CHUNK, lo_all.size))
-        lo, hi = lo_all[idx], hi_all[idx]
-        flo, fhi = f(lo, idx), f(hi, idx)
-        # a zero at an end collapses the bracket onto it
-        hi = np.where(flo == 0.0, lo, hi)
-        lo = np.where(fhi == 0.0, hi, lo)
-        wlo, whi = flo, fhi            # the values the falsi point is drawn from
-        moved = np.zeros(lo.size)      # end the last falsi step replaced: -1 lo, +1 hi
-        width1 = width2 = np.full(lo.size, np.inf)  # widths before the last two steps
-        while idx.size:
-            mid = 0.5 * (lo + hi)
-            done = ~((lo < mid) & (mid < hi))
-            n_done = np.count_nonzero(done)
-            if n_done == idx.size or (n_done and idx.size - n_done >= _COMPACT_FLOOR):
-                afl, afh = np.abs(flo[done]), np.abs(fhi[done])
-                roots[idx[done]] = np.where(afl <= afh, lo[done], hi[done])
-                closing[idx[done]] = np.minimum(afl, afh)
-                keep = ~done
-                idx, lo, hi, flo, fhi, wlo, whi, moved, width1, width2, mid = (
-                    idx[keep], lo[keep], hi[keep], flo[keep], fhi[keep], wlo[keep],
-                    whi[keep], moved[keep], width1[keep], width2[keep], mid[keep])
-                if not idx.size:
-                    break
-            width = hi - lo
-            falsi = width <= 0.5 * width2
-            with np.errstate(invalid="ignore"):   # 0/0 on a bracket collapsed onto a zero
-                v = np.fmin(np.fmax(hi - width * (whi / (whi - wlo)), np.nextafter(lo, hi)),
-                            np.nextafter(hi, lo))
-            v = np.where(falsi, v, mid)
-            fv = f(v, idx)
-            # a zero at v collapses the bracket onto it
-            up, down = fv <= 0.0, fv >= 0.0
-            side = np.where(up, -1.0, 1.0)
-            # the end a second falsi step in a row leaves standing has its weight halved
-            half = np.where(falsi & (moved == side), 0.5, 1.0)
-            moved = np.where(falsi, side, moved)
-            lo, flo = np.where(up, v, lo), np.where(up, fv, flo)
-            hi, fhi = np.where(down, v, hi), np.where(down, fv, fhi)
-            wlo, whi = np.where(up, fv, half * wlo), np.where(down, fv, half * whi)
-            width1, width2 = width, width1
-    return roots, closing
 
 
 def _brackets(f, x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -286,9 +213,9 @@ def _solve(x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ConfigError(f"x must be finite, got {float(x[np.argmax(infinite)])!r}")
 
     def f(s, idx):
-        return _lhs(s, _BRACKET_POLE_TOL) - x[idx]
+        return _lhs(s) - x[idx]
 
-    values, closing = _bracketed_roots(f, *_brackets(f, x, k))
+    values, closing = bracketed_roots(f, *_brackets(f, x, k))
     near = _flag_near_pole(values) & (k > 0)
     if near.any():
         warnings.warn(
@@ -317,7 +244,7 @@ def efimov_constants(tol: float = 1e-10) -> EfimovConstants:
     if not (0.0 < tol < 1.0):
         raise ConfigError(f"tol must be in (0, 1), got {tol!r}")
     # lhs(-b^2) falls as b grows, so solve for its negative in b directly
-    roots, closing = _bracketed_roots(lambda v, idx: -_lhs_negative(v),
+    roots, closing = bracketed_roots(lambda v, idx: -_lhs_negative(v),
                                       np.array([0.25]), np.array([4.0]))
     b, residual = float(roots[0]), float(closing[0])
     if residual > tol:

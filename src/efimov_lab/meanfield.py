@@ -7,6 +7,9 @@ tau_F.  Because every term is a pure power of the density n, stability
 is decided by exponent bookkeeping: if the highest power carries a
 negative coefficient the energy per particle is unbounded below, and
 otherwise any interior minimum of e(n) = epsilon(n)/n marks saturation.
+Its density n_sat is the zero of the exact derivative e'(n), narrowed to
+adjacent doubles by `core.bracketed_roots`, the solver behind every
+eigenvalue root as well.
 
 Whatever this classification says, it is a statement about the
 mean-field functional only; see `CORRELATION_CAVEAT`.
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, SolverError
+from .core import ConfigError, SolverError, bracketed_roots
 
 TAU_F_COEFF = 0.6 * (1.5 * math.pi ** 2) ** (2.0 / 3.0)
 
@@ -227,7 +230,7 @@ class StabilityReport:
         }
 
 
-# points of the log scan that locates the minimum before Newton polishing
+# points of the log scan that brackets the minimum for the root solver
 _SCAN_POINTS = 4001
 
 
@@ -250,9 +253,12 @@ def classify_stability(model: MatterModel, *, tol: float = 1e-10) -> StabilityRe
     """Classify the density dependence of e(n) = epsilon(n) / n.
 
     The highest power decides boundedness; bounded functionals are
-    scanned on a log grid spanning all term-balance scales and an
-    interior negative minimum is polished by Newton iteration on the
-    exact derivative to relative tolerance `tol`.
+    scanned on a log grid spanning all term-balance scales.  An interior
+    negative minimum of the scan brackets the zero of the exact e'(n)
+    between its two grid neighbours, and `bracketed_roots` narrows that
+    bracket to adjacent doubles.  `tol` gates the result: a pressure
+    residual n^2 e'(n) above sqrt(tol) |epsilon(n_sat)| raises
+    :class:`SolverError`.
     """
     if not (0.0 < tol < 1e-2):
         raise ConfigError(f"tol must be in (0, 1e-2), got {tol!r}")
@@ -268,19 +274,9 @@ def classify_stability(model: MatterModel, *, tol: float = 1e-10) -> StabilityRe
         return StabilityReport(Classification.TRIVIAL_MINIMUM_AT_ZERO, model,
                                n_sat=0.0, e_min=0.0)
 
-    # e(n) and its exact derivatives from the power-law representation
-    def e(n):
-        return _eval_terms(terms, n, -1.0)
-
-    def de(n):
-        return sum(c * (p - 1.0) * n ** (p - 2.0) for c, p in terms)
-
-    def d2e(n):
-        return sum(c * (p - 1.0) * (p - 2.0) * n ** (p - 3.0) for c, p in terms)
-
     n_lo, n_hi = _scan_bounds(terms)
     grid = np.geomspace(n_lo, n_hi, _SCAN_POINTS)
-    vals = e(grid)
+    vals = _eval_terms(terms, grid, -1.0)
     i_min = int(np.argmin(vals))
     if vals[i_min] >= 0.0:
         return StabilityReport(Classification.TRIVIAL_MINIMUM_AT_ZERO, model,
@@ -289,26 +285,16 @@ def classify_stability(model: MatterModel, *, tol: float = 1e-10) -> StabilityRe
         raise SolverError("stability scan minimum fell on the window edge; "
                           "term balance scales are badly conditioned")
 
-    lo, hi = grid[i_min - 1], grid[i_min + 1]
-    n_sat = grid[i_min]
-    for _ in range(100):
-        step = de(n_sat) / d2e(n_sat)
-        n_new = n_sat - step
-        if not (lo < n_new < hi):
-            # fall back to bisection on the derivative sign
-            n_new = math.sqrt(lo * hi)
-            if de(n_new) > 0.0:
-                hi = n_new
-            else:
-                lo = n_new
-        if abs(n_new - n_sat) <= tol * 1e-3 * abs(n_new):
-            n_sat = n_new
-            break
-        n_sat = n_new
-    residual = abs(n_sat * n_sat * de(n_sat))
+    # e'(n) = sum c (p - 1) n^(p - 2) rises through zero at the minimum
+    de_terms = tuple((c * (p - 1.0), p) for c, p in terms)
+    roots, closing = bracketed_roots(lambda n, idx: _eval_terms(de_terms, n, -2.0),
+                                     grid[i_min - 1:i_min], grid[i_min + 1:i_min + 2])
+    n_sat = roots[0]
+    residual = n_sat * n_sat * closing[0]
     scale = max(abs(_eval_terms(terms, n_sat, 0.0)), 1e-300)
     if residual > math.sqrt(tol) * scale:
         raise SolverError(f"saturation point did not converge: "
                           f"pressure residual {residual:.3e}")
     return StabilityReport(Classification.SATURATING, model,
-                           n_sat=float(n_sat), e_min=float(e(n_sat)))
+                           n_sat=float(n_sat),
+                           e_min=float(_eval_terms(terms, n_sat, -1.0)))

@@ -256,10 +256,17 @@ def test_saturation_point_is_stationary():
         assert r.classification is Classification.SATURATING
         _, terms = eps_oracle(m.statistics, m.t0, m.stabilizer.kind,
                               m.stabilizer.t3, m.stabilizer.alpha, m.c3)
-        de = sum(c * (p - 1.0) * r.n_sat ** (p - 2.0) for c, p in terms)
-        pressure = r.n_sat * r.n_sat * de
+
+        def de(n):
+            return sum(c * (p - 1.0) * n ** (p - 2.0) for c, p in terms)
+
+        pressure = r.n_sat * r.n_sat * de(r.n_sat)
         scale = abs(energy_density(m, r.n_sat)) + 1e-300
         assert abs(pressure) <= 1e-8 * scale
+        # n_sat is narrowed to adjacent doubles: e' changes sign or
+        # vanishes between its two neighbours
+        vals = [de(np.nextafter(r.n_sat, v)) for v in (0.0, np.inf)]
+        assert min(vals) <= 0.0 <= max(vals), (m, vals)
         assert r.e_min < 0.0
         assert r.e_min == pytest.approx(
             energy_per_particle(m, r.n_sat), rel=1e-12)
