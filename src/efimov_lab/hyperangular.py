@@ -167,9 +167,10 @@ def _brackets(f, x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     pole otherwise) to +inf at the upper pole, smoothly across the
     removable point nu = 4 on branch 1.  Branch 0 below `LHS_AT_ZERO`
     starts from [-(|x| + 3)^2, 0], since lhs(-b^2) <= -b + 0.3 for every
-    b >= 3; above it the lower end is s = 0.  Every end next to a pole
-    steps toward it by a factor of 8 in nu until the sign is right, and
-    stops at `_POLE_FLOOR`.
+    b >= 3; above it the lower end is s = 0, or, beyond x = 12/pi, the
+    asymptote 4 - 48 / (pi x) that the root approaches from above, wherever
+    f is negative there.  Every end next to a pole steps toward it by a
+    factor of 8 in nu until the sign is right, and stops at `_POLE_FLOOR`.
     """
     lo, hi = np.zeros(x.shape), np.zeros(x.shape)
     below = (k == 0) & (x < LHS_AT_ZERO)
@@ -179,6 +180,10 @@ def _brackets(f, x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ConfigError(
             f"x = {x[np.argmax(np.isinf(lo))]:.17g} is too large in magnitude: its "
             "branch-0 root nu^2 ~ -x^2 overflows a double")
+    far = np.flatnonzero((k == 0) & (x > 12.0 / np.pi))   # where the asymptote is > 0
+    if far.size:
+        s = 4.0 - 48.0 / (np.pi * x[far])
+        lo[far] = np.where(f(s, far) < 0.0, s, 0.0)
     nu_lo, nu_hi = np.empty(x.shape), np.empty(x.shape)
     for kk in np.unique(k):
         # a negative k reaches branch_interval, which rejects it

@@ -12,8 +12,10 @@ are those of integrating every midpoint, but it integrates only where no
 known node count settles a midpoint, and there preferably at the
 regula-falsi zero of a continuous guide value, g at the last grid point
 with its WKB growth divided out, which changes sign where the count steps.
-A level then costs about 10 integrations, against about 33 for plain
-bisection.
+Each level after the first is probed once where the discrete scale
+invariance of a supercritical channel puts it, one period pi / b in
+ln kappa above the level before.  A level then costs about 8 integrations
+at unitarity, against about 33 for plain bisection.
 
 Integration is cut off where kappa * rho reaches DEFAULT_TAIL_FACTOR,
 beyond which the solution has grown by e^DEFAULT_TAIL_FACTOR and deeper
@@ -217,6 +219,13 @@ def _guide(h: float, w: np.ndarray, g: np.ndarray) -> float:
     return float(g[-1]) * math.exp(-h * float(np.sum(np.sqrt(np.maximum(w, 0.0)))))
 
 
+def _probe(ws: _Workspace, x: float) -> tuple[float, int, float]:
+    """(x, node count, guide value q) of one integration at ln kappa = x."""
+    kappa = math.exp(x)
+    w, g, count = ws.integrate(-0.5 * kappa * kappa)
+    return x, count, _guide(ws.h, w, g)
+
+
 def _search_level(ws: _Workspace, k: int, lo: float, hi: float, ln_tol: float,
                   known: list[tuple[float, int, float]],
                   guided: bool) -> float | None:
@@ -272,10 +281,8 @@ def _search_level(ws: _Workspace, k: int, lo: float, hi: float, ln_tol: float,
                             math.nextafter(x_lo, x_hi)), math.nextafter(x_hi, x_lo))
                 falsi = True
             gaps.append(gap)
-        kappa = math.exp(x)
-        w, g, count = ws.integrate(-0.5 * kappa * kappa)
-        q = _guide(ws.h, w, g)
-        known.append((x, count, q))
+        known.append(_probe(ws, x))
+        _, count, q = known[-1]
         if count >= k + 1:
             if falsi and moved == "lo":
                 q_hi *= 0.5
@@ -312,6 +319,15 @@ def find_spectrum(potential: EffectivePotential, rho_max: float,
     midpoints are settled unseen; where two such probes have not halved
     the gap, its midpoint is integrated instead.  If the known counts ever
     contradict monotonicity, that level integrates every midpoint.
+
+    Before level k >= 1 is searched, one integration is made where the
+    tower predicts it: pi / sqrt(-nu^2) in ln kappa above level k-1, with
+    nu^2 taken at the grid point nearest rho = 1 / kappa of level k-1.
+    Its count and q join the known points like any other integration, so
+    the brackets do not change.  The probe is skipped where that nu^2 is
+    not negative (no tower, as beyond a for a > 0), where the nearest grid
+    point is the inner radius, and where the prediction falls outside the
+    gap that the known counts leave for level k.
     """
     if potential.scheme is None:
         raise UnregularizedPotentialError(
@@ -348,6 +364,16 @@ def find_spectrum(potential: EffectivePotential, rho_max: float,
     # bisection to half the relative energy tolerance (E ~ kappa^2)
     ln_tol = max(0.25 * tol_E, 4.0 * np.finfo(float).eps)
     for k in range(min(max_levels, total)):
+        if k:
+            # in a channel nu^2 = -b^2 the levels are pi / b apart in ln kappa;
+            # b is read at the grid point nearest rho = 1 / kappa of the last level
+            i = min(round(-(ln_hi + math.log(R)) / ws.h), ws.n_full - 1)
+            if i > 0 and ws.nu2[i] < 0.0:
+                x_pred = ln_hi - math.pi / math.sqrt(-ws.nu2[i])
+                x_lo = max(x for x, c, _ in known if c >= k + 1)
+                x_hi = min([x for x, c, _ in known if c <= k] + [ln_hi])
+                if x_lo < x_pred < x_hi:
+                    known.append(_probe(ws, x_pred))
         hi = _search_level(ws, k, ln_lo_full, ln_hi, ln_tol, known, guided=True)
         if hi is None:
             hi = _search_level(ws, k, ln_lo_full, ln_hi, ln_tol, known, guided=False)

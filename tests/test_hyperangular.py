@@ -419,8 +419,8 @@ def test_branch0_first_bracket_holds():
 @pytest.mark.parametrize("a", [-1e4, 3.3])
 def test_workspace_resolve_evaluation_budget(a, monkeypatch):
     # Illinois steps need about 14 evaluations per point at a = -1e4, from
-    # the first bracket [-(|x| + 3)^2, 0], and about 26 at a = 3.3, where
-    # the upper end steps toward the nu = 2 pole; plain bisection from a
+    # the first bracket [-(|x| + 3)^2, 0], and about 15 at a = 3.3, from the
+    # lower end 4 - 48 / (pi x) (26 from s = 0); plain bisection from a
     # doubled bracket took about 66
     cfg = make_config(a)
     branch = tabulate_branch(cfg, LogGrid.make(1.0, 1e8, 2))
@@ -432,7 +432,7 @@ def test_workspace_resolve_evaluation_budget(a, monkeypatch):
     monkeypatch.setattr(hyperangular, "_lhs",
                         lambda s: evaluated.append(s.size) or lhs(s))
     branch.nu_squared_at(rho)
-    assert sum(evaluated) <= 30 * n
+    assert sum(evaluated) <= 18 * n
 
 
 def test_table_at_the_pole_floor_names_the_radius():

@@ -412,16 +412,35 @@ def test_level_search_reuses_known_node_counts(monkeypatch):
     spec = find_spectrum(pot, rho_max)
     assert spec.energies.tolist() == want
     # integrating every midpoint, the floor and edge probes and each
-    # level's final solution took 172 calls; reusing known counts alone, 162
-    assert len(calls) == 47
+    # level's final solution took 172 calls; reusing known counts alone, 162;
+    # with the guide value, 47; with a first probe one period above each level, 38
+    assert len(calls) == 38
+
+
+def test_dimer_side_search_cost(monkeypatch):
+    # the levels next to the atom-dimer threshold are not a tower, so most
+    # predicted probes there miss; they cost at most two calls over the 104
+    # of the search without them
+    cfg = make_config(-1e4)
+    pot = effective_potential(tabulate_branch(cfg, LogGrid.make(1.0, 1e8, 2)), HardWall(1.0))
+    calls = []
+    march = radial.integrate_numerov
+    monkeypatch.setattr(radial, "integrate_numerov",
+                        lambda *args: calls.append(1) or march(*args))
+    assert len(find_spectrum(pot, 1e8)) == 8
+    assert len(calls) <= 106
 
 
 @pytest.mark.parametrize("scheme", [HardWall, Cap])
-@pytest.mark.parametrize("a", [math.inf, -1e2, -1e4])
-def test_guided_search_matches_plain_bisection(a, scheme):
-    rho_max = 1e6
-    branch = tabulate_branch(make_config(a), LogGrid.make(1.0, rho_max, 64))
-    pot = effective_potential(branch, scheme(1.0))
+@pytest.mark.parametrize("a, R, rho_max", [
+    (math.inf, 1.0, 1e6), (-1e2, 1.0, 1e6), (-1e4, 1.0, 1e6),
+    # the unitarity-tower benchmark shapes, deep towers where every level
+    # after the first starts from its predicted probe
+    (math.inf, 0.5, 5e7), (math.inf, 2.0, 2e8),
+], ids=["inf", "-100.0", "-10000.0", "inf-R0.5", "inf-R2"])
+def test_guided_search_matches_plain_bisection(a, R, rho_max, scheme):
+    branch = tabulate_branch(make_config(a), LogGrid.make(R, rho_max, 64))
+    pot = effective_potential(branch, scheme(R))
     want = _plain_bisection(pot, rho_max)
     assert len(want) >= 2
     assert find_spectrum(pot, rho_max).energies.tolist() == want
