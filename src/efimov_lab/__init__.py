@@ -24,7 +24,6 @@ from .hyperangular import (
     LHS_AT_ZERO,
     AdiabaticBranch,
     Cap,
-    EffectivePotential,
     EfimovConstants,
     HardWall,
     NuSquared,

@@ -33,7 +33,9 @@ static PyObject *march(PyObject *self, PyObject *args)
     double h2 = h * h, c12 = h2 / 12.0;
 
     double gm = g0;
-    /* fourth-order start: Taylor with dw approximated one-sidedly */
+    /* Taylor start through h^3 with a one-sided dw: the march converges as
+       h^4 from g0 = 0 but only as h^3 when g0 != 0 (a cap, the probe's
+       inward start); ROADMAP.md item 2(b) gives the fourth-order start */
     double dw = (w[1] - w[0]) / h;
     double gi = gm + h * dg0 + 0.5 * h2 * w[0] * gm
         + (h2 * h / 6.0) * (w[0] * dg0 + dw * gm);

@@ -43,7 +43,9 @@ def march(w, h, g0, dg0, g):
 
     gm = g0
     w0 = float(w[0])
-    # fourth-order start: Taylor with dw approximated one-sidedly
+    # Taylor start through h^3 with a one-sided dw: the march converges as
+    # h^4 from g0 = 0 but only as h^3 when g0 != 0 (a cap, the probe's
+    # inward start); ROADMAP.md item 2(b) gives the fourth-order start
     dw = (float(w[1]) - w0) / h
     gi = gm + h * dg0 + 0.5 * h2 * w0 * gm \
         + (h2 * h / 6.0) * (w0 * dg0 + dw * gm)

@@ -99,12 +99,17 @@ def _jsonable(obj):
     return obj
 
 
-def _make_scheme(name: str, R):
-    if name == "none":
-        return None
-    if R is None:
-        raise ConfigError(f"--regularization {name} requires --R")
-    return HardWall(R) if name == "hardwall" else Cap(R)
+def _potential(ns: argparse.Namespace, rho_lo: float, rho_hi: float, points: int,
+               regularization: str):
+    """Branch --branch of --a and --mu on a log grid, regularized at --R as named."""
+    scheme = None
+    if regularization != "none":
+        if ns.R is None:
+            raise ConfigError(f"--regularization {regularization} requires --R")
+        scheme = HardWall(ns.R) if regularization == "hardwall" else Cap(ns.R)
+    grid = LogGrid.make(rho_lo, rho_hi, points)
+    return effective_potential(tabulate_branch(make_config(ns.a, mu=ns.mu), grid, ns.branch),
+                               scheme)
 
 
 def _manifest(ns: argparse.Namespace, tolerances: dict) -> dict:
@@ -180,10 +185,7 @@ def cmd_constants(ns: argparse.Namespace) -> int:
 
 
 def cmd_potential(ns: argparse.Namespace) -> int:
-    cfg = make_config(ns.a, mu=ns.mu)
-    grid = LogGrid.make(ns.rho_min, ns.rho_max, ns.points)
-    branch = tabulate_branch(cfg, grid, ns.branch)
-    pot = effective_potential(branch, _make_scheme(ns.regularization, ns.R))
+    pot = _potential(ns, ns.rho_min, ns.rho_max, ns.points, ns.regularization)
     tbl = pot.table()
     cols = ["rho", "x", "nu_squared", "lambda", "v_eff"]
     rows = zip(*(tbl[c] for c in cols))
@@ -193,10 +195,8 @@ def cmd_potential(ns: argparse.Namespace) -> int:
 def _spectrum_for(ns: argparse.Namespace):
     if ns.rho_max <= ns.R:
         raise ConfigError(f"--rho-max must exceed --R, got {ns.rho_max} <= {ns.R}")
-    cfg = make_config(ns.a, mu=ns.mu)
     # find_spectrum re-solves nu^2 at its own radii and never reads the table
-    branch = tabulate_branch(cfg, LogGrid.make(ns.R, ns.rho_max, 2), ns.branch)
-    pot = effective_potential(branch, _make_scheme(ns.regularization, ns.R))
+    pot = _potential(ns, ns.R, ns.rho_max, 2, ns.regularization)
     return find_spectrum(pot, ns.rho_max, max_levels=ns.levels, tol_E=ns.tol,
                          dt=ns.dt)
 
@@ -243,7 +243,6 @@ def cmd_nodes(ns: argparse.Namespace) -> int:
     if mode == "probe":
         if ns.a is None:
             raise ConfigError("--probe-E mode requires --a")
-        cfg = make_config(ns.a, mu=ns.mu)
         if not (math.isfinite(ns.probe_E) and ns.probe_E < 0.0):
             raise ConfigError(f"--probe-E must be finite and negative, got {ns.probe_E}")
         if not (math.isfinite(ns.base_cutoff) and ns.base_cutoff > 0.0):
@@ -255,9 +254,7 @@ def cmd_nodes(ns: argparse.Namespace) -> int:
             raise ConfigError(f"--decades {ns.decades} takes the smallest cutoff "
                               f"{ns.base_cutoff!r} * 10^-{ns.decades} below the float range")
         # collapse_probe solves nu^2 once on its own grid and never reads the table
-        grid = LogGrid.make(smallest, ns.base_cutoff, 2)
-        branch = tabulate_branch(cfg, grid, ns.branch)
-        pot = effective_potential(branch, None)
+        pot = _potential(ns, smallest, ns.base_cutoff, 2, "none")
         probe = collapse_probe(pot, ns.probe_E, ns.base_cutoff, ns.decades,
                                ns.per_decade, dt=ns.dt)
         header = ["k", "cutoff", "node_count"]

@@ -16,9 +16,7 @@ an exponentially scaled form that stays finite for every b > 0.  This
 module evaluates both forms stably on whole arrays, locates the roots of
 any branch at many x at once with one array solve (each element brackets
 its root, and `core.bracketed_roots` narrows the bracket down to adjacent
-doubles), tabulates branches over log grids, and assembles the resulting
-effective radial potential (nu^2(rho) - 1/4) / (2 rho^2) with optional
-short-range regularization (hard wall or cap below a radius R).
+doubles), and tabulates branches over log grids.
 
 Every bracket end next to a genuine pole of the left-hand side, on any
 branch, steps toward it by factors of 8 and stops 1e-11 short of it in
@@ -27,7 +25,9 @@ naming the branch, x and the pole.  The search therefore never evaluates
 at a pole, and only `eigen_lhs` checks for one.  The residual of a root
 is the search's own |lhs - x| / max(1, |x|) at it.
 
-A branch has one representation: nu^2 is re-solved exactly at every
+One object, `AdiabaticBranch`, is both the branch and its hyperradial
+potential (nu^2(rho) - 1/4) / (2 rho^2), bare or regularized below a
+radius R by a hard wall or a cap.  nu^2 is re-solved exactly at every
 radius a solver asks for, or is one constant (at unitarity, or for a
 hand-built test branch).  Its table over a log grid is output only; no
 solver interpolates it.
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -182,7 +182,9 @@ def _brackets(f, x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             "branch-0 root nu^2 ~ -x^2 overflows a double")
     far = np.flatnonzero((k == 0) & (x > 12.0 / np.pi))   # where the asymptote is > 0
     if far.size:
-        s = 4.0 - 48.0 / (np.pi * x[far])
+        # pi x overflows above x ~ 5.7e307, where s = 4 puts the root at the pole
+        with np.errstate(over="ignore"):
+            s = 4.0 - 48.0 / (np.pi * x[far])
         lo[far] = np.where(f(s, far) < 0.0, s, 0.0)
     nu_lo, nu_hi = np.empty(x.shape), np.empty(x.shape)
     for kk in np.unique(k):
@@ -343,27 +345,63 @@ def _solve_on_grid(config: SystemConfig, rho: np.ndarray, branch_index: int) -> 
 
 
 @dataclass(frozen=True)
+class HardWall:
+    """Wavefunction forced to zero at rho = R; potential unchanged above."""
+
+    R: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.R) and self.R > 0.0):
+            raise ConfigError(f"wall radius must be finite and positive, got {self.R!r}")
+
+
+@dataclass(frozen=True)
+class Cap:
+    """Potential frozen at its rho = R value for all rho < R."""
+
+    R: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.R) and self.R > 0.0):
+            raise ConfigError(f"cap radius must be finite and positive, got {self.R!r}")
+
+
+@dataclass(frozen=True)
 class AdiabaticBranch:
-    """nu^2(rho) on one branch, with its table over a log grid.
+    """nu^2(rho) on one branch and its potential (nu^2 - 1/4) / (2 rho^2).
 
     :meth:`nu_squared_at` re-solves the eigenvalue equation exactly at
     every requested radius when `config` is present and away from
     unitarity.  At unitarity, or without a `config`, nu^2 is the one
-    constant the table holds.  The table itself is never read back: it
-    is what `EffectivePotential.table` prints.
+    constant the table holds.  The table over `grid` is never read back
+    by a solver: it is what :meth:`table` prints.
+
+    `scheme = None` keeps the bare inverse-square attraction; bound-state
+    search refuses it because the spectrum is then unbounded from below.
+    A `HardWall` or `Cap` at R, which may not lie above the grid top,
+    regularizes the potential below R.
     """
 
     grid: LogGrid
     nu_squared: np.ndarray
     branch_index: int
     config: SystemConfig | None = None
+    scheme: HardWall | Cap | None = None
 
     def __post_init__(self):
         if self.nu_squared.shape != (self.grid.points,):
             raise GridError("branch table shape does not match its grid")
         if self.config is None and np.any(self.nu_squared != self.nu_squared[0]):
             raise ConfigError("a branch without a config must hold one constant nu^2")
+        if self.scheme is not None and self.scheme.R > self.grid.rho_max:
+            raise ConfigError(
+                f"regularization radius {self.scheme.R} lies above the grid top "
+                f"{self.grid.rho_max}")
         self.nu_squared.setflags(write=False)
+
+    @property
+    def R(self) -> float | None:
+        return None if self.scheme is None else self.scheme.R
 
     def nu_squared_at(self, rho):
         """nu^2 at arbitrary rho > 0 (scalar or array)."""
@@ -375,6 +413,45 @@ class AdiabaticBranch:
         else:
             out = _solve_on_grid(self.config, rho_arr, self.branch_index)
         return float(out[0]) if np.ndim(rho) == 0 else out
+
+    def _v(self, rho: np.ndarray, nu2_where) -> np.ndarray:
+        """The potential at every rho, taking nu^2 from `nu2_where(mask)`.
+
+        nu^2 is asked for only where rho >= R (everywhere without a
+        scheme).  Below R the potential is +inf behind a hard wall and its
+        value at R under a cap.
+        """
+        above = np.ones(rho.shape, bool) if self.scheme is None else rho >= self.scheme.R
+        out = np.empty(rho.shape)
+        if above.any():
+            r = rho[above]
+            out[above] = (nu2_where(above) - 0.25) / (2.0 * r * r)
+        if not above.all():
+            out[~above] = math.inf if isinstance(self.scheme, HardWall) else self.v_eff(self.R)
+        return out
+
+    def v_eff(self, rho):
+        """Effective potential at rho (scalar or array), internal units."""
+        rho_arr = np.atleast_1d(np.asarray(rho, dtype=float))
+        if np.any(rho_arr <= 0.0) or not np.all(np.isfinite(rho_arr)):
+            raise ConfigError("rho must be positive and finite")
+        out = self._v(rho_arr, lambda above: self.nu_squared_at(rho_arr[above]))
+        return float(out[0]) if np.ndim(rho) == 0 else out
+
+    def table(self) -> dict[str, np.ndarray]:
+        """Columns over the grid, ready for serialization.
+
+        The potential reads the tabulated nu^2; only a cap above the
+        grid's first point solves one more root, at R.
+        """
+        rho, nu2, cfg = self.grid.values, self.nu_squared, self.config
+        return {
+            "rho": rho.copy(),
+            "x": np.full(rho.shape, np.nan) if cfg is None else cfg.x_of_rho(rho),
+            "nu_squared": nu2.copy(),
+            "lambda": nu2 - 4.0,
+            "v_eff": self._v(rho, lambda above: nu2[above]),
+        }
 
 
 def constant_branch(value: float, grid: LogGrid, branch_index: int = 0) -> AdiabaticBranch:
@@ -402,93 +479,12 @@ def tabulate_branch(config: SystemConfig, grid: LogGrid,
                            branch_index=branch_index, config=config)
 
 
-@dataclass(frozen=True)
-class HardWall:
-    """Wavefunction forced to zero at rho = R; potential unchanged above."""
+def effective_potential(branch: AdiabaticBranch,
+                        scheme: HardWall | Cap | None = None) -> AdiabaticBranch:
+    """The branch as a radial potential regularized by `scheme`.
 
-    R: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.R) and self.R > 0.0):
-            raise ConfigError(f"wall radius must be finite and positive, got {self.R!r}")
-
-
-@dataclass(frozen=True)
-class Cap:
-    """Potential frozen at its rho = R value for all rho < R."""
-
-    R: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.R) and self.R > 0.0):
-            raise ConfigError(f"cap radius must be finite and positive, got {self.R!r}")
-
-
-Scheme = HardWall | Cap | None
-
-
-@dataclass(frozen=True)
-class EffectivePotential:
-    """Hyperradial potential (nu^2(rho) - 1/4) / (2 rho^2) with regularization.
-
-    `scheme = None` keeps the bare inverse-square attraction; bound-state
-    search refuses it because the spectrum is then unbounded from below.
+    The result shares the branch's read-only table.  The regularization
+    radius must not exceed the top of the branch grid; radii below the
+    grid are allowed, since nu^2 is exact or constant at every radius.
     """
-
-    branch: AdiabaticBranch
-    scheme: Scheme = None
-
-    @property
-    def R(self) -> float | None:
-        return None if self.scheme is None else self.scheme.R
-
-    def _bare_v(self, rho: np.ndarray) -> np.ndarray:
-        nu2 = np.atleast_1d(np.asarray(self.branch.nu_squared_at(rho)))
-        return (nu2 - 0.25) / (2.0 * rho * rho)
-
-    def v_eff(self, rho):
-        """Effective potential at rho (scalar or array), internal units."""
-        rho_arr = np.atleast_1d(np.asarray(rho, dtype=float))
-        if np.any(rho_arr <= 0.0) or not np.all(np.isfinite(rho_arr)):
-            raise ConfigError("rho must be positive and finite")
-        if isinstance(self.scheme, HardWall):
-            out = np.full(rho_arr.shape, np.inf)
-            outside = rho_arr >= self.scheme.R
-            if np.any(outside):
-                out[outside] = self._bare_v(rho_arr[outside])
-        elif isinstance(self.scheme, Cap):
-            out = self._bare_v(np.maximum(rho_arr, self.scheme.R))
-        else:
-            out = self._bare_v(rho_arr)
-        return float(out[0]) if np.ndim(rho) == 0 else out
-
-    def table(self) -> dict[str, np.ndarray]:
-        """Columns over the branch grid, ready for serialization."""
-        rho = self.branch.grid.values
-        if self.branch.config is not None:
-            x = np.atleast_1d(self.branch.config.x_of_rho(rho))
-        else:
-            x = np.full(rho.shape, np.nan)
-        nu2 = self.branch.nu_squared
-        return {
-            "rho": rho.copy(),
-            "x": np.asarray(x, dtype=float),
-            "nu_squared": nu2.copy(),
-            "lambda": nu2 - 4.0,
-            "v_eff": self.v_eff(rho),
-        }
-
-
-def effective_potential(branch: AdiabaticBranch, scheme: Scheme = None) -> EffectivePotential:
-    """Wrap a tabulated branch as a radial potential with a regularization scheme.
-
-    The regularization radius must not exceed the top of the branch grid;
-    radii below the grid are allowed, since nu^2 is exact or constant at
-    every radius.
-    """
-    if scheme is not None:
-        if scheme.R > branch.grid.rho_max:
-            raise ConfigError(
-                f"regularization radius {scheme.R} lies above the grid top "
-                f"{branch.grid.rho_max}")
-    return EffectivePotential(branch=branch, scheme=scheme)
+    return replace(branch, scheme=scheme)

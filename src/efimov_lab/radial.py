@@ -1,4 +1,9 @@
-"""Hyperradial bound states in the effective potential of a branch.
+"""Hyperradial bound states in the potential of one branch.
+
+Every solver here takes an `AdiabaticBranch`, which is the potential
+(nu^2(rho) - 1/4) / (2 rho^2) and carries its own regularization
+scheme: a hard wall or a cap below R for the spectrum, none for the
+cutoff probe.
 
 The radial equation -f'' + [(nu^2(rho) - 1/4) / rho^2] f = 2 E f is
 integrated on the uniform grid t = ln(rho/R) after the substitution
@@ -39,7 +44,7 @@ from .core import (
     SolverError,
     UnregularizedPotentialError,
 )
-from .hyperangular import Cap, EffectivePotential
+from .hyperangular import AdiabaticBranch, Cap
 
 DEFAULT_DT = 1.0 / 512.0
 DEFAULT_TAIL_FACTOR = 36.0
@@ -109,7 +114,7 @@ class _Workspace:
     assembles w = nu^2 + kappa^2 rho^2 over the truncated range.
     """
 
-    def __init__(self, potential: EffectivePotential, inner_radius: float,
+    def __init__(self, potential: AdiabaticBranch, inner_radius: float,
                  rho_max: float, dt: float):
         if not (math.isfinite(rho_max) and rho_max > inner_radius):
             raise ConfigError(
@@ -136,7 +141,7 @@ class _Workspace:
         else:
             self.rho = inner_radius * np.exp(t)
         self.rho2 = self.rho * self.rho
-        self.nu2 = np.asarray(potential.branch.nu_squared_at(self.rho), dtype=float)
+        self.nu2 = np.asarray(potential.nu_squared_at(self.rho), dtype=float)
         self.scheme = potential.scheme
 
     def _cap_start(self, kappa: float) -> tuple[float, float, int]:
@@ -196,7 +201,7 @@ class _Workspace:
                               rho=rho, f=g * np.sqrt(rho), R=self.R)
 
 
-def integrate_radial(potential: EffectivePotential, E: float, rho_max: float,
+def integrate_radial(potential: AdiabaticBranch, E: float, rho_max: float,
                      *, dt: float = DEFAULT_DT) -> RadialSolution:
     """Integrate outward from the regularization radius at fixed E < 0."""
     if potential.scheme is None:
@@ -296,7 +301,7 @@ def _search_level(ws: _Workspace, k: int, lo: float, hi: float, ln_tol: float,
     return hi
 
 
-def find_spectrum(potential: EffectivePotential, rho_max: float,
+def find_spectrum(potential: AdiabaticBranch, rho_max: float,
                   max_levels: int = 8, tol_E: float = 1e-8,
                   *, dt: float = DEFAULT_DT) -> BoundStateSpectrum:
     """Bound spectrum by node-counting bisection on ln(kappa).
@@ -497,7 +502,7 @@ class ProbeResult:
         self.zeros.setflags(write=False)
 
 
-def collapse_probe(potential: EffectivePotential, E: float, base_cutoff: float,
+def collapse_probe(potential: AdiabaticBranch, E: float, base_cutoff: float,
                    decades: int, per_decade: int = 1,
                    *, dt: float = DEFAULT_DT) -> ProbeResult:
     """Count nodes at fixed E while the inner cutoff shrinks decade by decade.

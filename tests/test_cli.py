@@ -308,6 +308,7 @@ def test_meanfield_argument_errors(cli):
     (["branches", "--x=-1e13", "--count", "2"], "branch 1 root at x = -10000000000000"),
     (["potential", "--a=-1e-13", "--rho-min", "1", "--rho-max", "10", "--points", "3",
       "--branch", "1"], "branch 1 root failed at rho = 1"),
+    (["branches", "--x", "1e308", "--count", "1"], "branch 0 root at x = 1e+308"),
 ])
 def test_bad_input_exits_2_naming_it(argv, named, capsys):
     assert main(argv) == 2

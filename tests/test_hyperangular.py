@@ -24,7 +24,6 @@ from efimov_lab import (
     AdiabaticBranch,
     Cap,
     ConfigError,
-    EffectivePotential,
     GridError,
     HardWall,
     LogGrid,
@@ -513,7 +512,51 @@ def test_hardwall_and_cap_masks():
     assert math.isfinite(wall.v_eff(outside))
     assert capped.v_eff(inside) == pytest.approx(capped.v_eff(1.0))
     assert capped.v_eff(outside) == pytest.approx(wall.v_eff(outside))
-    assert isinstance(wall, EffectivePotential)
+    assert isinstance(wall, AdiabaticBranch)
+
+
+def test_effective_potential_is_the_branch_sharing_its_table():
+    branch = tabulate_branch(make_config(-2.5), LogGrid.make(0.1, 100.0, 50))
+    for scheme in (None, HardWall(1.0), Cap(1.0)):
+        pot = effective_potential(branch, scheme)
+        assert isinstance(pot, AdiabaticBranch)
+        assert pot.nu_squared is branch.nu_squared
+        assert pot.scheme is scheme
+        assert pot.R == (None if scheme is None else scheme.R)
+    assert branch.scheme is None
+
+
+@pytest.mark.parametrize("scheme, sizes", [(None, []), (HardWall(1.0), []),
+                                            (Cap(1.0), [1])],
+                         ids=["bare", "hardwall", "cap"])
+def test_table_reads_the_tabulated_nu_squared(scheme, sizes, monkeypatch):
+    # the table solves no root the branch already holds; a cap with
+    # points below R solves one more, at R
+    pot = effective_potential(
+        tabulate_branch(make_config(-2.5), LogGrid.make(0.1, 100.0, 2000)), scheme)
+    calls = []
+
+    def counted(x, k):
+        calls.append(x.size)
+        return _solve(x, k)
+
+    monkeypatch.setattr(hyperangular, "_solve", counted)
+    pot.table()
+    assert calls == sizes
+
+
+@pytest.mark.parametrize("a", [-2.5, 3.3, math.inf])
+@pytest.mark.parametrize("scheme", [None, HardWall(1.0), Cap(1.0), Cap(0.05)],
+                         ids=["bare", "hardwall", "cap", "cap-below-grid"])
+def test_table_v_eff_is_v_eff_bit_for_bit(a, scheme):
+    pot = effective_potential(
+        tabulate_branch(make_config(a), LogGrid.make(0.1, 100.0, 300)), scheme)
+    tbl = pot.table()
+    assert np.array_equal(tbl["v_eff"], pot.v_eff(tbl["rho"]))
+    if scheme is not None:
+        inside = tbl["v_eff"][tbl["rho"] < scheme.R]
+        assert np.all(inside == (math.inf if isinstance(scheme, HardWall)
+                                 else pot.v_eff(scheme.R)))
 
 
 def test_scheme_validation():

@@ -322,7 +322,7 @@ def test_probe_reference_slope_is_the_pointwise_root():
     # smallest cutoff, bit for bit
     pot = _dimer_potential(-1e4, 1e-6, 1e6, 2)
     probe = collapse_probe(pot, -1e-6, 1e-2, decades=4, per_decade=2)
-    nu2 = pot.branch.nu_squared_at(1e-2 * 10.0 ** -4)
+    nu2 = pot.nu_squared_at(1e-2 * 10.0 ** -4)
     assert probe.reference_slope == math.sqrt(-nu2) * math.log(10.0) / math.pi
 
 
@@ -335,7 +335,7 @@ def _outward_counts(pot, E, cutoffs, rho_out, dt):
         T = math.log(rho_out / rc)
         n = int(math.ceil(T / dt)) + 1
         rho = rc * np.exp(np.linspace(0.0, T, n))
-        w = pot.branch.nu_squared_at(rho) + kappa2 * rho * rho
+        w = pot.nu_squared_at(rho) + kappa2 * rho * rho
         counts.append(integrate_numerov(w, T / (n - 1), 0.0, 1.0)[1])
     return np.array(counts)
 
