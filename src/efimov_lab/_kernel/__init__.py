@@ -1,8 +1,10 @@
 """Numerov kernel: one contract, two backends.
 
 `integrate_numerov(w, h, g0, dg0) -> (g, nodes)` checks its inputs,
-allocates the samples `g` and hands them to the backend's
-`march(w, h, g0, dg0, g) -> nodes`.
+allocates the samples `g`, writes the first two from the Taylor start
+and hands them to the backend's `march(w, h, g) -> nodes`, which marches
+on from g[0] and g[1].  The start is computed here only, so both
+backends share it.
 The backend is the C extension `_numerov` when it has been built
 (`python setup.py build_ext --inplace`), and otherwise the pure-Python
 `_pure`, the reference the extension is tested against bit for bit.
@@ -50,6 +52,14 @@ def integrate_numerov(w, h, g0, dg0):
         raise ValueError(f"at least 2 grid points required, got {n}")
     if not (h > 0.0 and math.isfinite(h)):
         raise ValueError(f"step must be positive and finite, got {h!r}")
+    h, g0, dg0 = float(h), float(g0), float(dg0)
+    h2 = h * h
+    w0 = float(w[0])
+    # Taylor start through h^3 with a one-sided dw: the march converges as
+    # h^4 from g0 = 0 but only as h^3 when g0 != 0 (a cap, the probe's
+    # inward start); ROADMAP.md item 2(b) gives the fourth-order start
+    dw = (float(w[1]) - w0) / h
     g = np.empty(n)
-    nodes = _impl.march(w, float(h), float(g0), float(dg0), g)
-    return g, nodes
+    g[0] = g0
+    g[1] = g0 + h * dg0 + 0.5 * h2 * w0 * g0 + (h2 * h / 6.0) * (w0 * dg0 + dw * g0)
+    return g, _impl.march(w, h, g)

@@ -1,13 +1,15 @@
 /* Compiled twin of efimov_lab._kernel._pure.march.
  *
- * Same arithmetic in the same order as the pure kernel, so both give
- * bit-identical samples and node counts; past |g| = 1e250 both divide
- * the running pair by |g|, so samples keep the scale of their segment.
- * It must be built without floating-point contraction (setup.py passes
- * -ffp-contract=off): a fused multiply-add rounds once where the pure
- * kernel rounds twice.
- * The buffers arrive through the buffer protocol; the caller,
- * efimov_lab._kernel.integrate_numerov, makes them contiguous float64. */
+ * Marches on from the first two samples, which the caller,
+ * efimov_lab._kernel.integrate_numerov, has written from the Taylor
+ * start.  Same arithmetic in the same order as the pure kernel, so both
+ * give bit-identical samples and node counts; past |g| = 1e250 both
+ * divide the running pair by |g|, so samples keep the scale of their
+ * segment.  It must be built without floating-point contraction
+ * (setup.py passes -ffp-contract=off): a fused multiply-add rounds once
+ * where the pure kernel rounds twice.
+ * The buffers arrive through the buffer protocol; the caller makes them
+ * contiguous float64. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -18,8 +20,8 @@
 static PyObject *march(PyObject *self, PyObject *args)
 {
     Py_buffer wb, gb;
-    double h, g0, dg0;
-    if (!PyArg_ParseTuple(args, "y*dddw*", &wb, &h, &g0, &dg0, &gb))
+    double h;
+    if (!PyArg_ParseTuple(args, "y*dw*", &wb, &h, &gb))
         return NULL;
     Py_ssize_t n = wb.len / (Py_ssize_t)sizeof(double);
     PyObject *result = NULL;
@@ -30,17 +32,8 @@ static PyObject *march(PyObject *self, PyObject *args)
     }
     const double *w = wb.buf;
     double *g = gb.buf;
-    double h2 = h * h, c12 = h2 / 12.0;
-
-    double gm = g0;
-    /* Taylor start through h^3 with a one-sided dw: the march converges as
-       h^4 from g0 = 0 but only as h^3 when g0 != 0 (a cap, the probe's
-       inward start); ROADMAP.md item 2(b) gives the fourth-order start */
-    double dw = (w[1] - w[0]) / h;
-    double gi = gm + h * dg0 + 0.5 * h2 * w[0] * gm
-        + (h2 * h / 6.0) * (w[0] * dg0 + dw * gm);
-    g[0] = gm;
-    g[1] = gi;
+    double c12 = h * h / 12.0;
+    double gm = g[0], gi = g[1];
 
     long nodes = 0;
     int sign_prev = gm != 0.0 ? (gm > 0.0 ? 1 : -1) : 0;
@@ -81,7 +74,7 @@ done:
 
 static PyMethodDef methods[] = {
     {"march", march, METH_VARARGS,
-     "march(w, h, g0, dg0, g) -> nodes; see _pure.march."},
+     "march(w, h, g) -> nodes; see _pure.march."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -36,7 +36,14 @@ import numpy as np
 
 from . import __version__
 from ._kernel import BACKEND as KERNEL_BACKEND
-from .core import ConfigError, EfimovLabError, LogGrid, UnregularizedPotentialError, make_config
+from .core import (
+    MAX_GRID_POINTS,
+    ConfigError,
+    EfimovLabError,
+    LogGrid,
+    UnregularizedPotentialError,
+    make_config,
+)
 from .hyperangular import (
     Cap,
     HardWall,
@@ -55,7 +62,6 @@ from .meanfield import (
 )
 from .radial import (
     DEFAULT_DT,
-    MAX_GRID_POINTS,
     RadialSolution,
     collapse_probe,
     find_spectrum,
@@ -100,15 +106,15 @@ def _jsonable(obj):
 
 
 def _potential(ns: argparse.Namespace, rho_lo: float, rho_hi: float, points: int,
-               regularization: str):
-    """Branch --branch of --a and --mu on a log grid, regularized at --R as named."""
+               regularization: str, branch: int = 0):
+    """Branch `branch` of --a and --mu on a log grid, regularized at --R as named."""
     scheme = None
     if regularization != "none":
         if ns.R is None:
             raise ConfigError(f"--regularization {regularization} requires --R")
         scheme = HardWall(ns.R) if regularization == "hardwall" else Cap(ns.R)
     grid = LogGrid.make(rho_lo, rho_hi, points)
-    return effective_potential(tabulate_branch(make_config(ns.a, mu=ns.mu), grid, ns.branch),
+    return effective_potential(tabulate_branch(make_config(ns.a, mu=ns.mu), grid, branch),
                                scheme)
 
 
@@ -185,7 +191,7 @@ def cmd_constants(ns: argparse.Namespace) -> int:
 
 
 def cmd_potential(ns: argparse.Namespace) -> int:
-    pot = _potential(ns, ns.rho_min, ns.rho_max, ns.points, ns.regularization)
+    pot = _potential(ns, ns.rho_min, ns.rho_max, ns.points, ns.regularization, ns.branch)
     tbl = pot.table()
     cols = ["rho", "x", "nu_squared", "lambda", "v_eff"]
     rows = zip(*(tbl[c] for c in cols))
@@ -333,8 +339,8 @@ def cmd_meanfield(ns: argparse.Namespace) -> int:
 
     if not (0.0 < ns.n_min < ns.n_max):
         raise ConfigError(f"need 0 < --n-min < --n-max, got {ns.n_min}, {ns.n_max}")
-    if ns.points < 1:
-        raise ConfigError(f"--points must be >= 1, got {ns.points}")
+    if not 1 <= ns.points <= MAX_GRID_POINTS:
+        raise ConfigError(f"--points must be in [1, {MAX_GRID_POINTS}], got {ns.points}")
     n = np.geomspace(ns.n_min, ns.n_max, ns.points)
     eps = energy_density(model, n)
     per = energy_per_particle(model, n)
@@ -402,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho-max", type=float, required=True, help="outer box radius")
     p.add_argument("--levels", type=int, default=8, help="maximum levels (default 8)")
     p.add_argument("--regularization", choices=_SCHEMES, default="hardwall")
-    p.add_argument("--branch", type=int, default=0)
     p.add_argument("--dt", type=float, default=DEFAULT_DT,
                    help="log-grid step (default 1/512)")
     p.add_argument("--tol", type=float, default=1e-8,
@@ -420,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="level index, 0 = most bound (default: shallowest clean level)")
     p.add_argument("--levels", type=int, default=8)
     p.add_argument("--regularization", choices=_SCHEMES, default="hardwall")
-    p.add_argument("--branch", type=int, default=0)
     p.add_argument("--kappa-rho-max", type=float, default=0.2,
                    help="outer edge of the self-similar window (default 0.2)")
     p.add_argument("--wall-factor", type=float, default=2.0,

@@ -19,6 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# points allowed in one grid and roots in one branch list, 1000 times the
+# 9,433 of the README spectrum run; a larger request is refused before
+# anything is allocated
+MAX_GRID_POINTS = 10_000_000
+
+
 class EfimovLabError(Exception):
     """Base class for every error raised by this package."""
 
@@ -96,7 +102,7 @@ def make_config(a: float, mu: float = 0.5) -> SystemConfig:
     return SystemConfig(scattering_length_a=float(a), reduced_mass_mu=float(mu))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LogGrid:
     """Strictly increasing grid with a constant ratio between neighbours.
 
@@ -116,6 +122,9 @@ class LogGrid:
             raise GridError("rho_max must be finite and larger than rho_min")
         if self.points < 2:
             raise GridError(f"a log grid needs at least 2 points, got {self.points}")
+        if self.points > MAX_GRID_POINTS:
+            raise GridError(f"a log grid holds at most {MAX_GRID_POINTS} points, "
+                            f"got {self.points}")
         values = np.geomspace(self.rho_min, self.rho_max, self.points)
         # endpoints exact so downstream range checks are not off by 1 ulp
         values[0] = self.rho_min

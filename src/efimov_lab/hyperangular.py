@@ -42,6 +42,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (
+    MAX_GRID_POINTS,
     ConfigError,
     GridError,
     LogGrid,
@@ -186,10 +187,7 @@ def _brackets(f, x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         with np.errstate(over="ignore"):
             s = 4.0 - 48.0 / (np.pi * x[far])
         lo[far] = np.where(f(s, far) < 0.0, s, 0.0)
-    nu_lo, nu_hi = np.empty(x.shape), np.empty(x.shape)
-    for kk in np.unique(k):
-        # a negative k reaches branch_interval, which rejects it
-        nu_lo[k == kk], nu_hi[k == kk] = branch_interval(int(kk))
+    nu_lo, nu_hi = _intervals(k)
     for todo, edge, side, end in ((np.flatnonzero(k > 0), nu_lo, 1.0, lo),
                                   (np.flatnonzero(~below), nu_hi, -1.0, hi)):
         eps = 1e-6 * (nu_hi - nu_lo)
@@ -301,6 +299,16 @@ def solve_branch0(x: float) -> NuSquared:
     return _root(values[0], 0, residuals[0])
 
 
+def _intervals(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ends of the open nu interval of branch k[i], for every element.
+
+    (0, 2) for k = 0, (2, 6) for k = 1 and (2k + 2, 2k + 4) above.
+    """
+    if (k < 0).any():
+        raise ConfigError(f"branch index must be >= 0, got {k[np.argmax(k < 0)]}")
+    return np.where(k <= 1, 2.0 * k, 2.0 * k + 2.0), np.where(k == 0, 2.0, 2.0 * k + 4.0)
+
+
 def branch_interval(branch_index: int) -> tuple[float, float]:
     """Open interval of nu containing the roots of the given branch.
 
@@ -309,13 +317,8 @@ def branch_interval(branch_index: int) -> tuple[float, float]:
     subintervals joined at the removable point nu = 4; higher branches
     sit between consecutive genuine poles.
     """
-    if branch_index < 0:
-        raise ConfigError(f"branch index must be >= 0, got {branch_index}")
-    if branch_index == 0:
-        return (0.0, 2.0)
-    if branch_index == 1:
-        return (2.0, 6.0)
-    return (2.0 * branch_index + 2.0, 2.0 * branch_index + 4.0)
+    lo, hi = _intervals(np.array([branch_index]))
+    return float(lo[0]), float(hi[0])
 
 
 def solve_branches(x: float, count: int) -> list[NuSquared]:
@@ -326,8 +329,8 @@ def solve_branches(x: float, count: int) -> list[NuSquared]:
     never skips a branch.
     """
     count = int(count)
-    if count < 1:
-        raise ConfigError(f"count must be >= 1, got {count}")
+    if not 1 <= count <= MAX_GRID_POINTS:
+        raise ConfigError(f"count must be in [1, {MAX_GRID_POINTS}], got {count}")
     values, residuals = _solve(np.full(count, float(x)), np.arange(count))
     return [_root(v, k, r) for k, (v, r) in enumerate(zip(values, residuals))]
 
@@ -366,7 +369,7 @@ class Cap:
             raise ConfigError(f"cap radius must be finite and positive, got {self.R!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdiabaticBranch:
     """nu^2(rho) on one branch and its potential (nu^2 - 1/4) / (2 rho^2).
 

@@ -39,6 +39,7 @@ import numpy as np
 
 from ._kernel import integrate_numerov
 from .core import (
+    MAX_GRID_POINTS,
     ConfigError,
     InsufficientNodesError,
     SolverError,
@@ -49,15 +50,12 @@ from .hyperangular import AdiabaticBranch, Cap
 DEFAULT_DT = 1.0 / 512.0
 DEFAULT_TAIL_FACTOR = 36.0
 DEFAULT_BOX_FLAG_FACTOR = 100.0
-# grid points allowed in one workspace, 1000 times the 9,433 of the README
-# spectrum run; a dt that needs more is refused before anything is allocated
-MAX_GRID_POINTS = 10_000_000
 
 _KAPPA_SEARCH_EDGE = 0.03   # kappa * rho_max at the shallow search edge
 _FLOOR_SCALE = 10.0         # |E_floor| in units of 1/(2 R^2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RadialSolution:
     """One integrated radial solution at fixed energy.
 
@@ -80,7 +78,7 @@ class RadialSolution:
         self.f.setflags(write=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundStateSpectrum:
     """Bound levels of a regularized potential, most bound first."""
 
@@ -395,7 +393,7 @@ def find_spectrum(potential: AdiabaticBranch, rho_max: float,
                               total_nodes_at_edge=total)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NodeReport:
     """Node positions of a radial solution and their geometric spacing.
 
@@ -477,7 +475,7 @@ def node_analysis(solution: RadialSolution, *, kappa_rho_max: float = 0.2,
                       kappa=solution.kappa)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbeResult:
     """Node counts of the unregularized problem versus inner cutoff.
 

@@ -14,6 +14,7 @@ from datetime import datetime
 import pytest
 
 from efimov_lab.cli import main
+from efimov_lab.core import MAX_GRID_POINTS
 
 B_REF = 1.0062378251027815
 C_REF = 1.2625145606675758
@@ -268,10 +269,11 @@ def test_meanfield_argument_errors(cli):
     (["constants", "--tol", "nan"], "tol"),
     (["potential", "--a", "1", "--rho-min", "0.1", "--rho-max", "10",
       "--branch", "-1"], "branch index"),
-    (["spectrum", "--a", "1", "--R", "1", "--rho-max", "1e4", "--branch", "-1"],
-     "branch index"),
-    (["nodes", "--a", "1", "--R", "1", "--rho-max", "1e4", "--branch", "-1"],
-     "branch index"),
+    (["potential", "--a", "inf", "--rho-min", "0.1", "--rho-max", "10",
+      "--points", str(MAX_GRID_POINTS + 1)],
+     f"a log grid holds at most {MAX_GRID_POINTS} points"),
+    (["meanfield", "--statistics", "bose", "--t0", "1", "--points", str(MAX_GRID_POINTS + 1)],
+     f"--points must be in [1, {MAX_GRID_POINTS}]"),
     (["nodes", "--analytic", "--periods", "0"], "--periods"),
     (["nodes", "--analytic", "--periods", "-3"], "--periods"),
     (["nodes", "--analytic", "--dt", "0"], "--dt"),
@@ -309,6 +311,8 @@ def test_meanfield_argument_errors(cli):
     (["potential", "--a=-1e-13", "--rho-min", "1", "--rho-max", "10", "--points", "3",
       "--branch", "1"], "branch 1 root failed at rho = 1"),
     (["branches", "--x", "1e308", "--count", "1"], "branch 0 root at x = 1e+308"),
+    (["branches", "--x", "0", "--count", str(MAX_GRID_POINTS + 1)],
+     f"count must be in [1, {MAX_GRID_POINTS}]"),
 ])
 def test_bad_input_exits_2_naming_it(argv, named, capsys):
     assert main(argv) == 2
@@ -380,6 +384,8 @@ def test_nodes_analytic_is_the_zero_energy_solution(capsys):
 @pytest.mark.parametrize("argv", [
     ["potential", "--a", "inf", "--rho-min", "1", "--rho-max", "10", "--tol", "1e-10"],
     ["branches", "--x", "0", "--tol", "1e-12"],
+    ["spectrum", "--a", "inf", "--R", "1", "--rho-max", "1e4", "--branch", "1"],
+    ["nodes", "--a", "inf", "--R", "1", "--rho-max", "1e4", "--branch", "1"],
 ])
 def test_removed_flags_are_unrecognized(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -484,6 +484,33 @@ def test_solution_arrays_read_only():
         sol.f[0] = 1.0
 
 
+def test_array_holding_results_compare_by_identity():
+    # field-wise == would compare arrays and hash would hash them; both
+    # raised, so these objects compare and hash as themselves
+    def solution():
+        return radial.RadialSolution(E=-0.5, kappa=1.0, node_count=0, rho=np.ones(3),
+                                     f=np.ones(3), R=1.0)
+
+    makers = [
+        lambda: LogGrid.make(0.1, 10.0, 5),
+        lambda: tabulate_branch(make_config(-2.5), LogGrid.make(0.1, 10.0, 5)),
+        solution,
+        lambda: radial.BoundStateSpectrum(states=(solution(),), rho_max=10.0,
+                                          total_nodes_at_edge=1),
+        lambda: radial.NodeReport(positions=np.ones(3), ratios=np.ones(2),
+                                  interior_positions=np.ones(3), interior_ratios=np.ones(2),
+                                  geometric_ratio=1.0, ratio_spread=0.0, kappa=1.0),
+        lambda: radial.ProbeResult(cutoffs=np.ones(2), counts=np.zeros(2, dtype=int),
+                                   slope_per_decade=0.0, reference_slope=0.0, E=-0.5,
+                                   rho_out=36.0, zeros=np.empty(0), zero_ratio=math.nan,
+                                   reference_ratio=math.nan),
+    ]
+    for make in makers:
+        a, b = make(), make()
+        assert a == a and a != b, type(a).__name__
+        assert hash(a) == hash(a) and len({a, b, a}) == 2, type(a).__name__
+
+
 def _dimer_potential(a, rho_lo, rho_hi, points, scheme=None):
     cfg = make_config(a)
     branch = tabulate_branch(cfg, LogGrid.make(rho_lo, rho_hi, points))
