@@ -1,13 +1,16 @@
 /* Compiled twin of efimov_lab._kernel._pure.march.
  *
  * Marches on from the first two samples, which the caller,
- * efimov_lab._kernel.integrate_numerov, has written from the Taylor
- * start.  Same arithmetic in the same order as the pure kernel, so both
- * give bit-identical samples and node counts; past |g| = 1e250 both
- * divide the running pair by |g|, so samples keep the scale of their
- * segment.  It must be built without floating-point contraction
- * (setup.py passes -ffp-contract=off): a fused multiply-add rounds once
- * where the pure kernel rounds twice.
+ * efimov_lab._kernel.integrate_numerov, has written from a
+ * fourth-order Taylor start.  The recurrence is Numerov's in Henrici's
+ * summed form: with c = 1 - (h^2/12) w and y = c g, each step adds
+ * h^2 w_i g_i to the difference d, d to y, and sets g = y / c_{i+1}.
+ * Same arithmetic in the same order as the pure kernel, so both give
+ * bit-identical samples and node counts; past |g| = 1e250 both divide
+ * y, d and g by |g|, so samples keep the scale of their segment.  It
+ * must be built without floating-point contraction (setup.py passes
+ * -ffp-contract=off): a fused multiply-add rounds once where the pure
+ * kernel rounds twice.
  * The buffers arrive through the buffer protocol; the caller makes them
  * contiguous float64. */
 
@@ -32,11 +35,13 @@ static PyObject *march(PyObject *self, PyObject *args)
     }
     const double *w = wb.buf;
     double *g = gb.buf;
-    double c12 = h * h / 12.0;
-    double gm = g[0], gi = g[1];
+    double h2 = h * h, c12 = h2 / 12.0;
+    double gi = g[1];
+    double y = (1.0 - c12 * w[1]) * gi;
+    double d = y - (1.0 - c12 * w[0]) * g[0];
 
     long nodes = 0;
-    int sign_prev = gm != 0.0 ? (gm > 0.0 ? 1 : -1) : 0;
+    int sign_prev = g[0] != 0.0 ? (g[0] > 0.0 ? 1 : -1) : 0;
     if (gi != 0.0) {
         int s = gi > 0.0 ? 1 : -1;
         if (sign_prev != 0 && s != sign_prev)
@@ -44,26 +49,23 @@ static PyObject *march(PyObject *self, PyObject *args)
         sign_prev = s;
     }
 
-    double cm = 1.0 - c12 * w[0], ci = 1.0 - c12 * w[1];
     for (Py_ssize_t i = 1; i < n - 1; i++) {
-        double cp = 1.0 - c12 * w[i + 1];
-        double gp = ((12.0 - 10.0 * ci) * gi - cm * gm) / cp;
-        if (gp > RESCALE_THRESHOLD || gp < -RESCALE_THRESHOLD) {
-            double scale = fabs(gp);
+        d += h2 * w[i] * gi;
+        y += d;
+        gi = y / (1.0 - c12 * w[i + 1]);
+        if (gi > RESCALE_THRESHOLD || gi < -RESCALE_THRESHOLD) {
+            double scale = fabs(gi);
+            y /= scale;
+            d /= scale;
             gi /= scale;
-            gp /= scale;
         }
-        g[i + 1] = gp;
-        if (gp != 0.0) {
-            int s = gp > 0.0 ? 1 : -1;
+        g[i + 1] = gi;
+        if (gi != 0.0) {
+            int s = gi > 0.0 ? 1 : -1;
             if (sign_prev != 0 && s != sign_prev)
                 nodes++;
             sign_prev = s;
         }
-        gm = gi;
-        gi = gp;
-        cm = ci;
-        ci = cp;
     }
     result = PyLong_FromLong(nodes);
 done:

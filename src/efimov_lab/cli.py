@@ -62,6 +62,7 @@ from .meanfield import (
 )
 from .radial import (
     DEFAULT_DT,
+    DEFAULT_TOL_E,
     RadialSolution,
     collapse_probe,
     find_spectrum,
@@ -409,9 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=int, default=8, help="maximum levels (default 8)")
     p.add_argument("--regularization", choices=_SCHEMES, default="hardwall")
     p.add_argument("--dt", type=float, default=DEFAULT_DT,
-                   help="log-grid step (default 1/512)")
-    p.add_argument("--tol", type=float, default=1e-8,
-                   help="relative energy tolerance (default 1e-8)")
+                   help="log-grid step (default 1/128)")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL_E,
+                   help=f"relative energy tolerance (default {DEFAULT_TOL_E:g})")
     _add_common(p)
     p.set_defaults(func=cmd_spectrum)
 
@@ -440,8 +441,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--periods", type=int, default=6,
                    help="half-periods in the analytic self-test (default 6)")
     p.add_argument("--dt", type=float, default=DEFAULT_DT)
-    p.add_argument("--tol", type=float, default=1e-8,
-                   help="relative energy tolerance for the level search (default 1e-8)")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL_E,
+                   help="relative energy tolerance for the level search "
+                        f"(default {DEFAULT_TOL_E:g})")
     _add_common(p)
     p.set_defaults(func=cmd_nodes)
 

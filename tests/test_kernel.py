@@ -2,9 +2,11 @@
 
 Oracle for accuracy: g'' = -k^2 g with g(0) = 0, g'(0) = 1 has the
 exact solution sin(k t) / k, with floor(k T / pi) interior sign
-changes on [0, T].  Its growing twin g'' = k^2 g gives sinh(k t) / k,
-whose rescales are checked through the step-by-step growth of ln|g|,
-which does not depend on the scale each segment carries.
+changes on [0, T]; from g(0) = 1, g'(0) = 0 it is cos(k t), and
+g'' = -(t + 1) g has the Airy solution Ai(-(t + 1)).  The growing twin
+g'' = k^2 g gives sinh(k t) / k, whose rescales are checked through the
+step-by-step growth of ln|g|, which does not depend on the scale each
+segment carries.
 
 The compiled backend is built from setup.py into a temporary directory
 once per module, so the comparisons with the pure reference run
@@ -133,8 +135,8 @@ def test_backends_identical_on_the_zero_solution(compiled, monkeypatch):
 @pytest.mark.parametrize("w, g0, dg0, zero_at, signbit, want_nodes", [
     # w = 0, h = 1: g = 1 - t crosses zero exactly at t = 1
     (np.zeros(6), 1.0, -1.0, 1, False, 1),
-    # c = 1 - w/12 = -1 at points 2 and 3: 2, 1, 0/(-1) = -0.0, 1, 22, ...
-    (np.array([0.0, 0.0, 24.0, 24.0] + [0.0] * 8), 2.0, -1.0, 2, True, 0),
+    # c = 1 - w/12 = -1 at points 3 and 4: 3, 2, 1, 0/(-1) = -0.0, 1, 22, ...
+    (np.array([0.0, 0.0, 0.0, 24.0, 24.0] + [0.0] * 7), 3.0, -1.0, 3, True, 0),
 ])
 def test_backends_identical_on_exact_zeros(compiled, monkeypatch, w, g0, dg0,
                                            zero_at, signbit, want_nodes):
@@ -184,19 +186,43 @@ def test_sine_solution_nodes_and_values():
     assert np.max(np.abs(g - exact)) < 1e-8
 
 
-def test_fourth_order_convergence():
+def _observed_order(case):
+    """log2 of the worst error at n = 501 over that at n = 1001 on [0, 6].
+
+    "sin": g'' = -k^2 g from g = 0, g' = 1; "cos": the same from g = 1,
+    g' = 0; "airy": g'' = -(t + 1) g from Ai(-1), -Ai'(-1), whose w varies
+    along the grid.
+    """
     k = 2.5
     T = 6.0
 
     def max_err(n):
         h = T / (n - 1)
         t = np.linspace(0.0, T, n)
-        w = np.full(n, -k * k)
-        g, _ = integrate_numerov(w, h, 0.0, 1.0)
-        return np.max(np.abs(g - np.sin(k * t) / k))
+        if case == "airy":
+            import mpmath
+            g, _ = integrate_numerov(-(t + 1.0), h, float(mpmath.airyai(-1)),
+                                     -float(mpmath.airyai(-1, derivative=1)))
+            return np.max(np.abs(g - [float(mpmath.airyai(-x)) for x in t + 1.0]))
+        g0, dg0 = (0.0, 1.0) if case == "sin" else (1.0, 0.0)
+        g, _ = integrate_numerov(np.full(n, -k * k), h, g0, dg0)
+        exact = np.sin(k * t) / k if case == "sin" else np.cos(k * t)
+        return np.max(np.abs(g - exact))
 
-    e1, e2 = max_err(501), max_err(1001)
-    order = math.log2(e1 / e2)
+    return math.log2(max_err(501) / max_err(1001))
+
+
+def test_fourth_order_convergence():
+    order = _observed_order("sin")
+    assert 3.6 < order < 4.4, f"observed order {order:.2f}"
+
+
+@pytest.mark.parametrize("case", ["cos", "airy"])
+def test_fourth_order_convergence_from_nonzero_start(case):
+    # g0 != 0 needs the start's h^4 term and its second-order w'
+    if case == "airy":
+        pytest.importorskip("mpmath")
+    order = _observed_order(case)
     assert 3.6 < order < 4.4, f"observed order {order:.2f}"
 
 

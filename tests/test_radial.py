@@ -67,7 +67,109 @@ def test_hardwall_levels_match_exact_bessel_zeros():
         z = mpmath.findroot(lambda z: mpmath.besselk(1j * b, z).real,
                             (0.8 * guess, 1.25 * guess), solver="anderson")
         exact = float(-z * z / 2)
-        assert abs(state.E - exact) <= 1e-8 * abs(exact), (m, state.E, exact)
+        assert abs(state.E - exact) <= 1e-9 * abs(exact), (m, state.E, exact)
+
+
+def test_cap_levels_match_exact_matching():
+    # at unitarity the capped well is f = sin(q rho) below R, with
+    # q^2 = (b^2 + 1/4) / R^2 - kappa^2, and sqrt(rho) K_ib(kappa rho) above;
+    # each level is a zero of the Wronskian of the two at R, found next to the
+    # computed level
+    mpmath = pytest.importorskip("mpmath")
+    spec = find_spectrum(_unitarity_potential(1e8, Cap(1.0)), 1e8)
+    levels = spec.interior_states()
+    assert len(levels) >= 5
+    b = mpmath.mpf(efimov_constants().b)
+
+    def wronskian(kappa):
+        q = mpmath.sqrt(b * b + 0.25 - kappa * kappa)
+        k = mpmath.besselk(1j * b, kappa).real
+        dk = -(mpmath.besselk(1j * b - 1, kappa) + mpmath.besselk(1j * b + 1, kappa)).real / 2
+        return q * mpmath.cos(q) * k - mpmath.sin(q) * (k / 2 + kappa * dk)
+
+    for state in levels:
+        kappa = mpmath.mpf(state.kappa)
+        z = mpmath.findroot(wronskian, (kappa * (1 - 1e-6), kappa * (1 + 1e-6)),
+                            solver="anderson")
+        exact = float(-z * z / 2)
+        assert abs(state.E - exact) <= 1e-9 * abs(exact), (state.node_count, state.E, exact)
+
+
+def magnus_end_value(nu2_at, R, T, steps_per_unit=256):
+    """g(T) as a function of (kappa, g(0), g'(0)) for g'' = [nu^2(rho) + kappa^2 rho^2] g.
+
+    A fourth-order Magnus integrator of y' = A y, y = (g, dg/dt) and
+    A = [[0, 1], [w, 0]] on t = ln(rho/R), sharing no code with the Numerov
+    kernel (Iserles & Norsett, Proc. R. Soc. A 455, 983 (1999)).  Each step
+    samples w at its two Gauss-Legendre points, w1 and w2, and takes
+    Omega = h (A1 + A2) / 2 + (sqrt(3) / 12) h^2 [A2, A1], which is the
+    traceless [[al, h], [ga, -al]] with al = (sqrt(3) / 12) h^2 (w1 - w2)
+    and ga = h (w1 + w2) / 2.  Its exponential is cosh(m) + sinh(m) / m Omega
+    with m^2 = al^2 + h ga, or cos and sin of |m| where m^2 < 0.
+    """
+    n = math.ceil(T * steps_per_unit)
+    h = T / n
+    mid = h * (np.arange(n) + 0.5)
+    off = h * math.sqrt(3.0) / 6.0
+    rho = R * np.exp(np.concatenate([mid - off, mid + off]))
+    nu2 = np.asarray(nu2_at(rho), dtype=float)
+
+    def end_value(kappa, g, dg):
+        w = nu2 + (kappa * rho) ** 2
+        al = (math.sqrt(3.0) / 12.0) * h * h * (w[:n] - w[n:])
+        ga = 0.5 * h * (w[:n] + w[n:])
+        m2 = al * al + h * ga
+        m = np.sqrt(np.abs(m2))
+        grows = m2 >= 0.0
+        ch = np.where(grows, np.cosh(m), np.cos(m))
+        sh = np.where(m > 0.0, np.where(grows, np.sinh(m), np.sin(m)) / np.where(m > 0.0, m, 1.0),
+                      1.0)
+        for e00, e01, e10, e11 in zip((ch + sh * al).tolist(), (sh * h).tolist(),
+                                      (sh * ga).tolist(), (ch - sh * al).tolist()):
+            g, dg = e00 * g + e01 * dg, e10 * g + e11 * dg
+        return g
+
+    return end_value
+
+
+@pytest.mark.parametrize("scheme", [HardWall, Cap])
+@pytest.mark.parametrize("a, rho_max", [(-1e2, 1e6), (-1e4, 1e8), (50.0, 1e6)])
+def test_finite_a_levels_match_magnus_shooting(a, rho_max, scheme):
+    # each level below the threshold (-1/a^2 on the dimer side, mu = 1/2,
+    # and 0 for a > 0) is the kappa where the Magnus solution vanishes at the
+    # tail cutoff kappa rho = DEFAULT_TAIL_FACTOR, found by secant steps from
+    # the computed level.  The start is the closed-form solution below R:
+    # g = 0, g' = 1 at a hard wall; f = sin(q rho) or sinh(|q| rho) under a cap.
+    # Measured agreement: at most 1.6e-10 over the 13 levels
+    R = 1.0
+    pot = effective_potential(tabulate_branch(make_config(a), LogGrid.make(R, rho_max, 2)),
+                              scheme(R))
+    threshold = -1.0 / (a * a) if a < 0.0 else 0.0
+    levels = [s for s in find_spectrum(pot, rho_max).states
+              if s.E < threshold and not s.box_limited]
+    assert len(levels) >= 1
+    nu2_R = float(pot.nu_squared_at(np.array([R]))[0])
+
+    def start(kappa):
+        if scheme is HardWall:
+            return 0.0, 1.0
+        q2 = -kappa * kappa - (nu2_R - 0.25) / (R * R)
+        sin, cos, q = ((math.sin, math.cos, math.sqrt(q2)) if q2 >= 0.0
+                       else (math.sinh, math.cosh, math.sqrt(-q2)))
+        return sin(q * R), q * R * cos(q * R) - 0.5 * sin(q * R)
+
+    for state in levels:
+        T = min(math.log(DEFAULT_TAIL_FACTOR / (state.kappa * R)), math.log(rho_max / R))
+        end = magnus_end_value(pot.nu_squared_at, R, T)
+        x0, x1 = state.kappa, state.kappa * (1.0 + 1e-8)
+        f0 = end(x0, *start(x0))
+        for _ in range(10):
+            f1 = end(x1, *start(x1))
+            x0, f0, x1 = x1, f1, x1 - f1 * (x1 - x0) / (f1 - f0)
+            if abs(x1 - x0) <= 1e-15 * x1:
+                break
+        exact = -0.5 * x1 * x1
+        assert abs(state.E - exact) <= 3e-10 * abs(exact), (state.node_count, state.E, exact)
 
 
 def nodes_oracle(nu2_at, R, E, tail_factor=36.0, steps_per_unit=4096):
@@ -372,7 +474,7 @@ def test_spectrum_argument_validation():
         find_spectrum(pot, 1e4, tol_E=0.5)
 
 
-def _plain_bisection(pot, rho_max, tol_E=1e-8, max_levels=8):
+def _plain_bisection(pot, rho_max, tol_E=radial.DEFAULT_TOL_E, max_levels=8):
     """Reference levels: the same bisection, integrating every midpoint afresh."""
     R = pot.R
     ws = radial._Workspace(pot, R, rho_max, radial.DEFAULT_DT)
@@ -413,8 +515,10 @@ def test_level_search_reuses_known_node_counts(monkeypatch):
     assert spec.energies.tolist() == want
     # integrating every midpoint, the floor and edge probes and each
     # level's final solution took 172 calls; reusing known counts alone, 162;
-    # with the guide value, 47; with a first probe one period above each level, 38
-    assert len(calls) == 38
+    # with the guide value, 47; with a first probe one period above each level, 38;
+    # all at dt = 1/512 and tol_E = 1e-8.  At dt = 1/128 and tol_E = 1e-10 the
+    # hundredfold tighter tolerance costs three more
+    assert len(calls) == 41
 
 
 def test_dimer_side_search_cost(monkeypatch):
