@@ -40,6 +40,7 @@ from .core import (
     MAX_GRID_POINTS,
     ConfigError,
     EfimovLabError,
+    InsufficientNodesError,
     LogGrid,
     UnregularizedPotentialError,
     make_config,
@@ -216,8 +217,10 @@ def cmd_spectrum(ns: argparse.Namespace) -> int:
              float(ratios[k]) if k < len(ratios) else float("nan"), s.box_limited]
             for k, s in enumerate(spec.states)]
     doc = {"levels": _records(header, rows), "rho_max": ns.rho_max,
-           "total_nodes_at_edge": spec.total_nodes_at_edge}
-    return _emit(ns, {"tol_E": ns.tol, "dt": ns.dt}, header, rows, doc)
+           "total_nodes_at_edge": spec.total_nodes_at_edge,
+           "E_threshold": spec.threshold}
+    return _emit(ns, {"tol_E": ns.tol, "dt": ns.dt}, header, rows, doc,
+                 {"E_threshold": spec.threshold})
 
 
 def _analytic_solution(periods: int, dt: float, b: float) -> RadialSolution:
@@ -293,6 +296,11 @@ def cmd_nodes(ns: argparse.Namespace) -> int:
                 "to study the unregularized cutoff sweep)")
         spec = _spectrum_for(ns)
         pool = spec.interior_states() or list(spec.states)
+        if not pool and spec.threshold < 0.0:
+            raise ConfigError(
+                f"no trimer lies below the atom-dimer threshold E_thr = "
+                f"{spec.threshold:.6g} at a = {ns.a:g}, R = {ns.R:g}; "
+                f"a trimer needs a smaller --R or a larger |a|")
         if not pool:
             raise ConfigError("no bound level found; enlarge --rho-max")
         if ns.level is None:
@@ -307,8 +315,15 @@ def cmd_nodes(ns: argparse.Namespace) -> int:
             sol = spec.states[level]
         level_info = {"E": sol.E, "level": level}
 
-    report = node_analysis(sol, kappa_rho_max=ns.kappa_rho_max,
-                           wall_factor=ns.wall_factor)
+    try:
+        report = node_analysis(sol, kappa_rho_max=ns.kappa_rho_max,
+                               wall_factor=ns.wall_factor)
+    except InsufficientNodesError as exc:
+        if mode == "analytic":
+            raise
+        raise InsufficientNodesError(
+            f"level {level}: {exc}; {len(spec)} bound level(s) lie below the threshold "
+            f"E_thr = {spec.threshold:.6g}") from None
     header = ["k", "rho_k", "ratio"]
     rows = [[k, pos, report.ratios[k - 1] if k else float("nan")]
             for k, pos in enumerate(report.positions)]

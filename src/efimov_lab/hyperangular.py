@@ -406,6 +406,20 @@ class AdiabaticBranch:
     def R(self) -> float | None:
         return None if self.scheme is None else self.scheme.R
 
+    @property
+    def threshold(self) -> float:
+        """Lowest energy of the channel's continuum.
+
+        On branch 0 for a < 0, where nu^2 -> -x^2 at large rho, it is the
+        atom-dimer threshold -1/(2 mu a^2); everywhere else 0.0.
+        """
+        cfg = self.config
+        if (cfg is None or self.branch_index != 0 or cfg.at_unitarity
+                or cfg.scattering_length_a > 0.0):
+            return 0.0
+        inv = cfg.inverse_scattering_length
+        return -0.5 * (inv * inv / cfg.reduced_mass_mu)
+
     def nu_squared_at(self, rho):
         """nu^2 at arbitrary rho > 0 (scalar or array)."""
         rho_arr = np.atleast_1d(np.asarray(rho, dtype=float))

@@ -25,9 +25,14 @@ unitarity, against about 40 for plain bisection.  The kernel converges
 as h^4, so at those defaults the unitarity levels lie within 3e-10 of
 the exact ones.
 
-Integration is cut off where kappa * rho reaches DEFAULT_TAIL_FACTOR,
-beyond which the solution has grown by e^DEFAULT_TAIL_FACTOR and deeper
-tails carry no node information.  States with |E| within
+Levels are searched only below the branch's threshold E_thr, the edge
+of its continuum: on the dimer side (a < 0) that is the atom-dimer
+threshold -1/(2 mu a^2), above which a state is atom-dimer continuum and
+not a trimer; elsewhere it is 0.  Below E_thr the solution decays as
+exp(-sqrt(-2 (E - E_thr)) rho), and integration is cut off where that
+decay constant times rho reaches DEFAULT_TAIL_FACTOR, beyond which the
+solution has grown by e^DEFAULT_TAIL_FACTOR and deeper tails carry no
+node information.  States with |E - E_thr| within
 DEFAULT_BOX_FLAG_FACTOR times the box scale 1/(2 rho_max^2) are flagged
 as box-limited.
 """
@@ -84,11 +89,19 @@ class RadialSolution:
 
 @dataclass(frozen=True, eq=False)
 class BoundStateSpectrum:
-    """Bound levels of a regularized potential, most bound first."""
+    """Bound levels of a regularized potential, most bound first.
+
+    Every level lies below `threshold`, the edge of the channel's
+    continuum (the atom-dimer threshold on the dimer side, else 0).
+    `total_nodes_at_edge` counts the nodes at the shallow search edge
+    kappa rho_max = _KAPPA_SEARCH_EDGE, which on the dimer side lies
+    above the threshold and also counts the discretized continuum.
+    """
 
     states: tuple[RadialSolution, ...]
     rho_max: float
     total_nodes_at_edge: int
+    threshold: float = 0.0
 
     @property
     def energies(self) -> np.ndarray:
@@ -145,6 +158,7 @@ class _Workspace:
         self.rho2 = self.rho * self.rho
         self.nu2 = np.asarray(potential.nu_squared_at(self.rho), dtype=float)
         self.scheme = potential.scheme
+        self.threshold = potential.threshold
 
     def _cap_start(self, kappa: float) -> tuple[float, float, int]:
         """Initial (g, dg/dt, node count) at t = 0 from the capped region.
@@ -174,17 +188,25 @@ class _Workspace:
         return 1.0, R * L - 0.5, cap_nodes
 
     def integrate(self, E: float) -> tuple[np.ndarray, np.ndarray, int]:
-        """(w, g, node count) at E < 0 over the grid up to the tail cutoff."""
+        """(w, g, node count) at E < 0 over the grid up to the tail cutoff.
+
+        Below the threshold the tail decays as exp(-sqrt(-2 (E - E_thr)) rho),
+        and the grid ends where that decay constant times rho reaches
+        DEFAULT_TAIL_FACTOR; at or above the threshold it is used whole.
+        """
         if not (math.isfinite(E) and E < 0.0):
             raise ConfigError(f"bound-state integration needs E < 0, got {E!r}")
         kappa = math.sqrt(-2.0 * E)
-        t_tail = math.log(DEFAULT_TAIL_FACTOR / (kappa * self.R))
-        if t_tail <= self.h:
-            raise SolverError(
-                f"energy {E:.6g} too deep: kappa R = {kappa * self.R:.3g} "
-                f"leaves no integration range below the tail cutoff")
-        n = min(self.n_full, int(math.floor(t_tail / self.h)) + 1)
-        n = max(n, 2)
+        n = self.n_full
+        if E < self.threshold:
+            decay = math.sqrt(-2.0 * (E - self.threshold))   # kappa when E_thr = 0
+            t_tail = math.log(DEFAULT_TAIL_FACTOR / (decay * self.R))
+            if t_tail <= self.h:
+                raise SolverError(
+                    f"energy {E:.6g} too deep: its decay constant times R, "
+                    f"{decay * self.R:.3g}, leaves no integration range below "
+                    f"the tail cutoff")
+            n = max(min(n, int(math.floor(t_tail / self.h)) + 1), 2)
         w = self.nu2[:n] + (kappa * kappa) * self.rho2[:n]
 
         if isinstance(self.scheme, Cap):
@@ -335,6 +357,11 @@ def find_spectrum(potential: AdiabaticBranch, rho_max: float,
     not negative (no tower, as beyond a for a > 0), where the nearest grid
     point is the inner radius, and where the prediction falls outside the
     gap that the known counts leave for level k.
+
+    The window runs from the search floor up to kappa rho_max =
+    _KAPPA_SEARCH_EDGE or, where the threshold (`potential.threshold`)
+    lies deeper than that edge, up to the threshold, whose node count is
+    then the number of levels.  A threshold below the floor is refused.
     """
     if potential.scheme is None:
         raise UnregularizedPotentialError(
@@ -348,29 +375,43 @@ def find_spectrum(potential: AdiabaticBranch, rho_max: float,
 
     ws = _Workspace(potential, potential.R, rho_max, dt)
     R = potential.R
+    E_thr = ws.threshold
 
     kappa_floor = math.sqrt(_FLOOR_SCALE) / R
+    E_floor = -0.5 * kappa_floor ** 2
+    if E_thr <= E_floor:
+        raise ConfigError(
+            f"the atom-dimer threshold E_thr = {E_thr:.6g} and every trimer below it "
+            f"lie below the search floor E = {E_floor:.6g} for R = {R:.6g}; "
+            f"a trimer needs R well below |a|")
     w_floor, g_floor, n_floor = ws.integrate(-0.5 * kappa_floor * kappa_floor)
     if n_floor > 0:
         raise SolverError(
             f"{n_floor} level(s) lie below the search floor "
-            f"E = {-0.5 * kappa_floor ** 2:.6g}; the channel is too deep "
-            f"for R = {R:.6g}")
+            f"E = {E_floor:.6g}; the channel is too deep for R = {R:.6g}")
 
     kappa_edge = _KAPPA_SEARCH_EDGE / rho_max
     if kappa_edge >= kappa_floor:
         raise ConfigError("rho_max too small: search window is empty")
     w_edge, g_edge, total = ws.integrate(-0.5 * kappa_edge * kappa_edge)
 
-    ln_lo_full = math.log(kappa_edge)
+    ln_lo = math.log(kappa_edge)
     states: list[RadialSolution] = []
     ln_hi = math.log(kappa_floor)
     # every (ln kappa, node count, guide value) integrated so far
     known = [(ln_hi, 0, _guide(ws.h, w_floor, g_floor)),
-             (ln_lo_full, total, _guide(ws.h, w_edge, g_edge))]
+             (ln_lo, total, _guide(ws.h, w_edge, g_edge))]
+    # a threshold above the edge ends the window, and its count is the number
+    # of levels: anything shallower is continuum
+    levels = total
+    kappa_d = math.sqrt(-2.0 * E_thr)
+    if kappa_d > kappa_edge:
+        w_thr, g_thr, levels = ws.integrate(E_thr)
+        ln_lo = math.log(kappa_d)
+        known.append((ln_lo, levels, _guide(ws.h, w_thr, g_thr)))
     # bisection to half the relative energy tolerance (E ~ kappa^2)
     ln_tol = max(0.25 * tol_E, 4.0 * np.finfo(float).eps)
-    for k in range(min(max_levels, total)):
+    for k in range(min(max_levels, levels)):
         if k:
             # in a channel nu^2 = -b^2 the levels are pi / b apart in ln kappa;
             # b is read at the grid point nearest rho = 1 / kappa of the last level
@@ -381,20 +422,20 @@ def find_spectrum(potential: AdiabaticBranch, rho_max: float,
                 x_hi = min([x for x, c, _ in known if c <= k] + [ln_hi])
                 if x_lo < x_pred < x_hi:
                     known.append(_probe(ws, x_pred))
-        hi = _search_level(ws, k, ln_lo_full, ln_hi, ln_tol, known, guided=True)
+        hi = _search_level(ws, k, ln_lo, ln_hi, ln_tol, known, guided=True)
         if hi is None:
-            hi = _search_level(ws, k, ln_lo_full, ln_hi, ln_tol, known, guided=False)
+            hi = _search_level(ws, k, ln_lo, ln_hi, ln_tol, known, guided=False)
         sol = ws.solution(-0.5 * math.exp(hi) ** 2)
         if sol.node_count != k:
             raise SolverError(
                 f"level {k}: bisection landed on a solution with "
                 f"{sol.node_count} nodes; grid too coarse for tol_E = {tol_E}")
-        flagged = abs(sol.E) < DEFAULT_BOX_FLAG_FACTOR * 0.5 / (rho_max * rho_max)
+        flagged = abs(sol.E - E_thr) < DEFAULT_BOX_FLAG_FACTOR * 0.5 / (rho_max * rho_max)
         states.append(replace(sol, box_limited=flagged))
         ln_hi = hi
 
     return BoundStateSpectrum(states=tuple(states), rho_max=rho_max,
-                              total_nodes_at_edge=total)
+                              total_nodes_at_edge=total, threshold=E_thr)
 
 
 @dataclass(frozen=True, eq=False)

@@ -152,6 +152,7 @@ def test_spectrum_contract(cli, schema_validator):
     levels = doc["levels"]
     assert len(levels) >= 3
     assert doc["total_nodes_at_edge"] >= len(levels)
+    assert doc["E_threshold"] == 0.0
     for k, lv in enumerate(levels):
         assert lv["node_count"] == k
         assert lv["E_n"] < 0.0
@@ -163,10 +164,64 @@ def test_spectrum_contract(cli, schema_validator):
                 RATIO_E_REF, rel=0.02)
     assert levels[-1]["flag"] is True
 
-    lines = cli(args).stdout.splitlines()
+    proc = cli(args)
+    lines = proc.stdout.splitlines()
     assert lines[0] == "E_n,kappa_n,node_count,ratio_to_next,flag"
     assert len(lines) == len(levels) + 1
     assert lines[-1].endswith(",1")
+    side = json.loads(proc.stderr)
+    schema_validator.validate(side)
+    assert side["E_threshold"] == 0.0
+
+
+def test_dimer_side_spectrum_reports_its_threshold(schema_validator, tmp_path):
+    out = tmp_path / "dimer.csv"
+    assert main(["spectrum", "--a=-1e4", "--R", "1", "--rho-max", "1e8",
+                 "--output", str(out)]) == 0
+    side = json.loads((tmp_path / "dimer.csv.manifest.json").read_text())
+    schema_validator.validate(side)
+    assert side["E_threshold"] == pytest.approx(-1e-8, rel=1e-15)
+    energies = [float(line.split(",")[0]) for line in out.read_text().splitlines()[1:]]
+    assert len(energies) == 3
+    assert all(e < side["E_threshold"] for e in energies)
+
+
+def test_dimer_side_nodes_counts_the_trimers(capsys):
+    # at a = -1e4, R = 1 three trimers lie below the threshold; the
+    # shallowest holds 2 nodes, too few for node geometry
+    assert main(["nodes", "--a=-1e4", "--R", "1", "--rho-max", "1e8"]) == 2
+    err = capsys.readouterr().err
+    assert "error: level 2: 2 interior node(s) in the window" in err
+    assert "3 bound level(s) lie below the threshold E_thr = -1e-08" in err
+
+
+def test_no_trimer_below_the_threshold(capsys, schema_validator, tmp_path):
+    # at a = -1, R = 1 the threshold E_thr = -1 lies above the search floor
+    # -5, and no level lies below it: a larger box would not change that
+    argv = ["--a=-1", "--R", "1", "--rho-max", "1e8"]
+    assert main(["nodes"] + argv) == 2
+    err = capsys.readouterr().err
+    assert "no trimer lies below the atom-dimer threshold E_thr = -1 at a = -1, R = 1" in err
+    assert "--rho-max" not in err
+
+    out = tmp_path / "spectrum.csv"
+    assert main(["spectrum"] + argv + ["--output", str(out)]) == 0
+    assert out.read_text() == "E_n,kappa_n,node_count,ratio_to_next,flag\n"
+    side = json.loads((tmp_path / "spectrum.csv.manifest.json").read_text())
+    schema_validator.validate(side)
+    assert side["E_threshold"] == -1.0
+    assert main(["spectrum"] + argv + ["--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    schema_validator.validate(doc)
+    assert doc["levels"] == [] and doc["E_threshold"] == -1.0
+
+
+def test_threshold_below_the_search_floor_names_it(capsys):
+    # at a = -0.3 the threshold -1/a^2 = -11.1 lies below the floor -5 / R^2
+    assert main(["spectrum", "--a=-0.3", "--R", "1", "--rho-max", "1e8"]) == 2
+    err = capsys.readouterr().err
+    assert ("error: the atom-dimer threshold E_thr = -11.1111 and every trimer below it "
+            "lie below the search floor E = -5 for R = 1") in err
 
 
 def test_spectrum_of_bare_potential_is_forbidden(cli):

@@ -39,7 +39,7 @@ from efimov_lab import (
     solve_branches,
     tabulate_branch,
 )
-from efimov_lab import hyperangular
+from efimov_lab import hyperangular, radial
 from efimov_lab.hyperangular import LHS_AT_ZERO, _flag_near_pole, _lhs, _solve
 
 _EIGHT = 8.0 / math.sqrt(3.0)
@@ -285,9 +285,9 @@ def test_workspace_resolve_equals_pointwise_solve_exactly():
     cfg = make_config(-1e4)
     branch = tabulate_branch(cfg, LogGrid.make(1.0, 1e8, 512))
     T = math.log(1e8)
-    n = int(math.ceil(T * 512)) + 1
+    n = int(math.ceil(T / radial.DEFAULT_DT)) + 1
     rho = np.exp((T / (n - 1)) * np.arange(n))
-    assert n > 9000
+    assert n > 2000
     got = branch.nu_squared_at(rho)
     picks = np.r_[0:n:10, n - 1]
     want = [solve_branch0(cfg.x_of_rho(float(rho[i]))).value for i in picks]
@@ -417,14 +417,15 @@ def test_branch0_first_bracket_holds():
 
 @pytest.mark.parametrize("a", [-1e4, 3.3])
 def test_workspace_resolve_evaluation_budget(a, monkeypatch):
-    # Illinois steps need about 14 evaluations per point at a = -1e4, from
-    # the first bracket [-(|x| + 3)^2, 0], and about 15 at a = 3.3, from the
-    # lower end 4 - 48 / (pi x) (26 from s = 0); plain bisection from a
-    # doubled bracket took about 66
+    # on the default workspace grid, Illinois steps need about 14.5
+    # evaluations per point at a = -1e4, from the first bracket
+    # [-(|x| + 3)^2, 0], and about 16 at a = 3.3, from the lower end
+    # 4 - 48 / (pi x) (26 from s = 0); plain bisection from a doubled
+    # bracket took about 66
     cfg = make_config(a)
     branch = tabulate_branch(cfg, LogGrid.make(1.0, 1e8, 2))
     T = math.log(1e8)
-    n = int(math.ceil(T * 512)) + 1
+    n = int(math.ceil(T / radial.DEFAULT_DT)) + 1
     rho = np.exp((T / (n - 1)) * np.arange(n))
     evaluated = []
     lhs = hyperangular._lhs
@@ -499,6 +500,23 @@ def test_effective_potential_formula_and_table():
     assert np.allclose(tbl["v_eff"], v_expected, rtol=1e-14)
     assert np.allclose(tbl["lambda"], tbl["nu_squared"] - 4.0, rtol=0, atol=0)
     assert np.allclose(2.0 * tbl["v_eff"] * tbl["rho"] ** 2, -C_REF, rtol=1e-9)
+
+
+def test_threshold_is_the_atom_dimer_threshold_on_branch_0_only():
+    # nu^2 -> -x^2 = -rho^2 / (mu a^2) on branch 0 for a < 0, so the continuum
+    # starts at E = -1 / (2 mu a^2); every other channel's starts at 0
+    grid = LogGrid.make(1.0, 10.0, 2)
+    assert tabulate_branch(make_config(-1e4), grid).threshold == pytest.approx(-1e-8, rel=1e-15)
+    assert tabulate_branch(make_config(-10.0, mu=2.0), grid).threshold == pytest.approx(
+        -1.0 / 400.0, rel=1e-15)
+    dimer = effective_potential(tabulate_branch(make_config(-3.0), grid), HardWall(1.0))
+    assert dimer.threshold == pytest.approx(-1.0 / 9.0, rel=1e-15)
+    for branch in (tabulate_branch(make_config(-3.0), grid, 1),
+                   tabulate_branch(make_config(3.0), grid),
+                   tabulate_branch(make_config(-math.inf), grid),
+                   tabulate_branch(make_config(math.inf), grid),
+                   constant_branch(-1.0, grid)):
+        assert branch.threshold == 0.0 and math.copysign(1.0, branch.threshold) == 1.0
 
 
 def test_hardwall_and_cap_masks():

@@ -133,21 +133,22 @@ def magnus_end_value(nu2_at, R, T, steps_per_unit=256):
 
 
 @pytest.mark.parametrize("scheme", [HardWall, Cap])
-@pytest.mark.parametrize("a, rho_max", [(-1e2, 1e6), (-1e4, 1e8), (50.0, 1e6)])
+@pytest.mark.parametrize("a, rho_max", [(-1e2, 1e6), (-1e3, 1e6), (-1e4, 1e8), (50.0, 1e6)])
 def test_finite_a_levels_match_magnus_shooting(a, rho_max, scheme):
     # each level below the threshold (-1/a^2 on the dimer side, mu = 1/2,
     # and 0 for a > 0) is the kappa where the Magnus solution vanishes at the
-    # tail cutoff kappa rho = DEFAULT_TAIL_FACTOR, found by secant steps from
-    # the computed level.  The start is the closed-form solution below R:
-    # g = 0, g' = 1 at a hard wall; f = sin(q rho) or sinh(|q| rho) under a cap.
-    # Measured agreement: at most 1.6e-10 over the 13 levels
+    # tail cutoff, where the decay constant sqrt(kappa^2 + 2 threshold) times
+    # rho reaches DEFAULT_TAIL_FACTOR, found by secant steps from the computed
+    # level.  The start is the closed-form solution below R: g = 0, g' = 1 at
+    # a hard wall; f = sin(q rho) or sinh(|q| rho) under a cap.  Measured
+    # agreement: at most 1.6e-10 over the 19 levels
     R = 1.0
     pot = effective_potential(tabulate_branch(make_config(a), LogGrid.make(R, rho_max, 2)),
                               scheme(R))
     threshold = -1.0 / (a * a) if a < 0.0 else 0.0
-    levels = [s for s in find_spectrum(pot, rho_max).states
-              if s.E < threshold and not s.box_limited]
+    levels = [s for s in find_spectrum(pot, rho_max).states if not s.box_limited]
     assert len(levels) >= 1
+    assert all(s.E < threshold for s in levels)
     nu2_R = float(pot.nu_squared_at(np.array([R]))[0])
 
     def start(kappa):
@@ -159,7 +160,8 @@ def test_finite_a_levels_match_magnus_shooting(a, rho_max, scheme):
         return sin(q * R), q * R * cos(q * R) - 0.5 * sin(q * R)
 
     for state in levels:
-        T = min(math.log(DEFAULT_TAIL_FACTOR / (state.kappa * R)), math.log(rho_max / R))
+        decay = math.sqrt(state.kappa ** 2 + 2.0 * threshold)
+        T = min(math.log(DEFAULT_TAIL_FACTOR / (decay * R)), math.log(rho_max / R))
         end = magnus_end_value(pot.nu_squared_at, R, T)
         x0, x1 = state.kappa, state.kappa * (1.0 + 1e-8)
         f0 = end(x0, *start(x0))
@@ -475,18 +477,29 @@ def test_spectrum_argument_validation():
 
 
 def _plain_bisection(pot, rho_max, tol_E=radial.DEFAULT_TOL_E, max_levels=8):
-    """Reference levels: the same bisection, integrating every midpoint afresh."""
+    """Reference levels: the same bisection, integrating every midpoint afresh.
+
+    The window runs from the search floor up to the shallow search edge or,
+    on branch 0 of the dimer side, up to the atom-dimer threshold
+    kappa_d = sqrt(1 / (mu a^2)) if that is deeper; its node count there
+    is the number of levels.
+    """
     R = pot.R
     ws = radial._Workspace(pot, R, rho_max, radial.DEFAULT_DT)
-    kappa_edge = radial._KAPPA_SEARCH_EDGE / rho_max
-    ln_lo = math.log(kappa_edge)
+    kappa_lo = radial._KAPPA_SEARCH_EDGE / rho_max
+    cfg = pot.config
+    if (cfg is not None and pot.branch_index == 0
+            and -math.inf < cfg.scattering_length_a < 0.0):
+        inv = 1.0 / cfg.scattering_length_a
+        kappa_lo = max(kappa_lo, math.sqrt(inv * inv / cfg.reduced_mass_mu))
+    ln_lo = math.log(kappa_lo)
     ln_hi = math.log(math.sqrt(radial._FLOOR_SCALE) / R)
 
     def count(kappa):
         return ws.integrate(-0.5 * kappa * kappa)[2]
 
     levels = []
-    for k in range(min(max_levels, count(kappa_edge))):
+    for k in range(min(max_levels, count(kappa_lo))):
         lo, hi = ln_lo, ln_hi
         while hi - lo > 0.25 * tol_E:
             mid = 0.5 * (lo + hi)
@@ -522,17 +535,68 @@ def test_level_search_reuses_known_node_counts(monkeypatch):
 
 
 def test_dimer_side_search_cost(monkeypatch):
-    # the levels next to the atom-dimer threshold are not a tower, so most
-    # predicted probes there miss; they cost at most two calls over the 104
-    # of the search without them
+    # the three trimers below the atom-dimer threshold take 37 calls, the
+    # threshold integration among them; searching the continuum above it
+    # as well found 8 levels in 98 calls
     cfg = make_config(-1e4)
     pot = effective_potential(tabulate_branch(cfg, LogGrid.make(1.0, 1e8, 2)), HardWall(1.0))
     calls = []
     march = radial.integrate_numerov
     monkeypatch.setattr(radial, "integrate_numerov",
                         lambda *args: calls.append(1) or march(*args))
-    assert len(find_spectrum(pot, 1e8)) == 8
-    assert len(calls) <= 106
+    assert len(find_spectrum(pot, 1e8)) == 3
+    assert len(calls) <= 40
+
+
+@given(a=st.floats(min_value=-1e5, max_value=-1e2),
+       scheme=st.sampled_from([HardWall, Cap]))
+@settings(max_examples=16, deadline=None)
+def test_dimer_side_levels_lie_below_the_threshold(a, scheme):
+    # above -1 / (2 mu a^2) lies the atom-dimer continuum, not a trimer
+    pot = _dimer_potential(a, 1.0, 1e8, 2, scheme(1.0))
+    spec = find_spectrum(pot, 1e8)
+    threshold = -1.0 / (a * a)
+    assert spec.threshold == pytest.approx(threshold, rel=1e-15)
+    assert len(spec) >= 2
+    assert all(s.E < threshold for s in spec.states), (spec.energies, threshold)
+    assert [s.node_count for s in spec.states] == list(range(len(spec)))
+
+
+def test_trimer_count_per_decade_follows_the_channel():
+    # each decade of |a| / R adds b ln(10) / pi = 0.7375 trimers below the
+    # threshold, to within the one-level staircase
+    counts = [len(find_spectrum(_dimer_potential(-r, 1.0, 1e8, 2, HardWall(1.0)), 1e8))
+              for r in (1e2, 1e3, 1e4, 1e5)]
+    assert counts == [2, 3, 3, 4]
+    slope = B * math.log(10.0) / math.pi
+    for k, n in enumerate(counts):
+        assert abs(n - counts[0] - slope * k) <= 1.0, counts
+
+
+def test_tail_cutoff_is_converged_next_to_the_threshold(monkeypatch):
+    # level 2 at a = -1e3 lies 2.4% below the threshold -1e-6; a cutoff at
+    # kappa rho = 36 moved it by 3.2e-6, one at the decay constant leaves a
+    # doubled tail factor nothing to move
+    pot = _dimer_potential(-1e3, 1.0, 1e8, 2, HardWall(1.0))
+    level = find_spectrum(pot, 1e8, tol_E=1e-13).states[2].E
+    monkeypatch.setattr(radial, "DEFAULT_TAIL_FACTOR", 2.0 * DEFAULT_TAIL_FACTOR)
+    longer = find_spectrum(pot, 1e8, tol_E=1e-13).states[2].E
+    assert abs(longer / level - 1.0) <= 1e-10, (level, longer)
+
+
+def test_threshold_below_the_search_floor_is_refused():
+    # at a = -0.3 the threshold -11.1 lies below the floor -5 / R^2
+    pot = _dimer_potential(-0.3, 1.0, 1e4, 2, HardWall(1.0))
+    with pytest.raises(ConfigError, match=r"E_thr = -11\.1111 .* floor E = -5 for R = 1"):
+        find_spectrum(pot, 1e4)
+
+
+def test_no_trimer_below_the_threshold_gives_no_level():
+    # at a = -1, R = 1 the channel binds nothing below the threshold -1
+    spec = find_spectrum(_dimer_potential(-1.0, 1.0, 1e8, 2, HardWall(1.0)), 1e8)
+    assert len(spec) == 0
+    assert spec.threshold == -1.0
+    assert spec.total_nodes_at_edge > 0
 
 
 @pytest.mark.parametrize("scheme", [HardWall, Cap])
