@@ -1,14 +1,10 @@
-"""Numerov kernel: one contract, two backends.
+"""Numerov kernel for the log-grid radial integrator.
 
 `integrate_numerov(w, h, g0, dg0) -> (g, nodes)` checks its inputs,
 allocates the samples `g`, writes the first two from a fourth-order
-Taylor start and hands them to the backend's `march(w, h, g) -> nodes`,
-which marches on from g[0] and g[1] with Numerov's rule in Henrici's
-summed form.  The start is computed here only, so both backends share
-it, and the samples converge as h^4 whatever g0 and dg0 are.
-The backend is the C extension `_numerov` when it has been built
-(`python setup.py build_ext --inplace`), and otherwise the pure-Python
-`_pure`, the reference the extension is tested against bit for bit.
+Taylor start and hands them to `_pure.march(w, h, g) -> nodes`, which
+marches on from g[0] and g[1] with Numerov's rule in Henrici's summed
+form.  The samples converge as h^4 whatever g0 and dg0 are.
 """
 
 from __future__ import annotations
@@ -18,13 +14,6 @@ import math
 import numpy as np
 
 from . import _pure
-
-try:
-    from . import _numerov as _impl
-    BACKEND = "compiled"
-except ImportError:
-    _impl = _pure
-    BACKEND = "pure"
 
 
 def integrate_numerov(w, h, g0, dg0):
@@ -72,4 +61,4 @@ def integrate_numerov(w, h, g0, dg0):
     g[0] = g0
     g[1] = (g0 + h * dg0 + 0.5 * h2 * w0 * g0 + (h2 * h / 6.0) * (w0 * dg0 + dw * g0)
             + (h2 * h2 / 24.0) * ((w0 * w0 + d2w) * g0 + 2.0 * dw * dg0))
-    return g, _impl.march(w, h, g)
+    return g, _pure.march(w, h, g)

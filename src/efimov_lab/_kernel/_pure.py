@@ -1,9 +1,7 @@
-"""Pure-Python reference kernel for the log-grid radial integrator.
+"""The Numerov march of the log-grid radial integrator, in Python and numpy.
 
-`march` is the backend half of `efimov_lab._kernel.integrate_numerov`,
-which writes the first two samples; the C extension `_numerov.c`
-repeats its arithmetic in the same order and is tested against it bit
-for bit.
+`march` carries on from the first two samples, which
+`efimov_lab._kernel.integrate_numerov` writes.
 
 The recurrence is Numerov's in Henrici's summed form (J. M. Blatt,
 J. Comput. Phys. 1, 382 (1967)).  With c = 1 - (h^2/12) w and y = c g
@@ -21,14 +19,12 @@ The work is split three ways so that the Python-level loop carries only
 what is sequential:
 
 1. numpy builds c = 1 - (h^2/12) w and h^2 w for the whole grid.
-   Element-wise these are the same IEEE operations the C kernel does
-   per step, so the values agree bit for bit.
 2. One scalar loop runs the summed recurrence from g[0] and g[1] over
    Python floats and divides y, d and g together by |g| when |g| passes
    RESCALE_THRESHOLD, so samples keep the scale of their segment.
 3. numpy then writes the samples from g[2] on and counts nodes as sign
    changes between consecutive nonzero samples (a NaN counts as negative
-   and -0.0 as zero, as in the C kernel's in-loop count).
+   and -0.0 as zero).
 """
 
 from __future__ import annotations

@@ -35,7 +35,6 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from ._kernel import BACKEND as KERNEL_BACKEND
 from .core import (
     MAX_GRID_POINTS,
     ConfigError,
@@ -126,7 +125,6 @@ def _manifest(ns: argparse.Namespace, tolerances: dict) -> dict:
     return {
         "command": ns.command,
         "version": __version__,
-        "kernel_backend": KERNEL_BACKEND,
         "parameters": params,
         "tolerances": tolerances,
         "units": {

@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# points allowed in one grid and roots in one branch list, 1000 times the
-# 9,433 of the README spectrum run; a larger request is refused before
-# anything is allocated
-MAX_GRID_POINTS = 10_000_000
+# points allowed in one grid and roots in one branch list; a larger request
+# is refused before anything is allocated.  At the bound, branches,
+# potential and meanfield each peak below 1 GB.
+MAX_GRID_POINTS = 1_000_000
 
 
 class EfimovLabError(Exception):

@@ -24,8 +24,7 @@ SLOPE_REF = 0.73750752295684
 BRANCH_ROOTS_AT_X0 = [-1.012514560667576, 19.938856034048226,
                       46.49004553340669, 86.94975630411273]
 
-MANIFEST_KEYS = {"command", "version", "kernel_backend", "parameters",
-                 "tolerances", "units", "timestamp"}
+MANIFEST_KEYS = {"command", "version", "parameters", "tolerances", "units", "timestamp"}
 
 # subcommands whose --tol bounds a result; potential and branches take none
 TOL_COMMANDS = {"constants", "spectrum", "nodes", "meanfield"}
