@@ -31,6 +31,7 @@ import math
 import re
 import sys
 from datetime import datetime, timezone
+from typing import Callable
 
 import numpy as np
 
@@ -70,6 +71,7 @@ from .radial import (
 )
 
 _SCHEMES = ("none", "hardwall", "cap")
+_DT_DEFAULT = f"(default 1/{1 / DEFAULT_DT:g})"
 
 
 def _fmt(value) -> str:
@@ -144,16 +146,17 @@ def _records(header: list[str], rows) -> list[dict]:
 
 
 def _emit(ns: argparse.Namespace, tolerances: dict, header: list[str], rows,
-          doc: dict, sidecar: dict | None = None) -> int:
+          doc: Callable[[], dict], sidecar: dict | None = None) -> int:
     """Write one result in the chosen format and return exit code 0.
 
     CSV writes `header` and `rows` as the body and `sidecar` plus the
-    manifest as JSON next to it; JSON writes `doc` plus the manifest.
-    The manifest never enters a CSV body.
+    manifest as JSON next to it; JSON writes the document that `doc`
+    builds, plus the manifest, so a CSV run never builds it.  The
+    manifest never enters a CSV body.
     """
     manifest = _manifest(ns, tolerances)
     if ns.format == "json":
-        text = json.dumps(_jsonable({**doc, "manifest": manifest}),
+        text = json.dumps(_jsonable({**doc(), "manifest": manifest}),
                           indent=2, allow_nan=False) + "\n"
         if ns.output:
             with open(ns.output, "w", encoding="utf-8") as fh:
@@ -187,7 +190,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def cmd_constants(ns: argparse.Namespace) -> int:
     c = efimov_constants(tol=ns.tol)
     header, rows = ["b", "C", "residual"], [[c.b, c.C, c.residual]]
-    return _emit(ns, {"root_tol": ns.tol}, header, rows, _records(header, rows)[0])
+    return _emit(ns, {"root_tol": ns.tol}, header, rows,
+                 lambda: _records(header, rows)[0])
 
 
 def cmd_potential(ns: argparse.Namespace) -> int:
@@ -195,7 +199,7 @@ def cmd_potential(ns: argparse.Namespace) -> int:
     tbl = pot.table()
     cols = ["rho", "x", "nu_squared", "lambda", "v_eff"]
     rows = zip(*(tbl[c] for c in cols))
-    return _emit(ns, {}, cols, rows, {"table": {c: tbl[c] for c in cols}})
+    return _emit(ns, {}, cols, rows, lambda: {"table": {c: tbl[c] for c in cols}})
 
 
 def _spectrum_for(ns: argparse.Namespace):
@@ -214,11 +218,14 @@ def cmd_spectrum(ns: argparse.Namespace) -> int:
     rows = [[s.E, s.kappa, s.node_count,
              float(ratios[k]) if k < len(ratios) else float("nan"), s.box_limited]
             for k, s in enumerate(spec.states)]
-    doc = {"levels": _records(header, rows), "rho_max": ns.rho_max,
-           "total_nodes_at_edge": spec.total_nodes_at_edge,
-           "E_threshold": spec.threshold}
-    return _emit(ns, {"tol_E": ns.tol, "dt": ns.dt}, header, rows, doc,
-                 {"E_threshold": spec.threshold})
+    # |E_h - E_2h| / 15 per level: the error estimate of the h-grid level,
+    # which bounds that of the extrapolated E_n from above
+    errors = [s.E_error for s in spec.states]
+    return _emit(ns, {"tol_E": ns.tol, "dt": ns.dt}, header, rows,
+                 lambda: {"levels": _records(header, rows), "rho_max": ns.rho_max,
+                          "total_nodes_at_edge": spec.total_nodes_at_edge,
+                          "E_threshold": spec.threshold, "E_error": errors},
+                 {"E_threshold": spec.threshold, "E_error": errors})
 
 
 def _analytic_solution(periods: int, dt: float, b: float) -> RadialSolution:
@@ -277,8 +284,10 @@ def cmd_nodes(ns: argparse.Namespace) -> int:
                    "reference_ratio": probe.reference_ratio,
                    "reference_ratio_formula": "exp(pi / b)",
                    "E": probe.E, "rho_out": probe.rho_out}
-        doc = {"sweep": _records(header, rows), "summary": summary, "mode": mode}
-        return _emit(ns, {"dt": ns.dt}, header, rows, doc, {"summary": summary})
+        return _emit(ns, {"dt": ns.dt}, header, rows,
+                     lambda: {"sweep": _records(header, rows), "summary": summary,
+                              "mode": mode},
+                     {"summary": summary})
 
     b = efimov_constants().b
     if mode == "analytic":
@@ -332,8 +341,9 @@ def cmd_nodes(ns: argparse.Namespace) -> int:
                "reference_formula": "exp(pi / b)",
                "interior_count": int(len(report.interior_positions)),
                "kappa": report.kappa, **level_info}
-    doc = {"nodes": _records(header, rows), "summary": summary, "mode": mode}
-    return _emit(ns, {"tol_E": ns.tol, "dt": ns.dt}, header, rows, doc,
+    return _emit(ns, {"tol_E": ns.tol, "dt": ns.dt}, header, rows,
+                 lambda: {"nodes": _records(header, rows), "summary": summary,
+                          "mode": mode},
                  {"summary": summary})
 
 
@@ -361,7 +371,7 @@ def cmd_meanfield(ns: argparse.Namespace) -> int:
     cols = {"n": n, "epsilon": eps, "epsilon_per_particle": per}
     rep = report.to_dict()
     return _emit(ns, {"stationarity_tol": ns.tol}, list(cols), zip(*cols.values()),
-                 {"report": rep, "table": cols}, {"report": rep})
+                 lambda: {"report": rep, "table": cols}, {"report": rep})
 
 
 def cmd_branches(ns: argparse.Namespace) -> int:
@@ -369,7 +379,8 @@ def cmd_branches(ns: argparse.Namespace) -> int:
     header = ["branch", "nu_squared", "lambda", "residual", "near_pole"]
     rows = [[r.branch_index, r.value, r.lam, r.residual, r.near_pole]
             for r in roots]
-    return _emit(ns, {}, header, rows, {"x": ns.x, "branches": _records(header, rows)})
+    return _emit(ns, {}, header, rows,
+                 lambda: {"x": ns.x, "branches": _records(header, rows)})
 
 
 # argparse only reads '-1' and '-.5' as values; '-1e4', '-inf' and '-nan'
@@ -423,7 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=int, default=8, help="maximum levels (default 8)")
     p.add_argument("--regularization", choices=_SCHEMES, default="hardwall")
     p.add_argument("--dt", type=float, default=DEFAULT_DT,
-                   help="log-grid step (default 1/128)")
+                   help="step h of the log grid t = ln(rho/R), below 0.048; each "
+                        "level is extrapolated from its searches at h and 2h "
+                        + _DT_DEFAULT)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL_E,
                    help=f"relative energy tolerance (default {DEFAULT_TOL_E:g})")
     _add_common(p)
@@ -453,7 +466,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="self-test on f = sqrt(rho) sin(b ln rho)")
     p.add_argument("--periods", type=int, default=6,
                    help="half-periods in the analytic self-test (default 6)")
-    p.add_argument("--dt", type=float, default=DEFAULT_DT)
+    p.add_argument("--dt", type=float, default=DEFAULT_DT,
+                   help="step h of the log grid of the level search or the cutoff "
+                        "probe, below 0.048 " + _DT_DEFAULT)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL_E,
                    help="relative energy tolerance for the level search "
                         f"(default {DEFAULT_TOL_E:g})")

@@ -19,11 +19,16 @@ regula-falsi zero of a continuous guide value, g at the last grid point
 with its WKB growth divided out, which changes sign where the count steps.
 Each level after the first is probed once where the discrete scale
 invariance of a supercritical channel puts it, one period pi / b in
-ln kappa above the level before.  At the default step DEFAULT_DT and
-tolerance DEFAULT_TOL_E a level then costs about 8 integrations at
-unitarity, against about 40 for plain bisection.  The kernel converges
-as h^4, so at those defaults the unitarity levels lie within 3e-10 of
-the exact ones.
+ln kappa above the level before.
+
+The kernel converges as h^4, so each level is searched twice, on the
+grid of step h <= dt and on its every other point, and the level
+reported is the Richardson extrapolation (16 E_h - E_2h) / 15, with
+|E_h - E_2h| / 15 as its error estimate.  The 2h search starts from two
+integrations just around the h level.  At the default step DEFAULT_DT
+and tolerance DEFAULT_TOL_E a unitarity level costs about 8 integrations
+on the h grid and 4 on the 2h grid, against about 40 for plain bisection
+on one grid, and lies within 5e-11 of the exact one.
 
 Levels are searched only below the branch's threshold E_thr, the edge
 of its continuum: on the dimer side (a < 0) that is the atom-dimer
@@ -39,6 +44,7 @@ as box-limited.
 
 from __future__ import annotations
 
+import copy
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -55,13 +61,15 @@ from .core import (
 )
 from .hyperangular import AdiabaticBranch, Cap
 
-DEFAULT_DT = 1.0 / 128.0
+DEFAULT_DT = 1.0 / 64.0
 DEFAULT_TOL_E = 1e-10
 DEFAULT_TAIL_FACTOR = 36.0
 DEFAULT_BOX_FLAG_FACTOR = 100.0
 
 _KAPPA_SEARCH_EDGE = 0.03   # kappa * rho_max at the shallow search edge
 _FLOOR_SCALE = 10.0         # |E_floor| in units of 1/(2 R^2)
+_SEED_HALF_WIDTH = 1e-7     # ln kappa from the h level to each 2h seed
+_PUSH = 1e-3                # step past a regula-falsi point on the level, in ln_tol
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,6 +80,14 @@ class RadialSolution:
     the normalization is arbitrary, and past a kernel rescale each
     segment keeps its own scale.  `node_count` includes nodes of the
     analytic cap-region solution when a cap scheme is used.
+
+    A level of `find_spectrum` splits in two.  `E` and `kappa` are the
+    Richardson-extrapolated level (16 E_h - E_2h) / 15 from the searches
+    on the grids of step h and 2h, which belongs to no integrated solution.
+    `f`, `rho` and `node_count` are the h-grid solution at E_h, on the
+    deeper bracket edge, with exactly k nodes.  `E_error` = |E_h - E_2h| / 15
+    estimates the error of E_h, and so bounds that of `E` from above; it is
+    NaN where no pair of searches ran, as for `integrate_radial`.
     """
 
     E: float
@@ -81,6 +97,7 @@ class RadialSolution:
     f: np.ndarray
     R: float
     box_limited: bool = False
+    E_error: float = math.nan
 
     def __post_init__(self):
         self.rho.setflags(write=False)
@@ -126,7 +143,15 @@ class _Workspace:
     """Shared grids for repeated integrations of one potential.
 
     nu^2 is evaluated once per grid point; each energy then only
-    assembles w = nu^2 + kappa^2 rho^2 over the truncated range.
+    assembles w = nu^2 + kappa^2 rho^2 over the truncated range.  The
+    number of steps is even, so that every other point forms the grid of
+    step 2h that `coarse` returns.
+
+    Up to the tail cutoff w reaches DEFAULT_TAIL_FACTOR^2 + nu^2, with
+    nu^2 < 4 on branch 0, and the Numerov coefficient 1 - (2h)^2 w / 12 of
+    the coarse grid must stay positive there: past that the march flips
+    sign every step and counts spurious nodes.  So dt must lie below
+    sqrt(3 / (DEFAULT_TAIL_FACTOR^2 + 4)), about 0.048.
     """
 
     def __init__(self, potential: AdiabaticBranch, inner_radius: float,
@@ -134,8 +159,11 @@ class _Workspace:
         if not (math.isfinite(rho_max) and rho_max > inner_radius):
             raise ConfigError(
                 f"rho_max must exceed the inner radius {inner_radius}, got {rho_max!r}")
-        if not (0.0 < dt < 1.0):
-            raise ConfigError(f"dt must be in (0, 1), got {dt!r}")
+        max_dt = math.sqrt(3.0 / (DEFAULT_TAIL_FACTOR ** 2 + 4.0))
+        if not (0.0 < dt < max_dt):
+            raise ConfigError(
+                f"dt must be in (0, {max_dt:.4g}), got {dt!r}: on the grid of step 2 dt "
+                f"the Numerov march turns unstable near the tail cutoff")
         self.R = inner_radius
         self.rho_max = rho_max
         # rho_max / R overflows only for an R near the float floor, as in a
@@ -143,11 +171,11 @@ class _Workspace:
         ratio = rho_max / inner_radius
         wide = ratio == math.inf
         self.T = math.log(rho_max) - math.log(inner_radius) if wide else math.log(ratio)
-        if self.T / dt > MAX_GRID_POINTS - 1:
+        if self.T / dt > 2 * ((MAX_GRID_POINTS - 1) // 2):
             raise ConfigError(
                 f"dt = {dt!r} needs {self.T / dt:.3g} grid steps over t = ln(rho/R) "
                 f"in [0, {self.T:.6g}]; at most {MAX_GRID_POINTS} points are allowed")
-        self.n_full = int(math.ceil(self.T / dt)) + 1
+        self.n_full = 2 * int(math.ceil(self.T / (2.0 * dt))) + 1
         self.h = self.T / (self.n_full - 1)
         t = self.h * np.arange(self.n_full)
         if wide:
@@ -159,6 +187,14 @@ class _Workspace:
         self.nu2 = np.asarray(potential.nu_squared_at(self.rho), dtype=float)
         self.scheme = potential.scheme
         self.threshold = potential.threshold
+
+    def coarse(self) -> _Workspace:
+        """The same workspace on every other point, of step 2h: views, not copies."""
+        ws = copy.copy(self)
+        ws.rho, ws.rho2, ws.nu2 = self.rho[::2], self.rho2[::2], self.nu2[::2]
+        ws.n_full = (self.n_full + 1) // 2
+        ws.h = 2.0 * self.h
+        return ws
 
     def _cap_start(self, kappa: float) -> tuple[float, float, int]:
         """Initial (g, dg/dt, node count) at t = 0 from the capped region.
@@ -273,8 +309,11 @@ def _search_level(ws: _Workspace, k: int, lo: float, hi: float, ln_tol: float,
     exactly k+1 and k nodes, their guide values q have opposite signs and the
     gap is wider than 1e-3 of the bracket: then the Illinois regula-falsi point
     of the gap is integrated instead, or the gap's midpoint when two such
-    probes have not halved the gap.  Either narrows the gap around the level,
-    so later midpoints fall outside it.
+    probes have not halved the gap.  A regula-falsi point within _PUSH ln_tol
+    of the end that the last one set has found the level to rounding, and
+    would most likely land on the same side again; it is moved that far past
+    the end instead.  Either narrows the gap around the level, so later
+    midpoints fall outside it.
     """
     x_lo, n_lo, q_lo = -math.inf, -1, math.nan  # deepest point known to hold > k nodes
     x_hi, n_hi, q_hi = math.inf, -1, math.nan   # shallowest known to hold <= k
@@ -305,9 +344,16 @@ def _search_level(ws: _Workspace, k: int, lo: float, hi: float, ln_tol: float,
                 and gap > 1e-3 * (hi - lo)):
             x = 0.5 * (x_lo + x_hi)
             if len(gaps) < 2 or gap <= 0.5 * gaps[-2]:
+                x = x_hi - gap * (q_hi / (q_hi - q_lo))
+                # a point within PUSH of the end the last probe set lies on the
+                # level to rounding; step past it to close the gap from the other side
+                push = _PUSH * ln_tol
+                if moved == "lo" and x - x_lo < push:
+                    x = x_lo + push
+                elif moved == "hi" and x_hi - x < push:
+                    x = x_hi - push
                 # a point that rounds onto an end moves one double inside
-                x = min(max(x_hi - gap * (q_hi / (q_hi - q_lo)),
-                            math.nextafter(x_lo, x_hi)), math.nextafter(x_hi, x_lo))
+                x = min(max(x, math.nextafter(x_lo, x_hi)), math.nextafter(x_hi, x_lo))
                 falsi = True
             gaps.append(gap)
         known.append(_probe(ws, x))
@@ -325,6 +371,13 @@ def _search_level(ws: _Workspace, k: int, lo: float, hi: float, ln_tol: float,
     return hi
 
 
+def _bisect(ws: _Workspace, k: int, lo: float, hi: float, ln_tol: float,
+            known: list[tuple[float, int, float]]) -> float:
+    """`_search_level` guided, or integrating every midpoint where `known` contradicts."""
+    x = _search_level(ws, k, lo, hi, ln_tol, known, guided=True)
+    return _search_level(ws, k, lo, hi, ln_tol, known, guided=False) if x is None else x
+
+
 def find_spectrum(potential: AdiabaticBranch, rho_max: float,
                   max_levels: int = 8, tol_E: float = DEFAULT_TOL_E,
                   *, dt: float = DEFAULT_DT) -> BoundStateSpectrum:
@@ -332,11 +385,17 @@ def find_spectrum(potential: AdiabaticBranch, rho_max: float,
 
     The node count of the outward solution at energy E equals the number
     of levels below E and decreases monotonically with kappa, so each
-    level is bracketed by where the count steps from k+1 to k.  Returned
-    energies sit on the deeper bracket edge, whose solution carries
-    exactly k nodes; the relative energy width of the final bracket is
-    below `tol_E`.  A `tol_E` below the spacing of doubles in ln kappa
-    ends each bisection at adjacent doubles instead.
+    level is bracketed by where the count steps from k+1 to k.  Each level
+    is searched twice: on the workspace grid of step h <= dt, and on its
+    every other point, step 2h.  The levels converge as h^4, so the
+    returned energy is the Richardson extrapolation (16 E_h - E_2h) / 15
+    (L. F. Richardson, Phil. Trans. R. Soc. A 210, 307 (1911)), where E_h
+    and E_2h sit on the deeper edges of the two final brackets; its
+    `E_error` is |E_h - E_2h| / 15.  The returned solution samples and
+    node count are the h grid's at E_h, which carries exactly k nodes.
+    The relative energy width of each final bracket is below `tol_E`.  A
+    `tol_E` below the spacing of doubles in ln kappa ends each bisection
+    at adjacent doubles instead.
 
     The brackets are those of integrating every midpoint, but far fewer
     points are integrated.  Every integration is kept, and a midpoint that
@@ -358,6 +417,12 @@ def find_spectrum(potential: AdiabaticBranch, rho_max: float,
     point is the inner radius, and where the prediction falls outside the
     gap that the known counts leave for level k.
 
+    The 2h search runs the same bisection over the same window, from the
+    previous 2h level, with its own known points.  It starts from two
+    integrations _SEED_HALF_WIDTH either side of the h level moved by the
+    last level's shift ln kappa_2h - ln kappa_h (measured at 5e-9 to 5e-8),
+    so the gap closes on the 2h level in about two more.
+
     The window runs from the search floor up to kappa rho_max =
     _KAPPA_SEARCH_EDGE or, where the threshold (`potential.threshold`)
     lies deeper than that edge, up to the threshold, whose node count is
@@ -374,6 +439,7 @@ def find_spectrum(potential: AdiabaticBranch, rho_max: float,
         raise ConfigError(f"tol_E must be in (0, 0.1), got {tol_E!r}")
 
     ws = _Workspace(potential, potential.R, rho_max, dt)
+    coarse = ws.coarse()
     R = potential.R
     E_thr = ws.threshold
 
@@ -409,6 +475,9 @@ def find_spectrum(potential: AdiabaticBranch, rho_max: float,
         w_thr, g_thr, levels = ws.integrate(E_thr)
         ln_lo = math.log(kappa_d)
         known.append((ln_lo, levels, _guide(ws.h, w_thr, g_thr)))
+    ln_hi2 = ln_hi
+    known2: list[tuple[float, int, float]] = []   # the same on the 2h grid
+    shift = 0.0     # ln kappa_2h - ln kappa_h of the last level
     # bisection to half the relative energy tolerance (E ~ kappa^2)
     ln_tol = max(0.25 * tol_E, 4.0 * np.finfo(float).eps)
     for k in range(min(max_levels, levels)):
@@ -422,17 +491,25 @@ def find_spectrum(potential: AdiabaticBranch, rho_max: float,
                 x_hi = min([x for x, c, _ in known if c <= k] + [ln_hi])
                 if x_lo < x_pred < x_hi:
                     known.append(_probe(ws, x_pred))
-        hi = _search_level(ws, k, ln_lo, ln_hi, ln_tol, known, guided=True)
-        if hi is None:
-            hi = _search_level(ws, k, ln_lo, ln_hi, ln_tol, known, guided=False)
-        sol = ws.solution(-0.5 * math.exp(hi) ** 2)
+        hi = _bisect(ws, k, ln_lo, ln_hi, ln_tol, known)
+        # the same level on the 2h grid, seeded around the h level shifted
+        # as the last one was
+        for x in (hi + shift - _SEED_HALF_WIDTH, hi + shift + _SEED_HALF_WIDTH):
+            if ln_lo < x < ln_hi2:
+                known2.append(_probe(coarse, x))
+        hi2 = _bisect(coarse, k, ln_lo, ln_hi2, ln_tol, known2)
+        shift = hi2 - hi
+        E_h, E_2h = -0.5 * math.exp(hi) ** 2, -0.5 * math.exp(hi2) ** 2
+        sol = ws.solution(E_h)
         if sol.node_count != k:
             raise SolverError(
                 f"level {k}: bisection landed on a solution with "
                 f"{sol.node_count} nodes; grid too coarse for tol_E = {tol_E}")
-        flagged = abs(sol.E - E_thr) < DEFAULT_BOX_FLAG_FACTOR * 0.5 / (rho_max * rho_max)
-        states.append(replace(sol, box_limited=flagged))
-        ln_hi = hi
+        E = (16.0 * E_h - E_2h) / 15.0
+        flagged = abs(E - E_thr) < DEFAULT_BOX_FLAG_FACTOR * 0.5 / (rho_max * rho_max)
+        states.append(replace(sol, E=E, kappa=math.sqrt(-2.0 * E),
+                              E_error=abs(E_h - E_2h) / 15.0, box_limited=flagged))
+        ln_hi, ln_hi2 = hi, hi2
 
     return BoundStateSpectrum(states=tuple(states), rho_max=rho_max,
                               total_nodes_at_edge=total, threshold=E_thr)

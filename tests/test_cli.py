@@ -31,7 +31,7 @@ TOL_COMMANDS = {"constants", "spectrum", "nodes", "meanfield"}
 
 
 def _manifest_ok(manifest, command):
-    assert MANIFEST_KEYS <= set(manifest)
+    assert set(manifest) == MANIFEST_KEYS
     assert manifest["command"] == command
     assert manifest["units"]["hbar"] == 1.0
     assert manifest["units"]["mass_scale"] == 1.0
@@ -152,11 +152,15 @@ def test_spectrum_contract(cli, schema_validator):
     assert len(levels) >= 3
     assert doc["total_nodes_at_edge"] >= len(levels)
     assert doc["E_threshold"] == 0.0
-    for k, lv in enumerate(levels):
+    # |E_h - E_2h| / 15 estimates the error of the h-grid level: at h = 1/64
+    # about 4e-9 of E, with the extrapolated level ten times closer
+    assert len(doc["E_error"]) == len(levels)
+    for k, (lv, err) in enumerate(zip(levels, doc["E_error"])):
         assert lv["node_count"] == k
         assert lv["E_n"] < 0.0
         assert lv["kappa_n"] == pytest.approx(math.sqrt(-2.0 * lv["E_n"]),
                                               rel=1e-12)
+        assert 1e-10 < err / -lv["E_n"] < 1e-8
     for k in range(len(levels) - 1):
         if not (levels[k]["flag"] or levels[k + 1]["flag"]):
             assert levels[k]["ratio_to_next"] == pytest.approx(
@@ -171,6 +175,7 @@ def test_spectrum_contract(cli, schema_validator):
     side = json.loads(proc.stderr)
     schema_validator.validate(side)
     assert side["E_threshold"] == 0.0
+    assert side["E_error"] == doc["E_error"]
 
 
 def test_dimer_side_spectrum_reports_its_threshold(schema_validator, tmp_path):
@@ -367,6 +372,12 @@ def test_meanfield_argument_errors(cli):
     (["branches", "--x", "1e308", "--count", "1"], "branch 0 root at x = 1e+308"),
     (["branches", "--x", "0", "--count", str(MAX_GRID_POINTS + 1)],
      f"count must be in [1, {MAX_GRID_POINTS}]"),
+    # the 2h grid's Numerov march turns unstable near the tail cutoff, where
+    # it once made spurious nodes that read as levels below the search floor
+    (["spectrum", "--a", "inf", "--R", "1", "--rho-max", "1e8", "--dt", "0.25"],
+     "dt must be in (0, 0.04804), got 0.25"),
+    (["spectrum", "--a", "inf", "--R", "1", "--rho-max", "1e8", "--dt", "0.5"],
+     "dt must be in (0, 0.04804), got 0.5"),
 ])
 def test_bad_input_exits_2_naming_it(argv, named, capsys):
     assert main(argv) == 2

@@ -279,19 +279,30 @@ def test_tabulate_equals_pointwise_solve_exactly(a):
     assert branch.nu_squared.tolist() == want
 
 
+def _log_radii(points):
+    """`points` radii from 1 to 1e8, uniform in ln rho."""
+    T = math.log(1e8)
+    return np.exp((T / (points - 1)) * np.arange(points))
+
+
+# the workspace grid at R = 1, rho_max = 1e8 and a step of 1/128
+GRID_1_128 = 2359
+
+
 def test_workspace_resolve_equals_pointwise_solve_exactly():
-    # the radial workspace re-solves nu^2 at each of its radii in one
-    # array call; the radii are built the way radial._Workspace builds them
+    # the radial workspace re-solves nu^2 at each of its radii in one array
+    # call; checked on the 1/128 grid and on the workspace's own radii
     cfg = make_config(-1e4)
     branch = tabulate_branch(cfg, LogGrid.make(1.0, 1e8, 512))
-    T = math.log(1e8)
-    n = int(math.ceil(T / radial.DEFAULT_DT)) + 1
-    rho = np.exp((T / (n - 1)) * np.arange(n))
-    assert n > 2000
-    got = branch.nu_squared_at(rho)
-    picks = np.r_[0:n:10, n - 1]
-    want = [solve_branch0(cfg.x_of_rho(float(rho[i]))).value for i in picks]
-    assert got[picks].tolist() == want
+    ws = radial._Workspace(effective_potential(branch, HardWall(1.0)), 1.0, 1e8,
+                           radial.DEFAULT_DT)
+    rho_1_128 = _log_radii(GRID_1_128)
+    for rho, got in ((rho_1_128, branch.nu_squared_at(rho_1_128)), (ws.rho, ws.nu2)):
+        n = len(rho)
+        assert n > 1000
+        picks = np.r_[0:n:10, n - 1]
+        want = [solve_branch0(cfg.x_of_rho(float(rho[i]))).value for i in picks]
+        assert got[picks].tolist() == want
 
 
 def _sign_changes(x, branch_index, points):
@@ -417,22 +428,26 @@ def test_branch0_first_bracket_holds():
 
 @pytest.mark.parametrize("a", [-1e4, 3.3])
 def test_workspace_resolve_evaluation_budget(a, monkeypatch):
-    # on the default workspace grid, Illinois steps need about 14.5
-    # evaluations per point at a = -1e4, from the first bracket
-    # [-(|x| + 3)^2, 0], and about 16 at a = 3.3, from the lower end
+    # on the 2,359-point grid of a 1/128 step, Illinois steps need about
+    # 14.5 evaluations per point at a = -1e4, from the first bracket
+    # [-(|x| + 3)^2, 0], and about 16.3 at a = 3.3, from the lower end
     # 4 - 48 / (pi x) (26 from s = 0); plain bisection from a doubled
-    # bracket took about 66
+    # bracket took about 66.  The default workspace's grid, of step 1/64,
+    # is half as dense, so neighbours start further apart: 17.9 and 19.9
+    # per point, but 21.2k and 23.6k in all against 34.3k and 38.4k
     cfg = make_config(a)
     branch = tabulate_branch(cfg, LogGrid.make(1.0, 1e8, 2))
-    T = math.log(1e8)
-    n = int(math.ceil(T / radial.DEFAULT_DT)) + 1
-    rho = np.exp((T / (n - 1)) * np.arange(n))
     evaluated = []
     lhs = hyperangular._lhs
     monkeypatch.setattr(hyperangular, "_lhs",
                         lambda s: evaluated.append(s.size) or lhs(s))
-    branch.nu_squared_at(rho)
-    assert sum(evaluated) <= 18 * n
+    branch.nu_squared_at(_log_radii(GRID_1_128))
+    assert sum(evaluated) <= 18 * GRID_1_128
+    evaluated.clear()
+    ws = radial._Workspace(effective_potential(branch, HardWall(1.0)), 1.0, 1e8,
+                           radial.DEFAULT_DT)
+    assert sum(evaluated) <= 21 * ws.n_full
+    assert sum(evaluated) <= 25_000
 
 
 def test_table_at_the_pole_floor_names_the_radius():

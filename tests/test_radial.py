@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from efimov_lab import (
+    AdiabaticBranch,
     Cap,
     ConfigError,
     HardWall,
@@ -67,7 +68,9 @@ def test_hardwall_levels_match_exact_bessel_zeros():
         z = mpmath.findroot(lambda z: mpmath.besselk(1j * b, z).real,
                             (0.8 * guess, 1.25 * guess), solver="anderson")
         exact = float(-z * z / 2)
-        assert abs(state.E - exact) <= 1e-9 * abs(exact), (m, state.E, exact)
+        assert abs(state.E - exact) <= 1e-10 * abs(exact), (m, state.E, exact)
+        # the error estimate of the h-grid level bounds the extrapolated one's
+        assert abs(state.E - exact) <= state.E_error, (m, state.E_error)
 
 
 def test_cap_levels_match_exact_matching():
@@ -92,7 +95,7 @@ def test_cap_levels_match_exact_matching():
         z = mpmath.findroot(wronskian, (kappa * (1 - 1e-6), kappa * (1 + 1e-6)),
                             solver="anderson")
         exact = float(-z * z / 2)
-        assert abs(state.E - exact) <= 1e-9 * abs(exact), (state.node_count, state.E, exact)
+        assert abs(state.E - exact) <= 1e-10 * abs(exact), (state.node_count, state.E, exact)
 
 
 def magnus_end_value(nu2_at, R, T, steps_per_unit=256):
@@ -141,7 +144,8 @@ def test_finite_a_levels_match_magnus_shooting(a, rho_max, scheme):
     # rho reaches DEFAULT_TAIL_FACTOR, found by secant steps from the computed
     # level.  The start is the closed-form solution below R: g = 0, g' = 1 at
     # a hard wall; f = sin(q rho) or sinh(|q| rho) under a cap.  Measured
-    # agreement: at most 1.6e-10 over the 19 levels
+    # agreement: at most 4.1e-11 over the 19 levels (1.6e-10 from one search
+    # at h = 1/128)
     R = 1.0
     pot = effective_potential(tabulate_branch(make_config(a), LogGrid.make(R, rho_max, 2)),
                               scheme(R))
@@ -171,7 +175,7 @@ def test_finite_a_levels_match_magnus_shooting(a, rho_max, scheme):
             if abs(x1 - x0) <= 1e-15 * x1:
                 break
         exact = -0.5 * x1 * x1
-        assert abs(state.E - exact) <= 3e-10 * abs(exact), (state.node_count, state.E, exact)
+        assert abs(state.E - exact) <= 1e-10 * abs(exact), (state.node_count, state.E, exact)
 
 
 def nodes_oracle(nu2_at, R, E, tail_factor=36.0, steps_per_unit=4096):
@@ -476,16 +480,17 @@ def test_spectrum_argument_validation():
         find_spectrum(pot, 1e4, tol_E=0.5)
 
 
-def _plain_bisection(pot, rho_max, tol_E=radial.DEFAULT_TOL_E, max_levels=8):
-    """Reference levels: the same bisection, integrating every midpoint afresh.
+def _plain_bisection(ws, pot, rho_max, tol_E=radial.DEFAULT_TOL_E, max_levels=8):
+    """Reference levels on the grid of `ws`: the same bisection, integrating
+    every midpoint afresh.
 
     The window runs from the search floor up to the shallow search edge or,
     on branch 0 of the dimer side, up to the atom-dimer threshold
     kappa_d = sqrt(1 / (mu a^2)) if that is deeper; its node count there
-    is the number of levels.
+    is the number of levels.  Each level is the deeper edge of its final
+    bracket.
     """
     R = pot.R
-    ws = radial._Workspace(pot, R, rho_max, radial.DEFAULT_DT)
     kappa_lo = radial._KAPPA_SEARCH_EDGE / rho_max
     cfg = pot.config
     if (cfg is not None and pot.branch_index == 0
@@ -514,38 +519,95 @@ def _plain_bisection(pot, rho_max, tol_E=radial.DEFAULT_TOL_E, max_levels=8):
     return levels
 
 
+def _reference_levels(pot, rho_max):
+    """(h-grid levels, 2h-grid levels, extrapolated levels) by plain bisection.
+
+    The 2h grid is every other point of the h grid, and each extrapolated
+    level is (16 P_h - P_2h) / 15 of the two plain-bisection levels.
+    """
+    ws = radial._Workspace(pot, pot.R, rho_max, DEFAULT_DT)
+    fine = _plain_bisection(ws, pot, rho_max)
+    coarse = _plain_bisection(ws.coarse(), pot, rho_max)
+    assert len(fine) == len(coarse)
+    return fine, coarse, [(16.0 * p_h - p_2h) / 15.0 for p_h, p_2h in zip(fine, coarse)]
+
+
+def _searched_levels(monkeypatch) -> dict:
+    """Collect, per grid step, the deeper bracket edge of every level search."""
+    found = {}
+    bisect = radial._bisect
+
+    def recording(ws, *args):
+        hi = bisect(ws, *args)
+        found.setdefault(ws.h, []).append(-0.5 * math.exp(hi) ** 2)
+        return hi
+
+    monkeypatch.setattr(radial, "_bisect", recording)
+    return found
+
+
+def _per_grid(found) -> tuple[list, list]:
+    """The levels `_searched_levels` collected, h grid first."""
+    fine, coarse = sorted(found)
+    assert coarse == 2.0 * fine
+    return found[fine], found[coarse]
+
+
+def test_coarse_grid_is_every_other_point(monkeypatch):
+    # the 2h grid takes no second nu^2 re-solve and no copy, and ends at rho_max
+    pot = _dimer_potential(-1e4, 1.0, 1e8, 2, HardWall(1.0))
+    resolves = []
+    nu2_at = AdiabaticBranch.nu_squared_at
+    monkeypatch.setattr(AdiabaticBranch, "nu_squared_at",
+                        lambda self, rho: resolves.append(len(rho)) or nu2_at(self, rho))
+    ws = radial._Workspace(pot, 1.0, 1e8, DEFAULT_DT)
+    coarse = ws.coarse()
+    assert resolves == [ws.n_full] and ws.n_full % 2 == 1
+    assert ws.h <= DEFAULT_DT and coarse.h == 2.0 * ws.h
+    assert coarse.n_full == (ws.n_full + 1) // 2 == len(coarse.rho)
+    for name in ("rho", "rho2", "nu2"):
+        whole, every_other = getattr(ws, name), getattr(coarse, name)
+        assert np.shares_memory(whole, every_other)
+        assert every_other.tolist() == whole[::2].tolist()
+    assert coarse.rho[-1] == ws.rho[-1] == pytest.approx(1e8, rel=1e-12)
+
+
 def test_level_search_reuses_known_node_counts(monkeypatch):
     rho_max = 1e8
     pot = _unitarity_potential(rho_max, HardWall(1.0))
-    want = _plain_bisection(pot, rho_max)
-    assert len(want) == 5
+    want = _reference_levels(pot, rho_max)
+    assert len(want[2]) == 5
 
-    calls = []
+    steps = []
     march = radial.integrate_numerov
     monkeypatch.setattr(radial, "integrate_numerov",
-                        lambda *args: calls.append(1) or march(*args))
+                        lambda w, *args: steps.append(len(w)) or march(w, *args))
     spec = find_spectrum(pot, rho_max)
-    assert spec.energies.tolist() == want
+    assert spec.energies.tolist() == want[2]
     # integrating every midpoint, the floor and edge probes and each
     # level's final solution took 172 calls; reusing known counts alone, 162;
     # with the guide value, 47; with a first probe one period above each level, 38;
     # all at dt = 1/512 and tol_E = 1e-8.  At dt = 1/128 and tol_E = 1e-10 the
-    # hundredfold tighter tolerance costs three more
-    assert len(calls) == 41
+    # hundredfold tighter tolerance cost three more: 41 calls, 58,662 steps.
+    # Searching each level at h = 1/64 and again on the 2h grid, from two seeds
+    # around the h level, takes 43 calls on the h grid and 4 per level on the
+    # 2h grid, at half the steps each
+    assert (len(steps), sum(steps)) == (63, 39576)
 
 
 def test_dimer_side_search_cost(monkeypatch):
-    # the three trimers below the atom-dimer threshold take 37 calls, the
-    # threshold integration among them; searching the continuum above it
-    # as well found 8 levels in 98 calls
+    # the three trimers below the atom-dimer threshold took 37 calls and
+    # 45,123 steps at dt = 1/128, the threshold integration among them;
+    # searching the continuum above it as well found 8 levels in 98 calls.
+    # At h = 1/64 with the 2h grid the three take 50 calls
     cfg = make_config(-1e4)
     pot = effective_potential(tabulate_branch(cfg, LogGrid.make(1.0, 1e8, 2)), HardWall(1.0))
-    calls = []
+    steps = []
     march = radial.integrate_numerov
     monkeypatch.setattr(radial, "integrate_numerov",
-                        lambda *args: calls.append(1) or march(*args))
+                        lambda w, *args: steps.append(len(w)) or march(w, *args))
     assert len(find_spectrum(pot, 1e8)) == 3
-    assert len(calls) <= 40
+    assert (len(steps), sum(steps)) == (50, 26914)
 
 
 @given(a=st.floats(min_value=-1e5, max_value=-1e2),
@@ -606,34 +668,41 @@ def test_no_trimer_below_the_threshold_gives_no_level():
     # after the first starts from its predicted probe
     (math.inf, 0.5, 5e7), (math.inf, 2.0, 2e8),
 ], ids=["inf", "-100.0", "-10000.0", "inf-R0.5", "inf-R2"])
-def test_guided_search_matches_plain_bisection(a, R, rho_max, scheme):
+def test_guided_search_matches_plain_bisection(a, R, rho_max, scheme, monkeypatch):
     branch = tabulate_branch(make_config(a), LogGrid.make(R, rho_max, 64))
     pot = effective_potential(branch, scheme(R))
-    want = _plain_bisection(pot, rho_max)
+    fine, coarse, want = _reference_levels(pot, rho_max)
     assert len(want) >= 2
+    found = _searched_levels(monkeypatch)
     assert find_spectrum(pot, rho_max).energies.tolist() == want
+    assert _per_grid(found) == (fine, coarse)
 
 
 def test_contradicting_counts_fall_back_to_every_midpoint(monkeypatch):
     rho_max = 1e6
     pot = _unitarity_potential(rho_max, HardWall(1.0))
-    want = _plain_bisection(pot, rho_max)
+    fine, coarse, want = _reference_levels(pot, rho_max)
     integrate = radial._Workspace.integrate
     seen = []
 
     def recording(self, E):
         w, g, count = integrate(self, E)
-        seen.append((E, count))
+        seen.append((self.h, E, count))
         return w, g, count
 
     monkeypatch.setattr(radial._Workspace, "integrate", recording)
+    found = _searched_levels(monkeypatch)
     assert find_spectrum(pot, rho_max).energies.tolist() == want
+    assert _per_grid(found) == (fine, coarse)
     honest_calls = len(seen)
-    # the second probe holding one node lies deeper than the first; a false
-    # count of two there leaves level 0 as it was but contradicts the first
-    # probe for level 1, which must then integrate every midpoint
-    bad_E = [E for E, n in seen if n == 1][1]
+    # on the h grid the second probe holding one node lies deeper than the
+    # first; a false count of two there leaves level 0 as it was but
+    # contradicts the first probe for level 1, which must then integrate
+    # every midpoint
+    h = min(found)
+    bad_E = [E for step, E, n in seen if step == h and n == 1][1]
     seen.clear()
+    found.clear()
 
     def lying(self, E):
         w, g, count = recording(self, E)
@@ -641,8 +710,30 @@ def test_contradicting_counts_fall_back_to_every_midpoint(monkeypatch):
 
     monkeypatch.setattr(radial._Workspace, "integrate", lying)
     assert find_spectrum(pot, rho_max).energies.tolist() == want
-    assert bad_E in [E for E, _ in seen]
+    assert _per_grid(found) == (fine, coarse)
+    assert bad_E in [E for _, E, _ in seen]
     assert len(seen) > honest_calls + 15
+
+
+@pytest.mark.parametrize("scheme", [HardWall, Cap])
+@pytest.mark.parametrize("a", [math.inf, -1e4])
+def test_dt_just_inside_the_stability_bound_still_computes(a, scheme):
+    # at dt = 0.048 the 2h grid's Numerov coefficient 1 - (2h)^2 w / 12 is
+    # still positive at w = DEFAULT_TAIL_FACTOR^2 + 4; every level and node
+    # count of the default step comes out, within 1.5e-8 (cap) of its energy
+    pot = _dimer_potential(a, 1.0, 1e8, 2, scheme(1.0))
+    default = find_spectrum(pot, 1e8)
+    coarse = find_spectrum(pot, 1e8, dt=0.048)
+    assert len(default) >= 3
+    assert [s.node_count for s in coarse.states] == list(range(len(default)))
+    assert np.allclose(coarse.energies, default.energies, rtol=1e-7, atol=0.0)
+    with pytest.raises(ConfigError, match=r"^dt must be in \(0, 0\.04804\), got 0\.0481"):
+        find_spectrum(pot, 1e8, dt=0.0481)
+
+
+def test_single_integration_carries_no_error_estimate():
+    sol = integrate_radial(_unitarity_potential(1e4, HardWall(1.0)), -1e-3, 1e4)
+    assert math.isnan(sol.E_error)
 
 
 def test_solution_arrays_read_only():
