@@ -24,11 +24,13 @@ ln kappa above the level before.
 The kernel converges as h^4, so each level is searched twice, on the
 grid of step h <= dt and on its every other point, and the level
 reported is the Richardson extrapolation (16 E_h - E_2h) / 15, with
-|E_h - E_2h| / 15 as its error estimate.  The 2h search starts from two
-integrations just around the h level.  At the default step DEFAULT_DT
-and tolerance DEFAULT_TOL_E a unitarity level costs about 8 integrations
-on the h grid and 4 on the 2h grid, against about 40 for plain bisection
-on one grid, and lies within 5e-11 of the exact one.
+|E_h - E_2h| / 15 as its error estimate.  Each level is searched on the
+2h grid first, and the h search starts from two integrations just around
+the 2h level, so most integrations run on the grid of half the length.
+At the default step DEFAULT_DT and tolerance DEFAULT_TOL_E a unitarity
+level costs about 7 integrations on the 2h grid and 4 on the h grid,
+against about 40 for plain bisection on one grid, and lies within 5e-11
+of the exact one.
 
 Levels are searched only below the branch's threshold E_thr, the edge
 of its continuum: on the dimer side (a < 0) that is the atom-dimer
@@ -183,6 +185,10 @@ class _Workspace:
             self.rho[0] = inner_radius
         else:
             self.rho = inner_radius * np.exp(t)
+        last = float(self.rho[-1])
+        if last * last == math.inf:
+            raise ConfigError(
+                f"rho_max = {rho_max!r} is too large: rho^2 overflows at the outer end")
         self.rho2 = self.rho * self.rho
         self.nu2 = np.asarray(potential.nu_squared_at(self.rho), dtype=float)
         self.scheme = potential.scheme
@@ -408,25 +414,31 @@ def find_spectrum(potential: AdiabaticBranch, rho_max: float,
     the gap, its midpoint is integrated instead.  If the known counts ever
     contradict monotonicity, that level integrates every midpoint.
 
-    Before level k >= 1 is searched, one integration is made where the
-    tower predicts it: pi / sqrt(-nu^2) in ln kappa above level k-1, with
-    nu^2 taken at the grid point nearest rho = 1 / kappa of level k-1.
-    Its count and q join the known points like any other integration, so
-    the brackets do not change.  The probe is skipped where that nu^2 is
-    not negative (no tower, as beyond a for a > 0), where the nearest grid
-    point is the inner radius, and where the prediction falls outside the
-    gap that the known counts leave for level k.
+    Each level is searched on the 2h grid first, from the previous 2h
+    level, with its own known points; the floor, edge and threshold are
+    integrated on the h grid only.  Before level k >= 1 is searched there,
+    one integration is made where the tower predicts it: pi / sqrt(-nu^2)
+    in ln kappa above 2h level k-1, with nu^2 taken at the 2h grid point
+    nearest rho = 1 / kappa of that level.  Its count and q join the known
+    points like any other integration, so the brackets do not change.  The
+    probe is skipped where that nu^2 is not negative (no tower, as beyond a
+    for a > 0), where the nearest grid point is the inner radius, and where
+    the prediction falls outside the gap that the known counts leave for
+    level k.
 
-    The 2h search runs the same bisection over the same window, from the
-    previous 2h level, with its own known points.  It starts from two
-    integrations _SEED_HALF_WIDTH either side of the h level moved by the
-    last level's shift ln kappa_2h - ln kappa_h (measured at 5e-9 to 5e-8),
-    so the gap closes on the 2h level in about two more.
+    The h search then runs the same bisection over the same window, from
+    the previous h level.  It starts from two integrations _SEED_HALF_WIDTH
+    either side of the 2h level moved by the last level's shift
+    ln kappa_h - ln kappa_2h (measured at up to 5e-8 in magnitude), so the
+    gap closes on the h level in about two more.  Since the final brackets
+    do not depend on where the known points lie, the order of the two
+    searches leaves every level as it was.
 
     The window runs from the search floor up to kappa rho_max =
     _KAPPA_SEARCH_EDGE or, where the threshold (`potential.threshold`)
     lies deeper than that edge, up to the threshold, whose node count is
-    then the number of levels.  A threshold below the floor is refused.
+    then the number of levels.  A threshold below the floor is refused, and
+    so is an R whose floor -5 / R^2 overflows.
     """
     if potential.scheme is None:
         raise UnregularizedPotentialError(
@@ -438,19 +450,23 @@ def find_spectrum(potential: AdiabaticBranch, rho_max: float,
     if not (0.0 < tol_E < 0.1):
         raise ConfigError(f"tol_E must be in (0, 0.1), got {tol_E!r}")
 
-    ws = _Workspace(potential, potential.R, rho_max, dt)
-    coarse = ws.coarse()
     R = potential.R
+    kappa_floor = math.sqrt(_FLOOR_SCALE) / R
+    E_floor = -0.5 * kappa_floor * kappa_floor
+    if E_floor == -math.inf:
+        raise ConfigError(
+            f"R = {R!r} is too small: the search floor E = -{0.5 * _FLOOR_SCALE:g} / R^2 "
+            f"overflows")
+    ws = _Workspace(potential, R, rho_max, dt)
+    coarse = ws.coarse()
     E_thr = ws.threshold
 
-    kappa_floor = math.sqrt(_FLOOR_SCALE) / R
-    E_floor = -0.5 * kappa_floor ** 2
     if E_thr <= E_floor:
         raise ConfigError(
             f"the atom-dimer threshold E_thr = {E_thr:.6g} and every trimer below it "
             f"lie below the search floor E = {E_floor:.6g} for R = {R:.6g}; "
             f"a trimer needs R well below |a|")
-    w_floor, g_floor, n_floor = ws.integrate(-0.5 * kappa_floor * kappa_floor)
+    w_floor, g_floor, n_floor = ws.integrate(E_floor)
     if n_floor > 0:
         raise SolverError(
             f"{n_floor} level(s) lie below the search floor "
@@ -477,28 +493,28 @@ def find_spectrum(potential: AdiabaticBranch, rho_max: float,
         known.append((ln_lo, levels, _guide(ws.h, w_thr, g_thr)))
     ln_hi2 = ln_hi
     known2: list[tuple[float, int, float]] = []   # the same on the 2h grid
-    shift = 0.0     # ln kappa_2h - ln kappa_h of the last level
+    shift = 0.0     # ln kappa_h - ln kappa_2h of the last level
     # bisection to half the relative energy tolerance (E ~ kappa^2)
     ln_tol = max(0.25 * tol_E, 4.0 * np.finfo(float).eps)
     for k in range(min(max_levels, levels)):
         if k:
             # in a channel nu^2 = -b^2 the levels are pi / b apart in ln kappa;
-            # b is read at the grid point nearest rho = 1 / kappa of the last level
-            i = min(round(-(ln_hi + math.log(R)) / ws.h), ws.n_full - 1)
-            if i > 0 and ws.nu2[i] < 0.0:
-                x_pred = ln_hi - math.pi / math.sqrt(-ws.nu2[i])
-                x_lo = max(x for x, c, _ in known if c >= k + 1)
-                x_hi = min([x for x, c, _ in known if c <= k] + [ln_hi])
+            # b is read at the 2h grid point nearest rho = 1 / kappa of the last level
+            i = min(round(-(ln_hi2 + math.log(R)) / coarse.h), coarse.n_full - 1)
+            if i > 0 and coarse.nu2[i] < 0.0:
+                x_pred = ln_hi2 - math.pi / math.sqrt(-coarse.nu2[i])
+                x_lo = max([x for x, c, _ in known2 if c >= k + 1] + [ln_lo])
+                x_hi = min([x for x, c, _ in known2 if c <= k] + [ln_hi2])
                 if x_lo < x_pred < x_hi:
-                    known.append(_probe(ws, x_pred))
-        hi = _bisect(ws, k, ln_lo, ln_hi, ln_tol, known)
-        # the same level on the 2h grid, seeded around the h level shifted
-        # as the last one was
-        for x in (hi + shift - _SEED_HALF_WIDTH, hi + shift + _SEED_HALF_WIDTH):
-            if ln_lo < x < ln_hi2:
-                known2.append(_probe(coarse, x))
+                    known2.append(_probe(coarse, x_pred))
         hi2 = _bisect(coarse, k, ln_lo, ln_hi2, ln_tol, known2)
-        shift = hi2 - hi
+        # the same level on the h grid, seeded around the 2h level shifted
+        # as the last one was
+        for x in (hi2 + shift - _SEED_HALF_WIDTH, hi2 + shift + _SEED_HALF_WIDTH):
+            if ln_lo < x < ln_hi:
+                known.append(_probe(ws, x))
+        hi = _bisect(ws, k, ln_lo, ln_hi, ln_tol, known)
+        shift = hi - hi2
         E_h, E_2h = -0.5 * math.exp(hi) ** 2, -0.5 * math.exp(hi2) ** 2
         sol = ws.solution(E_h)
         if sol.node_count != k:
@@ -646,7 +662,8 @@ def collapse_probe(potential: AdiabaticBranch, E: float, base_cutoff: float,
     count steps, a geometric staircase of ratio exp(pi / b).  E must lie
     below the channel at rho_out, so that a solution decays there; on the
     dimer side that is below the atom-dimer threshold.  A sweep of more
-    than MAX_GRID_POINTS cutoffs is refused before anything is built.
+    than MAX_GRID_POINTS cutoffs, or an E so shallow that rho_out^2
+    overflows, is refused before anything is built.
     """
     if potential.scheme is not None:
         raise ConfigError(
@@ -661,6 +678,10 @@ def collapse_probe(potential: AdiabaticBranch, E: float, base_cutoff: float,
 
     kappa = math.sqrt(-2.0 * E)
     rho_out = DEFAULT_TAIL_FACTOR / kappa
+    if rho_out * rho_out == math.inf:
+        raise ConfigError(
+            f"probe energy {E!r} is too shallow: rho^2 overflows at its outer end "
+            f"rho_out = {rho_out:.3g}")
     smallest = base_cutoff * 10.0 ** (-decades)
     if smallest < sys.float_info.min:
         raise ConfigError(f"decades = {decades} takes the smallest cutoff "

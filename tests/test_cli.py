@@ -9,6 +9,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from datetime import datetime
 
 import pytest
@@ -378,9 +379,19 @@ def test_meanfield_argument_errors(cli):
      "dt must be in (0, 0.04804), got 0.25"),
     (["spectrum", "--a", "inf", "--R", "1", "--rho-max", "1e8", "--dt", "0.5"],
      "dt must be in (0, 0.04804), got 0.5"),
+    # the search floor -5 / R^2 overflows below R of about 1e-154
+    (["spectrum", "--a", "inf", "--R", "1e-300", "--rho-max", "1e8"], "R = 1e-300"),
+    (["spectrum", "--a", "inf", "--R", "1e-160", "--rho-max", "1"], "R = 1e-160"),
+    # rho^2 overflows past about 1.34e154, at rho_max or at the probe's outer end
+    (["spectrum", "--a", "inf", "--R", "1", "--rho-max", "1e300"], "rho_max = 1e+300"),
+    (["spectrum", "--a", "inf", "--R", "1", "--rho-max", "2e154"], "rho_max = 2e+154"),
+    (["nodes", "--a", "inf", "--probe-E", "-1e-310"], "probe energy -1e-310"),
 ])
 def test_bad_input_exits_2_naming_it(argv, named, capsys):
-    assert main(argv) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 2
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
     err = capsys.readouterr().err
     assert f"efimov-lab: error: {named}" in err
 

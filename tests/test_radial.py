@@ -590,16 +590,19 @@ def test_level_search_reuses_known_node_counts(monkeypatch):
     # all at dt = 1/512 and tol_E = 1e-8.  At dt = 1/128 and tol_E = 1e-10 the
     # hundredfold tighter tolerance cost three more: 41 calls, 58,662 steps.
     # Searching each level at h = 1/64 and again on the 2h grid, from two seeds
-    # around the h level, takes 43 calls on the h grid and 4 per level on the
-    # 2h grid, at half the steps each
-    assert (len(steps), sum(steps)) == (63, 39576)
+    # around the h level, took 63 calls and 39,576 steps.  Searching the 2h grid
+    # first, at half the steps, and seeding the h grid from it takes 35 calls on
+    # the 2h grid and 4 per level on the h grid
+    assert (len(steps), sum(steps)) == (62, 34054)
 
 
 def test_dimer_side_search_cost(monkeypatch):
     # the three trimers below the atom-dimer threshold took 37 calls and
     # 45,123 steps at dt = 1/128, the threshold integration among them;
     # searching the continuum above it as well found 8 levels in 98 calls.
-    # At h = 1/64 with the 2h grid the three take 50 calls
+    # At h = 1/64 with the 2h grid the three took 50 calls and 26,914 steps
+    # with the h grid searched first; searching the 2h grid first moves 20 of
+    # the 50 onto its half-length grid
     cfg = make_config(-1e4)
     pot = effective_potential(tabulate_branch(cfg, LogGrid.make(1.0, 1e8, 2)), HardWall(1.0))
     steps = []
@@ -607,7 +610,42 @@ def test_dimer_side_search_cost(monkeypatch):
     monkeypatch.setattr(radial, "integrate_numerov",
                         lambda w, *args: steps.append(len(w)) or march(w, *args))
     assert len(find_spectrum(pot, 1e8)) == 3
-    assert (len(steps), sum(steps)) == (50, 26914)
+    assert (len(steps), sum(steps)) == (50, 21027)
+
+
+def test_h_grid_search_starts_from_the_2h_level(monkeypatch):
+    # each level is searched on the 2h grid first; the h-grid search then starts
+    # from two seeds _SEED_HALF_WIDTH either side of the 2h level, moved by the
+    # last level's shift ln kappa_h - ln kappa_2h, which stays below 1e-7
+    pot = _unitarity_potential(1e8, HardWall(1.0))
+    events = []     # (grid step, ln kappa, is a level) in call order
+    probe, bisect = radial._probe, radial._bisect
+    monkeypatch.setattr(radial, "_probe",
+                        lambda ws, x: events.append((ws.h, x, False)) or probe(ws, x))
+
+    def recording(ws, *args):
+        hi = bisect(ws, *args)
+        events.append((ws.h, hi, True))
+        return hi
+
+    monkeypatch.setattr(radial, "_bisect", recording)
+    assert len(find_spectrum(pot, 1e8)) == 5
+    h = min(step for step, _, _ in events)
+    ends = [i for i, (step, _, is_level) in enumerate(events) if is_level and step == h]
+    assert len(ends) == 5
+    start = 0
+    for end in ends:
+        level = events[start:end]
+        split = [i for i, (_, _, is_level) in enumerate(level) if is_level]
+        assert len(split) == 1
+        coarse_probes, (step2, hi2, _), fine_probes = (
+            level[:split[0]], level[split[0]], level[split[0] + 1:])
+        assert step2 == 2.0 * h
+        assert coarse_probes and all(step == 2.0 * h for step, _, _ in coarse_probes)
+        assert len(fine_probes) >= 2 and all(step == h for step, _, _ in fine_probes)
+        for _, x, _ in fine_probes[:2]:
+            assert abs(x - hi2) <= radial._SEED_HALF_WIDTH + 1e-7, (x, hi2)
+        start = end + 1
 
 
 @given(a=st.floats(min_value=-1e5, max_value=-1e2),
