@@ -205,8 +205,10 @@ def cmd_potential(ns: argparse.Namespace) -> int:
 def _spectrum_for(ns: argparse.Namespace):
     if ns.rho_max <= ns.R:
         raise ConfigError(f"--rho-max must exceed --R, got {ns.rho_max} <= {ns.R}")
-    # find_spectrum re-solves nu^2 at its own radii and never reads the table
-    pot = _potential(ns, ns.R, ns.rho_max, 2, ns.regularization)
+    # find_spectrum re-solves nu^2 at its own radii and never reads the table,
+    # so the table stops short of rho_max, where a root that overflows would
+    # pre-empt find_spectrum's own refusals
+    pot = _potential(ns, ns.R, min(2.0 * ns.R, ns.rho_max), 2, ns.regularization)
     return find_spectrum(pot, ns.rho_max, max_levels=ns.levels, tol_E=ns.tol,
                          dt=ns.dt)
 

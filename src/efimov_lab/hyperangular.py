@@ -35,6 +35,7 @@ solver interpolates it.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -478,6 +479,13 @@ def constant_branch(value: float, grid: LogGrid, branch_index: int = 0) -> Adiab
                            branch_index=branch_index, config=None)
 
 
+@functools.cache
+def _unitarity_root(branch_index: int) -> float:
+    """nu^2 on branch `branch_index` at x = 0, the same at every rho and mu."""
+    values, _ = _solve(np.zeros(1), np.array([branch_index]))
+    return float(values[0])
+
+
 def tabulate_branch(config: SystemConfig, grid: LogGrid,
                     branch_index: int = 0) -> AdiabaticBranch:
     """Tabulate nu^2(rho) over the grid in one array solve.
@@ -485,11 +493,10 @@ def tabulate_branch(config: SystemConfig, grid: LogGrid,
     Every point is bracketed and solved on its own, so a tabulated value
     equals the pointwise root bit for bit and does not depend on the
     grid around it.  At unitarity x = 0 everywhere and the branch is one
-    constant.
+    constant, the x = 0 root, which is solved once per branch and process.
     """
     if config.at_unitarity:
-        root = _solve_on_grid(config, grid.values[:1], branch_index)[0]
-        values = np.full(grid.points, root)
+        values = np.full(grid.points, _unitarity_root(branch_index))
     else:
         values = _solve_on_grid(config, grid.values, branch_index)
     return AdiabaticBranch(grid=grid, nu_squared=values,

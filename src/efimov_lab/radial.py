@@ -27,10 +27,13 @@ reported is the Richardson extrapolation (16 E_h - E_2h) / 15, with
 |E_h - E_2h| / 15 as its error estimate.  Each level is searched on the
 2h grid first, and the h search starts from two integrations just around
 the 2h level, so most integrations run on the grid of half the length.
-At the default step DEFAULT_DT and tolerance DEFAULT_TOL_E a unitarity
-level costs about 7 integrations on the 2h grid and 4 on the h grid,
-against about 40 for plain bisection on one grid, and lies within 5e-11
-of the exact one.
+Each search mostly ends with both ends of its final bracket integrated,
+and the h-grid probe on the deeper end is the level's solution, so no
+level is integrated again once found.  At the default step DEFAULT_DT
+and tolerance DEFAULT_TOL_E a unitarity level costs about 7 integrations
+on the 2h grid and 4 on the h grid, its solution included, against
+about 40 for plain bisection on one grid, and lies within 5e-11 of the
+exact one.
 
 Levels are searched only below the branch's threshold E_thr, the edge
 of its continuum: on the dimer side (a < 0) that is the atom-dimer
@@ -71,7 +74,6 @@ DEFAULT_BOX_FLAG_FACTOR = 100.0
 _KAPPA_SEARCH_EDGE = 0.03   # kappa * rho_max at the shallow search edge
 _FLOOR_SCALE = 10.0         # |E_floor| in units of 1/(2 R^2)
 _SEED_HALF_WIDTH = 1e-7     # ln kappa from the h level to each 2h seed
-_PUSH = 1e-3                # step past a regula-falsi point on the level, in ln_tol
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,9 +89,11 @@ class RadialSolution:
     Richardson-extrapolated level (16 E_h - E_2h) / 15 from the searches
     on the grids of step h and 2h, which belongs to no integrated solution.
     `f`, `rho` and `node_count` are the h-grid solution at E_h, on the
-    deeper bracket edge, with exactly k nodes.  `E_error` = |E_h - E_2h| / 15
-    estimates the error of E_h, and so bounds that of `E` from above; it is
-    NaN where no pair of searches ran, as for `integrate_radial`.
+    deeper bracket edge, with exactly k nodes: the search's own probe
+    there, or one more integration at E_h where no probe sits on that
+    edge.  `E_error` = |E_h - E_2h| / 15 estimates the error of E_h, and
+    so bounds that of `E` from above; it is NaN where no pair of searches
+    ran, as for `integrate_radial`.
     """
 
     E: float
@@ -160,7 +164,8 @@ class _Workspace:
                  rho_max: float, dt: float):
         if not (math.isfinite(rho_max) and rho_max > inner_radius):
             raise ConfigError(
-                f"rho_max must exceed the inner radius {inner_radius}, got {rho_max!r}")
+                f"rho_max must be finite and exceed the inner radius {inner_radius}, "
+                f"got {rho_max!r}")
         max_dt = math.sqrt(3.0 / (DEFAULT_TAIL_FACTOR ** 2 + 4.0))
         if not (0.0 < dt < max_dt):
             raise ConfigError(
@@ -262,6 +267,10 @@ class _Workspace:
     def solution(self, E: float) -> RadialSolution:
         """The integrated solution at E as f = sqrt(rho) g."""
         _, g, count = self.integrate(E)
+        return self.sampled(E, g, count)
+
+    def sampled(self, E: float, g: np.ndarray, count: int) -> RadialSolution:
+        """The solution at E from the g and node count that `integrate` gave there."""
         rho = self.rho[:len(g)]
         return RadialSolution(E=E, kappa=math.sqrt(-2.0 * E), node_count=count,
                               rho=rho, f=g * np.sqrt(rho), R=self.R)
@@ -290,22 +299,38 @@ def _guide(h: float, w: np.ndarray, g: np.ndarray) -> float:
     return float(g[-1]) * math.exp(-h * float(np.sum(np.sqrt(np.maximum(w, 0.0)))))
 
 
-def _probe(ws: _Workspace, x: float) -> tuple[float, int, float]:
-    """(x, node count, guide value q) of one integration at ln kappa = x."""
-    kappa = math.exp(x)
-    w, g, count = ws.integrate(-0.5 * kappa * kappa)
-    return x, count, _guide(ws.h, w, g)
+def _probe(ws: _Workspace, x: float) -> tuple[float, int, float, np.ndarray]:
+    """(x, node count, guide value q, g) of one integration at E = -exp(x)^2 / 2.
+
+    `find_spectrum` computes E_h from a bracket edge by the same expression,
+    so a probe on the final edge is the level's h-grid solution bit for bit.
+    """
+    w, g, count = ws.integrate(-0.5 * math.exp(x) ** 2)
+    return x, count, _guide(ws.h, w, g), g
+
+
+def _final_cell(lo: float, hi: float, ln_tol: float, x: float) -> tuple[float, float]:
+    """The final bracket of plain bisection on [lo, hi] if the level sat at x."""
+    while hi - lo > ln_tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:   # lo and hi are adjacent doubles
+            break
+        if mid < x:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
 def _search_level(ws: _Workspace, k: int, lo: float, hi: float, ln_tol: float,
-                  known: list[tuple[float, int, float]],
+                  known: list[tuple[float, int, float, np.ndarray | None]],
                   guided: bool) -> float | None:
     """Bisect ln kappa on [lo, hi] for the step of the node count from k+1 to k.
 
     Returns the final upper bracket end, or None when the points in `known`
     contradict a count that falls as kappa grows.  The bisection also stops
     when lo and hi are adjacent doubles, however small `ln_tol` is.
-    Every integration is appended to `known` as (ln kappa, count, q).
+    Every integration is appended to `known` as `_probe` gives it.
 
     Only where it integrates depends on `guided`; the midpoints and the final
     bracket are those of integrating every midpoint.  The loop keeps the ends
@@ -315,16 +340,16 @@ def _search_level(ws: _Workspace, k: int, lo: float, hi: float, ln_tol: float,
     exactly k+1 and k nodes, their guide values q have opposite signs and the
     gap is wider than 1e-3 of the bracket: then the Illinois regula-falsi point
     of the gap is integrated instead, or the gap's midpoint when two such
-    probes have not halved the gap.  A regula-falsi point within _PUSH ln_tol
-    of the end that the last one set has found the level to rounding, and
-    would most likely land on the same side again; it is moved that far past
-    the end instead.  Either narrows the gap around the level, so later
-    midpoints fall outside it.
+    probes have not halved the gap.  A regula-falsi point is moved to the
+    nearer end, inside the gap, of the final plain-bisection cell that holds
+    it, a move no wider than that cell.  So once the level is located to its
+    final cell, the next probes land on that cell's ends, and the search
+    mostly ends with its final `hi` integrated.
     """
     x_lo, n_lo, q_lo = -math.inf, -1, math.nan  # deepest point known to hold > k nodes
     x_hi, n_hi, q_hi = math.inf, -1, math.nan   # shallowest known to hold <= k
     if guided:
-        for x, c, q in known:
+        for x, c, q, _ in known:
             if c >= k + 1 and x > x_lo:
                 x_lo, n_lo, q_lo = x, c, q
             elif c < k + 1 and x < x_hi:
@@ -351,19 +376,15 @@ def _search_level(ws: _Workspace, k: int, lo: float, hi: float, ln_tol: float,
             x = 0.5 * (x_lo + x_hi)
             if len(gaps) < 2 or gap <= 0.5 * gaps[-2]:
                 x = x_hi - gap * (q_hi / (q_hi - q_lo))
-                # a point within PUSH of the end the last probe set lies on the
-                # level to rounding; step past it to close the gap from the other side
-                push = _PUSH * ln_tol
-                if moved == "lo" and x - x_lo < push:
-                    x = x_lo + push
-                elif moved == "hi" and x_hi - x < push:
-                    x = x_hi - push
-                # a point that rounds onto an end moves one double inside
+                # a point that rounds onto an end moves one double inside; then
+                # the cell's end on mid's side of x lies inside the gap
                 x = min(max(x, math.nextafter(x_lo, x_hi)), math.nextafter(x_hi, x_lo))
+                ends = [e for e in _final_cell(lo, hi, ln_tol, x) if x_lo < e < x_hi]
+                x = min(ends, key=lambda e: abs(e - x))
                 falsi = True
             gaps.append(gap)
         known.append(_probe(ws, x))
-        _, count, q = known[-1]
+        _, count, q, _ = known[-1]
         if count >= k + 1:
             if falsi and moved == "lo":
                 q_hi *= 0.5
@@ -378,7 +399,7 @@ def _search_level(ws: _Workspace, k: int, lo: float, hi: float, ln_tol: float,
 
 
 def _bisect(ws: _Workspace, k: int, lo: float, hi: float, ln_tol: float,
-            known: list[tuple[float, int, float]]) -> float:
+            known: list[tuple[float, int, float, np.ndarray | None]]) -> float:
     """`_search_level` guided, or integrating every midpoint where `known` contradicts."""
     x = _search_level(ws, k, lo, hi, ln_tol, known, guided=True)
     return _search_level(ws, k, lo, hi, ln_tol, known, guided=False) if x is None else x
@@ -399,6 +420,9 @@ def find_spectrum(potential: AdiabaticBranch, rho_max: float,
     and E_2h sit on the deeper edges of the two final brackets; its
     `E_error` is |E_h - E_2h| / 15.  The returned solution samples and
     node count are the h grid's at E_h, which carries exactly k nodes.
+    They come from the h search's own probe at E_h; only where no probe sits
+    there (none of 568 levels over 180 spectra at the default tolerance,
+    251 of them at tol_E = 1e-6) is E_h integrated once more.
     The relative energy width of each final bracket is below `tol_E`.  A
     `tol_E` below the spacing of doubles in ln kappa ends each bisection
     at adjacent doubles instead.
@@ -411,8 +435,10 @@ def find_spectrum(potential: AdiabaticBranch, rho_max: float,
     `_guide`), which crosses zero where the count steps, so the known gap
     closes on the level within a few integrations and the remaining
     midpoints are settled unseen; where two such probes have not halved
-    the gap, its midpoint is integrated instead.  If the known counts ever
-    contradict monotonicity, that level integrates every midpoint.
+    the gap, its midpoint is integrated instead.  Each regula-falsi point
+    moves to the nearer end inside the gap of the final bisection cell that
+    holds it, so the last probes land on the final bracket's ends.  If the known counts ever contradict
+    monotonicity, that level integrates every midpoint.
 
     Each level is searched on the 2h grid first, from the previous 2h
     level, with its own known points; the floor, edge and threshold are
@@ -437,8 +463,9 @@ def find_spectrum(potential: AdiabaticBranch, rho_max: float,
     The window runs from the search floor up to kappa rho_max =
     _KAPPA_SEARCH_EDGE or, where the threshold (`potential.threshold`)
     lies deeper than that edge, up to the threshold, whose node count is
-    then the number of levels.  A threshold below the floor is refused, and
-    so is an R whose floor -5 / R^2 overflows.
+    then the number of levels.  A threshold below the floor is refused
+    before the workspace re-solves nu^2, and so is an R whose floor
+    -5 / R^2 overflows.
     """
     if potential.scheme is None:
         raise UnregularizedPotentialError(
@@ -457,15 +484,14 @@ def find_spectrum(potential: AdiabaticBranch, rho_max: float,
         raise ConfigError(
             f"R = {R!r} is too small: the search floor E = -{0.5 * _FLOOR_SCALE:g} / R^2 "
             f"overflows")
-    ws = _Workspace(potential, R, rho_max, dt)
-    coarse = ws.coarse()
-    E_thr = ws.threshold
-
+    E_thr = potential.threshold
     if E_thr <= E_floor:
         raise ConfigError(
             f"the atom-dimer threshold E_thr = {E_thr:.6g} and every trimer below it "
             f"lie below the search floor E = {E_floor:.6g} for R = {R:.6g}; "
             f"a trimer needs R well below |a|")
+    ws = _Workspace(potential, R, rho_max, dt)
+    coarse = ws.coarse()
     w_floor, g_floor, n_floor = ws.integrate(E_floor)
     if n_floor > 0:
         raise SolverError(
@@ -480,9 +506,10 @@ def find_spectrum(potential: AdiabaticBranch, rho_max: float,
     ln_lo = math.log(kappa_edge)
     states: list[RadialSolution] = []
     ln_hi = math.log(kappa_floor)
-    # every (ln kappa, node count, guide value) integrated so far
-    known = [(ln_hi, 0, _guide(ws.h, w_floor, g_floor)),
-             (ln_lo, total, _guide(ws.h, w_edge, g_edge))]
+    # every (ln kappa, node count, guide value, g) integrated so far; g is None
+    # where the energy is not -exp(ln kappa)^2 / 2
+    known = [(ln_hi, 0, _guide(ws.h, w_floor, g_floor), None),
+             (ln_lo, total, _guide(ws.h, w_edge, g_edge), None)]
     # a threshold above the edge ends the window, and its count is the number
     # of levels: anything shallower is continuum
     levels = total
@@ -490,9 +517,9 @@ def find_spectrum(potential: AdiabaticBranch, rho_max: float,
     if kappa_d > kappa_edge:
         w_thr, g_thr, levels = ws.integrate(E_thr)
         ln_lo = math.log(kappa_d)
-        known.append((ln_lo, levels, _guide(ws.h, w_thr, g_thr)))
+        known.append((ln_lo, levels, _guide(ws.h, w_thr, g_thr), None))
     ln_hi2 = ln_hi
-    known2: list[tuple[float, int, float]] = []   # the same on the 2h grid
+    known2: list[tuple[float, int, float, np.ndarray | None]] = []   # the same on the 2h grid
     shift = 0.0     # ln kappa_h - ln kappa_2h of the last level
     # bisection to half the relative energy tolerance (E ~ kappa^2)
     ln_tol = max(0.25 * tol_E, 4.0 * np.finfo(float).eps)
@@ -503,8 +530,8 @@ def find_spectrum(potential: AdiabaticBranch, rho_max: float,
             i = min(round(-(ln_hi2 + math.log(R)) / coarse.h), coarse.n_full - 1)
             if i > 0 and coarse.nu2[i] < 0.0:
                 x_pred = ln_hi2 - math.pi / math.sqrt(-coarse.nu2[i])
-                x_lo = max([x for x, c, _ in known2 if c >= k + 1] + [ln_lo])
-                x_hi = min([x for x, c, _ in known2 if c <= k] + [ln_hi2])
+                x_lo = max([x for x, c, _, _ in known2 if c >= k + 1] + [ln_lo])
+                x_hi = min([x for x, c, _, _ in known2 if c <= k] + [ln_hi2])
                 if x_lo < x_pred < x_hi:
                     known2.append(_probe(coarse, x_pred))
         hi2 = _bisect(coarse, k, ln_lo, ln_hi2, ln_tol, known2)
@@ -516,7 +543,10 @@ def find_spectrum(potential: AdiabaticBranch, rho_max: float,
         hi = _bisect(ws, k, ln_lo, ln_hi, ln_tol, known)
         shift = hi - hi2
         E_h, E_2h = -0.5 * math.exp(hi) ** 2, -0.5 * math.exp(hi2) ** 2
-        sol = ws.solution(E_h)
+        # the search mostly ends with hi integrated, and that probe is the
+        # solution at E_h
+        at_hi = [(g, c) for x, c, _, g in known if x == hi and g is not None]
+        sol = ws.sampled(E_h, *at_hi[0]) if at_hi else ws.solution(E_h)
         if sol.node_count != k:
             raise SolverError(
                 f"level {k}: bisection landed on a solution with "
@@ -526,6 +556,10 @@ def find_spectrum(potential: AdiabaticBranch, rho_max: float,
         states.append(replace(sol, E=E, kappa=math.sqrt(-2.0 * E),
                               E_error=abs(E_h - E_2h) / 15.0, box_limited=flagged))
         ln_hi, ln_hi2 = hi, hi2
+        # a later level's final hi is almost always one of its own probes, so
+        # no sample outlives its level
+        known = [(x, c, q, None) for x, c, q, _ in known]
+        known2 = [(x, c, q, None) for x, c, q, _ in known2]
 
     return BoundStateSpectrum(states=tuple(states), rho_max=rho_max,
                               total_nodes_at_edge=total, threshold=E_thr)

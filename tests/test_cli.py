@@ -386,6 +386,10 @@ def test_meanfield_argument_errors(cli):
     (["spectrum", "--a", "inf", "--R", "1", "--rho-max", "1e300"], "rho_max = 1e+300"),
     (["spectrum", "--a", "inf", "--R", "1", "--rho-max", "2e154"], "rho_max = 2e+154"),
     (["nodes", "--a", "inf", "--probe-E", "-1e-310"], "probe energy -1e-310"),
+    # the threshold is refused before any nu^2 is solved out at rho_max,
+    # where x = -1.41e158 would overflow
+    (["spectrum", "--a=-1e-150", "--R", "1", "--rho-max", "1e8"],
+     "the atom-dimer threshold E_thr = -1e+300 and every trimer below it lie below"),
 ])
 def test_bad_input_exits_2_naming_it(argv, named, capsys):
     with warnings.catch_warnings(record=True) as caught:

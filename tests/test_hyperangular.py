@@ -480,6 +480,28 @@ def test_tabulate_unitarity_is_constant():
     assert branch.nu_squared_at(123.456) == pytest.approx(-(B_REF ** 2), abs=1e-10)
 
 
+def test_unitarity_root_is_solved_once_per_branch(monkeypatch):
+    # at unitarity x = 0 at every radius, so tabulate_branch takes nu^2 from a
+    # memo of one x = 0 solve per branch
+    cfg = make_config(float("inf"))
+    tabulate_branch(cfg, LogGrid.make(1.0, 1e8, 64))
+    calls = []
+
+    def counted(x, k):
+        calls.append(x.size)
+        return _solve(x, k)
+
+    monkeypatch.setattr(hyperangular, "_solve", counted)
+    branch = tabulate_branch(make_config(float("inf"), mu=2.0), LogGrid.make(0.5, 3.0, 7))
+    assert calls == []
+    monkeypatch.undo()
+    for k in range(4):
+        fresh = _solve(np.zeros(1), np.array([k]))[0][0]
+        assert hyperangular._unitarity_root(k) == fresh
+        assert tabulate_branch(cfg, LogGrid.make(1.0, 2.0, 3), k).nu_squared.tolist() == [fresh] * 3
+    assert branch.nu_squared[0] == hyperangular._unitarity_root(0)
+
+
 def test_branch_evaluation_between_grid_points():
     cfg = make_config(-5.0)
     grid = LogGrid.make(0.1, 100.0, 40)

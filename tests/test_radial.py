@@ -38,7 +38,7 @@ from efimov_lab import (
 )
 from efimov_lab import radial
 from efimov_lab._kernel import integrate_numerov
-from efimov_lab.radial import DEFAULT_DT, DEFAULT_TAIL_FACTOR, MAX_GRID_POINTS
+from efimov_lab.radial import DEFAULT_DT, DEFAULT_TAIL_FACTOR, DEFAULT_TOL_E, MAX_GRID_POINTS
 
 B = efimov_constants().b
 RATIO_E = math.exp(2.0 * math.pi / B)     # 515.035...
@@ -592,8 +592,11 @@ def test_level_search_reuses_known_node_counts(monkeypatch):
     # Searching each level at h = 1/64 and again on the 2h grid, from two seeds
     # around the h level, took 63 calls and 39,576 steps.  Searching the 2h grid
     # first, at half the steps, and seeding the h grid from it takes 35 calls on
-    # the 2h grid and 4 per level on the h grid
-    assert (len(steps), sum(steps)) == (62, 34054)
+    # the 2h grid and 4 per level on the h grid: 62 calls and 34,054 steps.
+    # Snapping each regula-falsi point to an end of its final bisection cell
+    # ends every search on an integrated hi, whose probe is the level's
+    # solution: no integration at E_h after the searches, 57 calls, 30,241 steps
+    assert (len(steps), sum(steps)) == (57, 30241)
 
 
 def test_dimer_side_search_cost(monkeypatch):
@@ -602,7 +605,9 @@ def test_dimer_side_search_cost(monkeypatch):
     # searching the continuum above it as well found 8 levels in 98 calls.
     # At h = 1/64 with the 2h grid the three took 50 calls and 26,914 steps
     # with the h grid searched first; searching the 2h grid first moves 20 of
-    # the 50 onto its half-length grid
+    # the 50 onto its half-length grid, 21,027 steps.  The last h-grid probe,
+    # at hi, is each level's solution, which saves one call per level and the
+    # snapped regula-falsi points two more: 45 calls and 18,649 steps
     cfg = make_config(-1e4)
     pot = effective_potential(tabulate_branch(cfg, LogGrid.make(1.0, 1e8, 2)), HardWall(1.0))
     steps = []
@@ -610,7 +615,7 @@ def test_dimer_side_search_cost(monkeypatch):
     monkeypatch.setattr(radial, "integrate_numerov",
                         lambda w, *args: steps.append(len(w)) or march(w, *args))
     assert len(find_spectrum(pot, 1e8)) == 3
-    assert (len(steps), sum(steps)) == (50, 21027)
+    assert (len(steps), sum(steps)) == (45, 18649)
 
 
 def test_h_grid_search_starts_from_the_2h_level(monkeypatch):
@@ -646,6 +651,35 @@ def test_h_grid_search_starts_from_the_2h_level(monkeypatch):
         for _, x, _ in fine_probes[:2]:
             assert abs(x - hi2) <= radial._SEED_HALF_WIDTH + 1e-7, (x, hi2)
         start = end + 1
+
+
+@pytest.mark.parametrize("a, scheme, tol_E", [
+    (math.inf, HardWall, DEFAULT_TOL_E), (math.inf, Cap, DEFAULT_TOL_E),
+    (-1e4, HardWall, DEFAULT_TOL_E), (math.inf, HardWall, 1e-6), (-1e3, Cap, 1e-6),
+])
+def test_level_solution_is_the_h_grid_solution_at_E_h(a, scheme, tol_E, monkeypatch):
+    # a level's f, rho and node count come from its last h-grid probe, at hi,
+    # and equal a fresh integration at E_h bit for bit; only where no probe
+    # sits at hi (often at tol_E = 1e-6) is E_h integrated again
+    pot = _dimer_potential(a, 1.0, 1e8, 2, scheme(1.0))
+    found = _searched_levels(monkeypatch)
+    solution = radial._Workspace.solution
+    fresh = []
+    monkeypatch.setattr(radial._Workspace, "solution",
+                        lambda self, E: fresh.append(E) or solution(self, E))
+    spec = find_spectrum(pot, 1e8, tol_E=tol_E)
+    if (a, scheme, tol_E) == (math.inf, HardWall, DEFAULT_TOL_E):
+        assert fresh == []    # the README spectrum
+    if tol_E == 1e-6:
+        assert fresh          # both paths are checked
+    fine, _ = _per_grid(found)
+    assert len(fine) == len(spec) >= 2
+    ws = radial._Workspace(pot, 1.0, 1e8, DEFAULT_DT)
+    for state, E_h in zip(spec.states, fine):
+        want = solution(ws, E_h)
+        assert state.node_count == want.node_count
+        assert state.rho.tobytes() == want.rho.tobytes()
+        assert state.f.tobytes() == want.f.tobytes()
 
 
 @given(a=st.floats(min_value=-1e5, max_value=-1e2),
@@ -684,11 +718,17 @@ def test_tail_cutoff_is_converged_next_to_the_threshold(monkeypatch):
     assert abs(longer / level - 1.0) <= 1e-10, (level, longer)
 
 
-def test_threshold_below_the_search_floor_is_refused():
-    # at a = -0.3 the threshold -11.1 lies below the floor -5 / R^2
+def test_threshold_below_the_search_floor_is_refused(monkeypatch):
+    # at a = -0.3 the threshold -11.1 lies below the floor -5 / R^2; it is
+    # refused before the workspace re-solves nu^2
     pot = _dimer_potential(-0.3, 1.0, 1e4, 2, HardWall(1.0))
+    resolves = []
+    nu2_at = AdiabaticBranch.nu_squared_at
+    monkeypatch.setattr(AdiabaticBranch, "nu_squared_at",
+                        lambda self, rho: resolves.append(len(rho)) or nu2_at(self, rho))
     with pytest.raises(ConfigError, match=r"E_thr = -11\.1111 .* floor E = -5 for R = 1"):
         find_spectrum(pot, 1e4)
+    assert resolves == []
 
 
 def test_no_trimer_below_the_threshold_gives_no_level():
