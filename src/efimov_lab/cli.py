@@ -1,22 +1,25 @@
 """Command-line front end: every library operation as a subcommand.
 
 Subcommands: constants, potential, spectrum, nodes, meanfield, branches.
-Each supports --format {csv,json} and --output.  --tol exists where a
-tolerance binds: the residual of the b root (constants), the relative
-energy of a level (spectrum, nodes) and the pressure residual at the
-mean-field saturation point (meanfield).  Every root (b, each nu^2 and
-n_sat) is narrowed to adjacent doubles by one solver, so the tolerances
-of constants and meanfield gate a root and do not steer it; potential
-and branches take none.  CSV bodies are
-deterministic: fixed column order, 12 significant digits, '.' decimal
-separator, '\\n' line endings, header row first.  JSON records of
-tabular rows use the CSV header as their keys.  Every run produces a
-manifest (command, full parameter set, tolerances, unit system, tool
-version, timestamp): embedded under the "manifest" key in JSON output,
-written to <output>.manifest.json next to a --output CSV file, or sent
-to stderr when CSV goes to stdout.  Every subcommand writes through
-`_emit`, the one place that builds the CSV body, the JSON document and
-the manifest.
+nodes reports the node geometry of one bound level of the regularized
+spectrum or, with --probe-E, the node staircase of a cutoff sweep of the
+bare potential: the two signatures of the collapse.
+
+Each subcommand supports --format {csv,json} and --output.  --tol exists
+where a tolerance binds: the residual of the b root (constants), the
+relative energy of a level (spectrum, nodes) and the pressure residual at
+the mean-field saturation point (meanfield).  Every root (b, each nu^2
+and n_sat) is narrowed to adjacent doubles by one solver, so the
+tolerances of constants and meanfield gate a root and do not steer it;
+potential and branches take none.  CSV bodies are deterministic: fixed
+column order, 12 significant digits, '.' decimal separator, '\\n' line
+endings, header row first.  JSON records of tabular rows use the CSV
+header as their keys.  Every run produces a manifest (command, full
+parameter set, tolerances, unit system, tool version, timestamp):
+embedded under the "manifest" key in JSON output, written to
+<output>.manifest.json next to a --output CSV file, or sent to stderr
+when CSV goes to stdout.  Every subcommand writes through `_emit`, the
+one place that builds the CSV body, the JSON document and the manifest.
 
 Exit codes: 0 success, 2 numerical or configuration failure,
 3 physically forbidden request (e.g. a spectrum of the unregularized
@@ -64,7 +67,6 @@ from .meanfield import (
 from .radial import (
     DEFAULT_DT,
     DEFAULT_TOL_E,
-    RadialSolution,
     collapse_probe,
     find_spectrum,
     node_analysis,
@@ -230,34 +232,8 @@ def cmd_spectrum(ns: argparse.Namespace) -> int:
                  {"E_threshold": spec.threshold, "E_error": errors})
 
 
-def _analytic_solution(periods: int, dt: float, b: float) -> RadialSolution:
-    """Closed-form zero-energy f = sqrt(rho) sin(b ln rho) sampled like a real run."""
-    # the grid ends at rho = e^T, which must stay finite
-    max_periods = int(math.log(sys.float_info.max) * b / math.pi)
-    if not 1 <= periods <= max_periods:
-        raise ConfigError(f"--periods must be in [1, {max_periods}], got {periods}")
-    if not (0.0 < dt < 1.0):
-        raise ConfigError(f"--dt must be in (0, 1), got {dt!r}")
-    T = periods * math.pi / b
-    if T / dt > MAX_GRID_POINTS - 1:
-        raise ConfigError(f"--dt {dt!r} needs {T / dt:.3g} grid steps over {periods} "
-                          f"period(s); at most {MAX_GRID_POINTS} points are allowed")
-    n = int(math.ceil(T / dt)) + 1
-    t = np.linspace(0.0, T, n)
-    rho = np.exp(t)
-    f = np.sqrt(rho) * np.sin(b * t)
-    # kappa = 0 leaves node_analysis's window open to the end of the grid
-    return RadialSolution(E=0.0, kappa=0.0, node_count=periods, rho=rho, f=f, R=1.0)
-
-
 def cmd_nodes(ns: argparse.Namespace) -> int:
-    modes = [m for m, on in (("analytic", ns.analytic),
-                             ("probe", ns.probe_E is not None)) if on]
-    if len(modes) > 1:
-        raise ConfigError("choose one of --analytic or --probe-E")
-    mode = modes[0] if modes else "level"
-
-    if mode == "probe":
+    if ns.probe_E is not None:
         if ns.a is None:
             raise ConfigError("--probe-E mode requires --a")
         if not (math.isfinite(ns.probe_E) and ns.probe_E < 0.0):
@@ -277,7 +253,7 @@ def cmd_nodes(ns: argparse.Namespace) -> int:
         header = ["k", "cutoff", "node_count"]
         rows = [[k, c, int(cnt)]
                 for k, (c, cnt) in enumerate(zip(probe.cutoffs, probe.counts))]
-        summary = {"mode": mode,
+        summary = {"mode": "probe",
                    "slope_per_decade": probe.slope_per_decade,
                    "reference_slope": probe.reference_slope,
                    "reference_formula": "b ln(10) / pi",
@@ -288,64 +264,56 @@ def cmd_nodes(ns: argparse.Namespace) -> int:
                    "E": probe.E, "rho_out": probe.rho_out}
         return _emit(ns, {"dt": ns.dt}, header, rows,
                      lambda: {"sweep": _records(header, rows), "summary": summary,
-                              "mode": mode},
+                              "mode": "probe"},
                      {"summary": summary})
 
-    b = efimov_constants().b
-    if mode == "analytic":
-        sol = _analytic_solution(ns.periods, ns.dt, b)
-        level_info = {"E": sol.E, "level": None}
+    if ns.a is None or ns.R is None or ns.rho_max is None:
+        raise ConfigError("level mode requires --a, --R and --rho-max")
+    if ns.regularization == "none":
+        raise UnregularizedPotentialError(
+            "node analysis of a bound level needs a regularized spectrum; "
+            "the bare inverse-square attraction has none (use --probe-E "
+            "to study the unregularized cutoff sweep)")
+    spec = _spectrum_for(ns)
+    pool = spec.interior_states() or list(spec.states)
+    if not pool and spec.threshold < 0.0:
+        raise ConfigError(
+            f"no trimer lies below the atom-dimer threshold E_thr = "
+            f"{spec.threshold:.6g} at a = {ns.a:g}, R = {ns.R:g}; "
+            f"a trimer needs a smaller --R or a larger |a|")
+    if not pool:
+        raise ConfigError("no bound level found; enlarge --rho-max")
+    if ns.level is None:
+        sol = pool[-1]
+        level = spec.states.index(sol)
     else:
-        if ns.a is None or ns.R is None or ns.rho_max is None:
-            raise ConfigError("level mode requires --a, --R and --rho-max")
-        if ns.regularization == "none":
-            raise UnregularizedPotentialError(
-                "node analysis of a bound level needs a regularized spectrum; "
-                "the bare inverse-square attraction has none (use --probe-E "
-                "to study the unregularized cutoff sweep)")
-        spec = _spectrum_for(ns)
-        pool = spec.interior_states() or list(spec.states)
-        if not pool and spec.threshold < 0.0:
+        if not 0 <= ns.level < len(spec.states):
             raise ConfigError(
-                f"no trimer lies below the atom-dimer threshold E_thr = "
-                f"{spec.threshold:.6g} at a = {ns.a:g}, R = {ns.R:g}; "
-                f"a trimer needs a smaller --R or a larger |a|")
-        if not pool:
-            raise ConfigError("no bound level found; enlarge --rho-max")
-        if ns.level is None:
-            sol = pool[-1]
-            level = spec.states.index(sol)
-        else:
-            if not 0 <= ns.level < len(spec.states):
-                raise ConfigError(
-                    f"--level {ns.level} out of range: {len(spec.states)} "
-                    f"level(s) found")
-            level = ns.level
-            sol = spec.states[level]
-        level_info = {"E": sol.E, "level": level}
+                f"--level {ns.level} out of range: {len(spec.states)} "
+                f"level(s) found")
+        level = ns.level
+        sol = spec.states[level]
 
     try:
         report = node_analysis(sol, kappa_rho_max=ns.kappa_rho_max,
                                wall_factor=ns.wall_factor)
     except InsufficientNodesError as exc:
-        if mode == "analytic":
-            raise
         raise InsufficientNodesError(
             f"level {level}: {exc}; {len(spec)} bound level(s) lie below the threshold "
             f"E_thr = {spec.threshold:.6g}") from None
     header = ["k", "rho_k", "ratio"]
     rows = [[k, pos, report.ratios[k - 1] if k else float("nan")]
             for k, pos in enumerate(report.positions)]
-    summary = {"mode": mode,
+    summary = {"mode": "level",
                "fitted_ratio": report.geometric_ratio,
                "ratio_spread": report.ratio_spread,
-               "reference_ratio": math.exp(math.pi / b),
+               "reference_ratio": math.exp(math.pi / efimov_constants().b),
                "reference_formula": "exp(pi / b)",
                "interior_count": int(len(report.interior_positions)),
-               "kappa": report.kappa, **level_info}
+               "kappa": report.kappa, "E": sol.E, "level": level}
     return _emit(ns, {"tol_E": ns.tol, "dt": ns.dt}, header, rows,
                  lambda: {"nodes": _records(header, rows), "summary": summary,
-                          "mode": mode},
+                          "mode": "level"},
                  {"summary": summary})
 
 
@@ -444,8 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("nodes", help="node geometry of a level, a cutoff sweep, "
-                                     "or the closed-form self-test")
+    p = sub.add_parser("nodes", help="node geometry of a level or a cutoff sweep")
     p.add_argument("--a", type=float, default=None)
     p.add_argument("--mu", type=float, default=0.5)
     p.add_argument("--R", type=float, default=None)
@@ -464,10 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base-cutoff", type=float, default=1e-2)
     p.add_argument("--decades", type=int, default=4)
     p.add_argument("--per-decade", type=int, default=8)
-    p.add_argument("--analytic", action="store_true",
-                   help="self-test on f = sqrt(rho) sin(b ln rho)")
-    p.add_argument("--periods", type=int, default=6,
-                   help="half-periods in the analytic self-test (default 6)")
     p.add_argument("--dt", type=float, default=DEFAULT_DT,
                    help="step h of the log grid of the level search or the cutoff "
                         "probe, below 0.048 " + _DT_DEFAULT)

@@ -88,12 +88,19 @@ class SystemConfig:
         """Signed sweep coordinate x = rho / (sqrt(mu) a) for scalar or array rho.
 
         The sign of x follows the sign of a; callers must not infer
-        bound versus virtual character from it.
+        bound versus virtual character from it.  An x that overflows is
+        refused, naming the first rho where it does.
         """
         rho = np.asarray(rho, dtype=float)
         if np.any(rho <= 0.0) or not np.all(np.isfinite(rho)):
             raise ConfigError("rho must be positive and finite")
-        x = rho * (self.inverse_scattering_length / math.sqrt(self.reduced_mass_mu))
+        with np.errstate(over="ignore"):
+            x = rho * (self.inverse_scattering_length / math.sqrt(self.reduced_mass_mu))
+        infinite = ~np.isfinite(x)
+        if np.any(infinite):
+            raise ConfigError(
+                f"x = rho / (sqrt(mu) a) overflows at rho = {float(rho[infinite].flat[0])!r} "
+                f"for a = {self.scattering_length_a!r}")
         return float(x) if x.ndim == 0 else x
 
 

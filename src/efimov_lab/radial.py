@@ -73,7 +73,7 @@ DEFAULT_BOX_FLAG_FACTOR = 100.0
 
 _KAPPA_SEARCH_EDGE = 0.03   # kappa * rho_max at the shallow search edge
 _FLOOR_SCALE = 10.0         # |E_floor| in units of 1/(2 R^2)
-_SEED_HALF_WIDTH = 1e-7     # ln kappa from the h level to each 2h seed
+_SEED_HALF_WIDTH = 1e-7     # ln kappa from the 2h level to each h-grid seed
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,40 +322,39 @@ def _final_cell(lo: float, hi: float, ln_tol: float, x: float) -> tuple[float, f
     return lo, hi
 
 
-def _search_level(ws: _Workspace, k: int, lo: float, hi: float, ln_tol: float,
-                  known: list[tuple[float, int, float, np.ndarray | None]],
-                  guided: bool) -> float | None:
+def _bisect(ws: _Workspace, k: int, lo: float, hi: float, ln_tol: float,
+            known: list[tuple[float, int, float, np.ndarray | None]]) -> float:
     """Bisect ln kappa on [lo, hi] for the step of the node count from k+1 to k.
 
-    Returns the final upper bracket end, or None when the points in `known`
-    contradict a count that falls as kappa grows.  The bisection also stops
-    when lo and hi are adjacent doubles, however small `ln_tol` is.
-    Every integration is appended to `known` as `_probe` gives it.
+    Returns the final upper bracket end.  The bisection also stops when lo
+    and hi are adjacent doubles, however small `ln_tol` is.  Every
+    integration is appended to `known` as `_probe` gives it.
 
-    Only where it integrates depends on `guided`; the midpoints and the final
-    bracket are those of integrating every midpoint.  The loop keeps the ends
-    of the known gap, the deepest point holding > k nodes and the shallowest
+    The midpoints and the final bracket are those of integrating every
+    midpoint; only where it integrates differs.  The loop keeps the ends of
+    the known gap, the deepest point holding > k nodes and the shallowest
     holding <= k, and a midpoint outside that gap is settled unseen.  A
-    midpoint inside it is integrated, unless `guided` is set, the ends carry
-    exactly k+1 and k nodes, their guide values q have opposite signs and the
-    gap is wider than 1e-3 of the bracket: then the Illinois regula-falsi point
-    of the gap is integrated instead, or the gap's midpoint when two such
-    probes have not halved the gap.  A regula-falsi point is moved to the
-    nearer end, inside the gap, of the final plain-bisection cell that holds
-    it, a move no wider than that cell.  So once the level is located to its
-    final cell, the next probes land on that cell's ends, and the search
-    mostly ends with its final `hi` integrated.
+    midpoint inside it is integrated, unless the guide values q of the ends
+    have opposite signs: then the Illinois regula-falsi point of the gap is
+    integrated instead, or the gap's midpoint when two such probes have not
+    halved the gap.  A regula-falsi point is moved to the nearer end, inside
+    the gap, of the final plain-bisection cell that holds it, a move no
+    wider than that cell.  So once the level is located to its final cell,
+    the next probes land on that cell's ends, and the search mostly ends
+    with its final `hi` integrated.  Where the points in `known` contradict
+    a count that falls as kappa grows, they are set aside and every
+    midpoint is integrated.
     """
-    x_lo, n_lo, q_lo = -math.inf, -1, math.nan  # deepest point known to hold > k nodes
-    x_hi, n_hi, q_hi = math.inf, -1, math.nan   # shallowest known to hold <= k
-    if guided:
-        for x, c, q, _ in known:
-            if c >= k + 1 and x > x_lo:
-                x_lo, n_lo, q_lo = x, c, q
-            elif c < k + 1 and x < x_hi:
-                x_hi, n_hi, q_hi = x, c, q
-        if x_lo > x_hi:
-            return None
+    x_lo, q_lo = -math.inf, math.nan     # deepest point known to hold > k nodes
+    x_hi, q_hi = math.inf, math.nan      # shallowest known to hold <= k
+    for x, c, q, _ in known:
+        if c >= k + 1 and x > x_lo:
+            x_lo, q_lo = x, q
+        elif c < k + 1 and x < x_hi:
+            x_hi, q_hi = x, q
+    guided = x_lo <= x_hi
+    if not guided:
+        x_lo, x_hi = -math.inf, math.inf
     moved = None    # end replaced by the last regula-falsi probe; an end that
                     # two of them in a row leave standing has its q halved (Illinois)
     gaps = []       # gap width before each guided probe
@@ -370,9 +369,8 @@ def _search_level(ws: _Workspace, k: int, lo: float, hi: float, ln_tol: float,
             hi = mid
             continue
         x, falsi = mid, False
-        gap = x_hi - x_lo
-        if (guided and n_lo == k + 1 and n_hi == k and q_lo * q_hi < 0.0
-                and gap > 1e-3 * (hi - lo)):
+        if guided and q_lo * q_hi < 0.0:
+            gap = x_hi - x_lo
             x = 0.5 * (x_lo + x_hi)
             if len(gaps) < 2 or gap <= 0.5 * gaps[-2]:
                 x = x_hi - gap * (q_hi / (q_hi - q_lo))
@@ -388,21 +386,14 @@ def _search_level(ws: _Workspace, k: int, lo: float, hi: float, ln_tol: float,
         if count >= k + 1:
             if falsi and moved == "lo":
                 q_hi *= 0.5
-            x_lo, n_lo, q_lo = x, count, q
+            x_lo, q_lo = x, q
             moved = "lo" if falsi else moved
         else:
             if falsi and moved == "hi":
                 q_lo *= 0.5
-            x_hi, n_hi, q_hi = x, count, q
+            x_hi, q_hi = x, q
             moved = "hi" if falsi else moved
     return hi
-
-
-def _bisect(ws: _Workspace, k: int, lo: float, hi: float, ln_tol: float,
-            known: list[tuple[float, int, float, np.ndarray | None]]) -> float:
-    """`_search_level` guided, or integrating every midpoint where `known` contradicts."""
-    x = _search_level(ws, k, lo, hi, ln_tol, known, guided=True)
-    return _search_level(ws, k, lo, hi, ln_tol, known, guided=False) if x is None else x
 
 
 def find_spectrum(potential: AdiabaticBranch, rho_max: float,
@@ -422,7 +413,7 @@ def find_spectrum(potential: AdiabaticBranch, rho_max: float,
     node count are the h grid's at E_h, which carries exactly k nodes.
     They come from the h search's own probe at E_h; only where no probe sits
     there (none of 568 levels over 180 spectra at the default tolerance,
-    251 of them at tol_E = 1e-6) is E_h integrated once more.
+    264 of them at tol_E = 1e-6) is E_h integrated once more.
     The relative energy width of each final bracket is below `tol_E`.  A
     `tol_E` below the spacing of doubles in ln kappa ends each bisection
     at adjacent doubles instead.
@@ -430,15 +421,17 @@ def find_spectrum(potential: AdiabaticBranch, rho_max: float,
     The brackets are those of integrating every midpoint, but far fewer
     points are integrated.  Every integration is kept, and a midpoint that
     a known node count already settles by monotonicity is not integrated.
-    Between known points with k+1 and k nodes the search integrates at the
-    Illinois regula-falsi point of the guide value q = g_end exp(-S) (see
-    `_guide`), which crosses zero where the count steps, so the known gap
-    closes on the level within a few integrations and the remaining
-    midpoints are settled unseen; where two such probes have not halved
-    the gap, its midpoint is integrated instead.  Each regula-falsi point
-    moves to the nearer end inside the gap of the final bisection cell that
-    holds it, so the last probes land on the final bracket's ends.  If the known counts ever contradict
-    monotonicity, that level integrates every midpoint.
+    Between the known points that hold more than k and at most k nodes,
+    where their guide values q = g_end exp(-S) (see `_guide`) differ in
+    sign, the search integrates at the Illinois regula-falsi point of q,
+    which crosses zero where the count steps, so the known gap closes on
+    the level within a few integrations and the remaining midpoints are
+    settled unseen; where two such probes have not halved the gap, its
+    midpoint is integrated instead.  Each regula-falsi point moves to the
+    nearer end inside the gap of the final bisection cell that holds it,
+    so the last probes land on the final bracket's ends.  If the known
+    counts ever contradict monotonicity, that level integrates every
+    midpoint.
 
     Each level is searched on the 2h grid first, from the previous 2h
     level, with its own known points; the floor, edge and threshold are
@@ -454,11 +447,11 @@ def find_spectrum(potential: AdiabaticBranch, rho_max: float,
 
     The h search then runs the same bisection over the same window, from
     the previous h level.  It starts from two integrations _SEED_HALF_WIDTH
-    either side of the 2h level moved by the last level's shift
-    ln kappa_h - ln kappa_2h (measured at up to 5e-8 in magnitude), so the
-    gap closes on the h level in about two more.  Since the final brackets
-    do not depend on where the known points lie, the order of the two
-    searches leaves every level as it was.
+    either side of the 2h level, which lies within 5e-8 of the h level in
+    ln kappa at the default step, so the gap closes on the h level in
+    about two more.  Since the final brackets do not depend on where the
+    known points lie, the order of the two searches leaves every level as
+    it was.
 
     The window runs from the search floor up to kappa rho_max =
     _KAPPA_SEARCH_EDGE or, where the threshold (`potential.threshold`)
@@ -520,7 +513,6 @@ def find_spectrum(potential: AdiabaticBranch, rho_max: float,
         known.append((ln_lo, levels, _guide(ws.h, w_thr, g_thr), None))
     ln_hi2 = ln_hi
     known2: list[tuple[float, int, float, np.ndarray | None]] = []   # the same on the 2h grid
-    shift = 0.0     # ln kappa_h - ln kappa_2h of the last level
     # bisection to half the relative energy tolerance (E ~ kappa^2)
     ln_tol = max(0.25 * tol_E, 4.0 * np.finfo(float).eps)
     for k in range(min(max_levels, levels)):
@@ -535,13 +527,11 @@ def find_spectrum(potential: AdiabaticBranch, rho_max: float,
                 if x_lo < x_pred < x_hi:
                     known2.append(_probe(coarse, x_pred))
         hi2 = _bisect(coarse, k, ln_lo, ln_hi2, ln_tol, known2)
-        # the same level on the h grid, seeded around the 2h level shifted
-        # as the last one was
-        for x in (hi2 + shift - _SEED_HALF_WIDTH, hi2 + shift + _SEED_HALF_WIDTH):
+        # the same level on the h grid, seeded around the 2h level
+        for x in (hi2 - _SEED_HALF_WIDTH, hi2 + _SEED_HALF_WIDTH):
             if ln_lo < x < ln_hi:
                 known.append(_probe(ws, x))
         hi = _bisect(ws, k, ln_lo, ln_hi, ln_tol, known)
-        shift = hi - hi2
         E_h, E_2h = -0.5 * math.exp(hi) ** 2, -0.5 * math.exp(hi2) ** 2
         # the search mostly ends with hi integrated, and that probe is the
         # solution at E_h

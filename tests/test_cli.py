@@ -236,18 +236,6 @@ def test_spectrum_of_bare_potential_is_forbidden(cli):
     assert "no ground state" in proc.stderr
 
 
-def test_nodes_analytic_selftest(cli, schema_validator):
-    doc = json.loads(cli(["nodes", "--analytic", "--periods", "6",
-                          "--format", "json"]).stdout)
-    schema_validator.validate(doc)
-    s = doc["summary"]
-    assert s["mode"] == "analytic"
-    assert s["reference_ratio"] == pytest.approx(RATIO_NODE_REF, rel=1e-12)
-    assert s["fitted_ratio"] == pytest.approx(RATIO_NODE_REF, rel=1e-6)
-    assert s["ratio_spread"] < 1e-6
-    assert doc["nodes"][0]["ratio"] is None
-
-
 def test_nodes_level_mode_geometric_spacing(cli, schema_validator):
     doc = json.loads(cli(["nodes", "--a", "inf", "--R", "1",
                           "--rho-max", "1e8", "--format", "json"]).stdout)
@@ -334,12 +322,19 @@ def test_meanfield_argument_errors(cli):
      f"a log grid holds at most {MAX_GRID_POINTS} points"),
     (["meanfield", "--statistics", "bose", "--t0", "1", "--points", str(MAX_GRID_POINTS + 1)],
      f"--points must be in [1, {MAX_GRID_POINTS}]"),
-    (["nodes", "--analytic", "--periods", "0"], "--periods"),
-    (["nodes", "--analytic", "--periods", "-3"], "--periods"),
-    (["nodes", "--analytic", "--dt", "0"], "--dt"),
+    # x = rho / (sqrt(mu) a) overflows past rho of about 1.27e308 at a = -1
+    (["spectrum", "--a=-1", "--R", "1e308", "--rho-max", "1.5e308"],
+     "x = rho / (sqrt(mu) a) overflows at rho = 1.5e+308 for a = -1.0"),
+    (["potential", "--a=-1", "--rho-min", "1e308", "--rho-max", "1.7e308", "--points", "3"],
+     "x = rho / (sqrt(mu) a) overflows at rho = 1.30384"),
+    (["nodes", "--a", "inf", "--R", "1", "--rho-max", "1e8", "--dt", "0"],
+     "dt must be in (0, 0.04804), got 0"),
     (["meanfield", "--statistics", "bose", "--t0", "1", "--points", "-1"], "--points"),
-    (["nodes", "--analytic", "--periods", "300"], "--periods"),
-    (["nodes", "--analytic", "--periods", "100000000"], "--periods"),
+    (["nodes", "--a=-1", "--R", "1e308", "--rho-max", "1.5e308"],
+     "x = rho / (sqrt(mu) a) overflows at rho = 1.5e+308 for a = -1.0"),
+    # 1 / a overflows
+    (["potential", "--a=-1e-310", "--rho-min", "1", "--rho-max", "2", "--points", "2"],
+     "x = rho / (sqrt(mu) a) overflows at rho = 1.0 for a = -1e-310"),
     (["nodes", "--a", "inf", "--R", "1", "--rho-max", "1e8", "--kappa-rho-max", "nan"],
      "kappa_rho_max"),
     (["nodes", "--a", "inf", "--R", "1", "--rho-max", "1e8", "--kappa-rho-max", "-1"],
@@ -351,8 +346,8 @@ def test_meanfield_argument_errors(cli):
     (["nodes", "--a", "inf", "--probe-E", "-0.5", "--base-cutoff", "nan"], "--base-cutoff"),
     (["spectrum", "--a", "inf", "--R", "1", "--rho-max", "1e8", "--dt", "1e-12"], "dt"),
     (["nodes", "--a", "inf", "--R", "1", "--rho-max", "1e8", "--dt", "1e-12"], "dt"),
-    (["nodes", "--analytic", "--dt", "1e-12"], "--dt"),
-    (["nodes", "--analytic", "--periods", "228"], "--periods"),
+    (["nodes", "--a", "inf", "--probe-E", "-0.5", "--per-decade", "0"], "decades"),
+    (["nodes", "--a", "inf", "--R", "1", "--rho-max", "1e4", "--level", "-1"], "--level"),
     (["nodes", "--a", "inf", "--probe-E", "-0.5", "--decades", "300", "--dt", "1e-5"], "dt"),
     (["nodes", "--a", "inf", "--probe-E", "-0.5", "--per-decade", "1000000000"],
      "decades"),
@@ -401,8 +396,7 @@ def test_bad_input_exits_2_naming_it(argv, named, capsys):
 
 
 @pytest.mark.parametrize("argv, code, fragment", [
-    (["nodes", "--analytic", "--probe-E", "-0.5"], 2,
-     "error: choose one of --analytic or --probe-E"),
+    (["nodes"], 2, "error: level mode requires --a, --R and --rho-max"),
     (["nodes", "--a", "inf", "--R", "1"], 2,
      "error: level mode requires --a, --R and --rho-max"),
     (["nodes", "--a", "inf", "--R", "1", "--rho-max", "1e4",
@@ -453,19 +447,13 @@ def test_probe_sidecar_reports_the_staircase(schema_validator, tmp_path):
     assert s["reference_ratio_formula"] == "exp(pi / b)"
 
 
-def test_nodes_analytic_is_the_zero_energy_solution(capsys):
-    # E = -kappa^2 / 2 of a fake kappa = 0.02 e^-T used to underflow to -0.0
-    assert main(["nodes", "--analytic", "--periods", "225", "--format", "json"]) == 0
-    s = json.loads(capsys.readouterr().out)["summary"]
-    assert s["E"] == 0.0 and math.copysign(1.0, s["E"]) == 1.0
-    assert s["kappa"] == 0.0
-
-
 @pytest.mark.parametrize("argv", [
     ["potential", "--a", "inf", "--rho-min", "1", "--rho-max", "10", "--tol", "1e-10"],
     ["branches", "--x", "0", "--tol", "1e-12"],
     ["spectrum", "--a", "inf", "--R", "1", "--rho-max", "1e4", "--branch", "1"],
     ["nodes", "--a", "inf", "--R", "1", "--rho-max", "1e4", "--branch", "1"],
+    ["nodes", "--analytic"],
+    ["nodes", "--a", "inf", "--R", "1", "--rho-max", "1e8", "--periods", "6"],
 ])
 def test_removed_flags_are_unrecognized(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -299,6 +299,30 @@ def test_node_report_geometry():
     assert set(rep.interior_positions).issubset(set(rep.positions))
 
 
+def _zero_energy_solution(periods):
+    """f = sqrt(rho) sin(b ln rho) over `periods` half-periods, sampled at DEFAULT_DT.
+
+    It solves the unitarity channel at E = 0, with nodes at exactly
+    rho = exp(m pi / b).
+    """
+    T = periods * math.pi / B
+    t = np.linspace(0.0, T, int(math.ceil(T / DEFAULT_DT)) + 1)
+    rho = np.exp(t)
+    # kappa = 0 leaves node_analysis's window open to the end of the grid
+    return radial.RadialSolution(E=0.0, kappa=0.0, node_count=periods, rho=rho,
+                                 f=np.sqrt(rho) * np.sin(B * t), R=1.0)
+
+
+@pytest.mark.parametrize("periods", [6, 225])
+def test_node_analysis_of_the_zero_energy_solution(periods):
+    # at 225 half-periods the grid ends near rho = 1e305
+    rep = node_analysis(_zero_energy_solution(periods))
+    assert len(rep.positions) == len(rep.interior_positions) == periods - 1
+    assert rep.geometric_ratio == pytest.approx(RATIO_NODE, rel=1e-6)
+    assert rep.ratio_spread < 1e-6
+    assert rep.kappa == 0.0
+
+
 def test_ground_state_has_too_few_nodes_for_analysis():
     pot = _unitarity_potential(1e6, HardWall(1.0))
     spec = find_spectrum(pot, 1e6, max_levels=1)
@@ -620,8 +644,7 @@ def test_dimer_side_search_cost(monkeypatch):
 
 def test_h_grid_search_starts_from_the_2h_level(monkeypatch):
     # each level is searched on the 2h grid first; the h-grid search then starts
-    # from two seeds _SEED_HALF_WIDTH either side of the 2h level, moved by the
-    # last level's shift ln kappa_h - ln kappa_2h, which stays below 1e-7
+    # from two seeds _SEED_HALF_WIDTH either side of the 2h level
     pot = _unitarity_potential(1e8, HardWall(1.0))
     events = []     # (grid step, ln kappa, is a level) in call order
     probe, bisect = radial._probe, radial._bisect
@@ -648,8 +671,9 @@ def test_h_grid_search_starts_from_the_2h_level(monkeypatch):
         assert step2 == 2.0 * h
         assert coarse_probes and all(step == 2.0 * h for step, _, _ in coarse_probes)
         assert len(fine_probes) >= 2 and all(step == h for step, _, _ in fine_probes)
-        for _, x, _ in fine_probes[:2]:
-            assert abs(x - hi2) <= radial._SEED_HALF_WIDTH + 1e-7, (x, hi2)
+        (_, below, _), (_, above, _) = fine_probes[:2]
+        assert below == hi2 - radial._SEED_HALF_WIDTH, (below, hi2)
+        assert above == hi2 + radial._SEED_HALF_WIDTH, (above, hi2)
         start = end + 1
 
 
