@@ -8,8 +8,10 @@ on the command line, is reported in these units.
 `bracketed_roots` is the package's one solver for roots of continuous
 increasing functions: every nu^2 root and b (`hyperangular`) and the
 mean-field saturation density n_sat (`meanfield`) come from it, narrowed
-to adjacent doubles.  Only the level search in `radial`, which looks for
-steps of a node count, has its own.
+to adjacent doubles.  Callers only choose the starting bracket, and may
+hand over f at its ends where they have evaluated it already.  Only the
+level search in `radial`, which looks for steps of a node count, has its
+own.
 """
 
 from __future__ import annotations
@@ -162,11 +164,14 @@ _SOLVE_CHUNK = 4096
 _COMPACT_FLOOR = 1024
 
 
-def bracketed_roots(f, lo_all: np.ndarray,
-                    hi_all: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def bracketed_roots(f, lo_all: np.ndarray, hi_all: np.ndarray,
+                    flo_all: np.ndarray | None = None,
+                    fhi_all: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Roots of increasing functions, f <= 0 at lo_all and f >= 0 at hi_all.
 
-    `f(v, idx)` evaluates the functions of elements `idx` at `v`.  Every
+    `f(v, idx)` evaluates the functions of elements `idx` at `v`; a caller
+    that has already evaluated them at the ends passes those values as
+    `flo_all` and `fhi_all`, and f is then not evaluated there again.  Every
     element narrows its own bracket at the Illinois regula-falsi point
     (Dowell & Jarratt, BIT 11, 168 (1971)): the end that two such steps in
     a row leave standing has its weight halved, and a point that rounds
@@ -183,7 +188,8 @@ def bracketed_roots(f, lo_all: np.ndarray,
     for start in range(0, lo_all.size, _SOLVE_CHUNK):
         idx = np.arange(start, min(start + _SOLVE_CHUNK, lo_all.size))
         lo, hi = lo_all[idx], hi_all[idx]
-        flo, fhi = f(lo, idx), f(hi, idx)
+        flo = f(lo, idx) if flo_all is None else flo_all[idx]
+        fhi = f(hi, idx) if fhi_all is None else fhi_all[idx]
         # a zero at an end collapses the bracket onto it
         hi = np.where(flo == 0.0, lo, hi)
         lo = np.where(fhi == 0.0, hi, lo)
@@ -191,7 +197,9 @@ def bracketed_roots(f, lo_all: np.ndarray,
         moved = np.zeros(lo.size)      # end the last falsi step replaced: -1 lo, +1 hi
         width1 = width2 = np.full(lo.size, np.inf)  # widths before the last two steps
         while idx.size:
-            mid = 0.5 * (lo + hi)
+            # halved first, so that ends near -1.8e308 do not overflow; the same
+            # double as 0.5 (lo + hi) wherever both ends are normal
+            mid = 0.5 * lo + 0.5 * hi
             done = ~((lo < mid) & (mid < hi))
             n_done = np.count_nonzero(done)
             if n_done == idx.size or (n_done and idx.size - n_done >= _COMPACT_FLOOR):

@@ -16,7 +16,10 @@ an exponentially scaled form that stays finite for every b > 0.  This
 module evaluates both forms stably on whole arrays, locates the roots of
 any branch at many x at once with one array solve (each element brackets
 its root, and `core.bracketed_roots` narrows the bracket down to adjacent
-doubles), and tabulates branches over log grids.
+doubles), and tabulates branches over log grids.  On branch 0 at x < 0,
+the dimer side, four Newton steps in b on the scaled form put each
+bracket a few ulps wide around the root, and a dimer-side root takes
+about 11 evaluations of the left-hand side, the Newton steps included.
 
 Every bracket end next to a genuine pole of the left-hand side, on any
 branch, steps toward it by factors of 8 and stops 1e-11 short of it in
@@ -83,9 +86,20 @@ _POLE_TOL = 1e-12
 # 1e-4 of |x|
 _POLE_FLOOR = 1e-11
 
+# b of the x = 0 root nu^2 = -b^2 on branch 0, where the Newton steps for a
+# branch-0 root at x < 0 start; every such root lies at larger b
+_B_UNITARITY = 1.0062378251027815
 
-def _lhs_negative(b: np.ndarray) -> np.ndarray:
-    """Left-hand side at s = -b^2, b > 0, safe for arbitrarily large b."""
+# Newton steps that place the first bracket of every branch-0 root at x < 0;
+# four land within 2 ulps of the root in b at every such x
+_NEWTON_STEPS = 4
+
+
+def _lhs_negative(b: np.ndarray, slope: bool = False):
+    """Left-hand side at s = -b^2, b > 0, safe for arbitrarily large b.
+
+    With `slope`, also its derivative in b, for b bounded away from 0.
+    """
     pb = np.pi * b
     em_full = -np.expm1(-pb)          # 1 - e^{-pi b}
     em_third = -np.expm1(-pb / 3.0)   # 1 - e^{-pi b/3}
@@ -93,7 +107,13 @@ def _lhs_negative(b: np.ndarray) -> np.ndarray:
     num = -b * (2.0 - em_full) + _EIGHT_OVER_SQRT3 * e_third * em_third
     with np.errstate(divide="ignore", invalid="ignore"):
         # em_full vanishes only when b underflows to ~0
-        return np.where(em_full == 0.0, LHS_AT_ZERO, num / em_full)
+        lhs = np.where(em_full == 0.0, LHS_AT_ZERO, num / em_full)
+    if not slope:
+        return lhs
+    e_full = 1.0 - em_full
+    dnum = (pb * e_full - (1.0 + e_full)
+            + (np.pi / 3.0) * _EIGHT_OVER_SQRT3 * e_third * (2.0 * e_third - 1.0))
+    return lhs, (dnum - np.pi * e_full * lhs) / em_full
 
 
 def _lhs_near_four(h):
@@ -161,18 +181,37 @@ def _at(exc: Exception, index) -> Exception:
     return exc
 
 
-def _brackets(f, x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """[lo, hi] in s around the root of branch k[i] at x[i], for every element.
+def _branch0_b(x: np.ndarray) -> np.ndarray:
+    """b near the branch-0 root nu^2 = -b^2 at every x < 0.
+
+    `_NEWTON_STEPS` Newton steps in b on lhs(-b^2) = x, each element on its
+    own, from b = hypot(x, b_u): the root lies at b > b_u, and b -> -x as
+    x -> -inf.
+    """
+    b = np.hypot(x, _B_UNITARITY)
+    for _ in range(_NEWTON_STEPS):
+        lhs, slope = _lhs_negative(b, slope=True)
+        b = np.maximum(b - (lhs - x) / slope, _B_UNITARITY)
+    return b
+
+
+def _brackets(f, x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, ...]:
+    """[lo, hi] in s around the root of branch k[i] at x[i], and f at both ends.
 
     Each branch holds exactly one root: the left-hand side increases
     strictly over it, from -inf (as s -> -inf on branch 0, at the lower
     pole otherwise) to +inf at the upper pole, smoothly across the
-    removable point nu = 4 on branch 1.  Branch 0 below `LHS_AT_ZERO`
-    starts from [-(|x| + 3)^2, 0], since lhs(-b^2) <= -b + 0.3 for every
-    b >= 3; above it the lower end is s = 0, or, beyond x = 12/pi, the
-    asymptote 4 - 48 / (pi x) that the root approaches from above, wherever
-    f is negative there.  Every end next to a pole steps toward it by a
-    factor of 8 in nu until the sign is right, and stops at `_POLE_FLOOR`.
+    removable point nu = 4 on branch 1.  Branch 0 at x < 0 starts from
+    -(b -/+ 2 ulps)^2 around the Newton estimate `_branch0_b`; an end
+    with the wrong sign moves away from b by a factor of 8 at a time, at
+    most to [-(|x| + 3)^2, 0], where the sign is right since
+    lhs(-b^2) <= -b + 0.3 for every b >= 3.  Branch 0 at
+    0 <= x < `LHS_AT_ZERO` starts from [-(|x| + 3)^2, 0].  Above
+    `LHS_AT_ZERO` its lower end is s = 0, or, beyond x = 12/pi, the
+    asymptote 4 - 48 / (pi x) that the root approaches from above,
+    wherever f is negative there.  Every end next to a pole steps toward
+    it by a factor of 8 in nu until the sign is right, and stops at
+    `_POLE_FLOOR`.  f at s = 0 is LHS_AT_ZERO - x without an evaluation.
     """
     lo, hi = np.zeros(x.shape), np.zeros(x.shape)
     below = (k == 0) & (x < LHS_AT_ZERO)
@@ -182,31 +221,50 @@ def _brackets(f, x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ConfigError(
             f"x = {x[np.argmax(np.isinf(lo))]:.17g} is too large in magnitude: its "
             "branch-0 root nu^2 ~ -x^2 overflows a double")
+    flo, fhi = LHS_AT_ZERO - x, LHS_AT_ZERO - x
     far = np.flatnonzero((k == 0) & (x > 12.0 / np.pi))   # where the asymptote is > 0
     if far.size:
         # pi x overflows above x ~ 5.7e307, where s = 4 puts the root at the pole
         with np.errstate(over="ignore"):
             s = 4.0 - 48.0 / (np.pi * x[far])
-        lo[far] = np.where(f(s, far) < 0.0, s, 0.0)
+        fs = f(s, far)
+        lo[far] = np.where(fs < 0.0, s, 0.0)
+        flo[far] = np.where(fs < 0.0, fs, flo[far])
+    unit = np.flatnonzero(below & (x >= 0.0))
+    if unit.size:
+        flo[unit] = f(lo[unit], unit)
+    dimer = np.flatnonzero(below & (x < 0.0))
+    b = np.zeros(x.shape)
+    if dimer.size:
+        b[dimer] = _branch0_b(x[dimer])
     nu_lo, nu_hi = _intervals(k)
-    for todo, edge, side, end in ((np.flatnonzero(k > 0), nu_lo, 1.0, lo),
-                                  (np.flatnonzero(~below), nu_hi, -1.0, hi)):
-        eps = 1e-6 * (nu_hi - nu_lo)
+    # each end moves from `anchor` by `gap`, to sign * (anchor + side gap)^2, and
+    # stops at `limit` + side `margin`: toward a pole in nu, away from b in b
+    for todo, side, end, fend, sign, anchor, limit, margin, gap, grow in (
+            (np.flatnonzero(k > 0), 1.0, lo, flo, 1.0, nu_lo, nu_lo ** 2, _POLE_FLOOR,
+             1e-6 * (nu_hi - nu_lo), 0.125),
+            (np.flatnonzero(~below), -1.0, hi, fhi, 1.0, nu_hi, nu_hi ** 2, _POLE_FLOOR,
+             1e-6 * (nu_hi - nu_lo), 0.125),
+            (dimer, 1.0, lo, flo, -1.0, b, lo.copy(), 0.0, 2.0 * np.spacing(b), 8.0),
+            (dimer, -1.0, hi, fhi, -1.0, b, hi.copy(), 0.0, 2.0 * np.spacing(b), 8.0)):
         while todo.size:
-            pole = edge[todo] ** 2
-            s = (edge[todo] + side * eps[todo]) ** 2
-            at_floor = side * (s - pole) <= _POLE_FLOOR
-            end[todo] = np.where(at_floor, pole + side * _POLE_FLOOR, s)
-            wrong = side * f(end[todo], todo) > 0.0
-            if (wrong & at_floor).any():
-                i = todo[np.argmax(wrong & at_floor)]
+            with np.errstate(over="ignore"):   # -inf past -(|x| + 3)^2 ~ -1.8e308
+                s = sign * np.maximum(anchor[todo] + side * gap[todo], 0.0) ** 2
+            at_limit = side * (s - limit[todo]) <= margin
+            end[todo] = np.where(at_limit, limit[todo] + side * margin, s)
+            fend[todo] = f(end[todo], todo)
+            wrong = side * fend[todo] > 0.0
+            # only a pole's limit can have the wrong sign: the ends of branch 0
+            # at x < 0 stop at [-(|x| + 3)^2, 0]
+            if (wrong & at_limit).any():
+                i = todo[np.argmax(wrong & at_limit)]
                 raise _at(SolverError(
                     f"branch {k[i]} root at x = {x[i]:.17g} lies within "
-                    f"{_POLE_FLOOR:g} of the pole at nu^2 = {edge[i] ** 2:g}; double "
+                    f"{_POLE_FLOOR:g} of the pole at nu^2 = {limit[i]:g}; double "
                     "precision cannot separate them"), i)
             todo = todo[wrong]
-            eps[todo] *= 0.125
-    return lo, hi
+            gap[todo] *= grow
+    return lo, hi, flo, fhi
 
 
 def _solve(x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

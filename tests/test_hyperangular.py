@@ -15,6 +15,8 @@ bisects on it with no shared code.  Expected constants are frozen from
 import cmath
 import math
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -364,17 +366,18 @@ def _ulps(a, b):
 
 
 def _plain_bisection_branch0(x):
-    """Reference branch-0 root below s = 0: double the lower end from -1
-    without limit, halve [lo, 0] down to adjacent doubles, keep the end
-    with the smaller |F - x|, then the best of it and its neighbours."""
+    """Reference branch-0 root below s = 0: double the lower end from -1,
+    down to the most negative double at most, halve [lo, 0] down to
+    adjacent doubles, keep the end with the smaller |F - x|, then the best
+    of it and its neighbours."""
     def f(s):
         return eigen_lhs(s) - x
     lo, hi = -1.0, 0.0
     while f(lo) > 0.0:
-        lo *= 2.0
+        lo = max(2.0 * lo, -sys.float_info.max)
     flo, fhi = f(lo), f(hi)
     while flo != 0.0 and fhi != 0.0:
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi
         if not lo < mid < hi:
             break
         fm = f(mid)
@@ -383,8 +386,8 @@ def _plain_bisection_branch0(x):
         if fm >= 0.0:
             hi, fhi = mid, fm
     root = lo if abs(flo) <= abs(fhi) else hi
-    return min((root, float(np.nextafter(root, -np.inf)), float(np.nextafter(root, np.inf))),
-               key=lambda s: abs(f(s)))
+    near = (root, math.nextafter(root, -math.inf), math.nextafter(root, math.inf))
+    return min((s for s in near if math.isfinite(s)), key=lambda s: abs(f(s)))
 
 
 def _log_uniform(lo, hi):
@@ -421,33 +424,125 @@ def test_illinois_roots_against_plain_bisection(cases, rng):
 
 
 def test_branch0_first_bracket_holds():
-    # the first lower end -(|x| + 3)^2 rests on lhs(-b^2) <= -b + 0.3, b >= 3
+    # the lower end -(|x| + 3)^2 rests on lhs(-b^2) <= -b + 0.3, b >= 3
     b = np.concatenate([np.linspace(3.0, 50.0, 2001), np.logspace(1.7, 154.0, 2001)])
     assert np.all(_lhs(-b * b) <= -b + 0.3)
 
 
+# the most negative x whose branch-0 bound -(|x| + 3)^2 is still a double
+X_EDGE = -1.3407807929942596e154
+
+# branch-0 roots at x < 0 start from Newton's estimate: both ends of the range,
+# x around -0.6, where the first b = hypot(x, b_u) lies furthest from the root,
+# and two of the x (about 1 in 1,200) where the first lower or upper end has the
+# wrong sign and moves out
+X_DIMER = [-5e-324, -1e-300, -1e-6, -0.5, -3.0, -40.0, -1e12, X_EDGE,
+           -1.4451533715040548, -0.388269351103592]
+
+
+def test_x_edge_is_the_last_finite_bound():
+    with np.errstate(over="ignore"):
+        assert np.isfinite(-(np.abs(np.float64(X_EDGE)) + 3.0) ** 2)
+        assert np.isinf(-(np.abs(np.nextafter(X_EDGE, -np.inf)) + 3.0) ** 2)
+
+
+def _check_dimer_root(x, batch_x):
+    """x's bracket holds its root, with f at its ends, and x's root is the one
+    it has in a batch with `batch_x`, next to a sign change and within 8 ulps
+    of plain bisection."""
+    xs = np.array([x, *batch_x])
+    k = np.zeros(xs.size, dtype=int)
+
+    def f(s, idx):
+        return _lhs(s) - xs[idx]
+
+    lo, hi, flo, fhi = hyperangular._brackets(f, xs, k)
+    assert np.all(flo <= 0.0) and np.all(fhi >= 0.0), x
+    assert flo.tobytes() == f(lo, np.arange(xs.size)).tobytes()
+    assert fhi.tobytes() == f(hi, np.arange(xs.size)).tobytes()
+    batch, _ = _solve(xs, k)
+    one, _ = _solve(xs[:1], k[:1])
+    assert batch[0].tobytes() == one[0].tobytes(), x
+    s = float(one[0])
+    near = (math.nextafter(s, -math.inf), s, math.nextafter(s, math.inf))
+    vals = [eigen_lhs(v) - x for v in near if math.isfinite(v)]
+    assert min(vals) <= 0.0 <= max(vals), x
+    assert _ulps(s, _plain_bisection_branch0(x)) <= 8, x
+
+
+@pytest.mark.parametrize("x", X_DIMER)
+def test_branch0_newton_bracket_fixed_cases(x):
+    _check_dimer_root(x, [v for v in X_DIMER if v != x])
+
+
+@given(_log_uniform(5e-324, 1.3e154).map(lambda v: -v))
+@settings(max_examples=80, deadline=None)
+def test_branch0_newton_bracket_property(x):
+    _check_dimer_root(x, X_DIMER)
+
+
+def test_x0_root_keeps_its_bits():
+    # x = 0 keeps the bracket [-9, 0]: every unitarity spectrum reads this root,
+    # and branches_x0.csv prints its residual as 0
+    want = "-0x1.0334277cca821p+0"
+    for x in (0.0, -0.0):
+        root = solve_branch0(x)
+        assert root.value.hex() == want and root.residual == 0.0, x
+    assert hyperangular._unitarity_root(0).hex() == want
+
+
+def _count_newton_steps(monkeypatch, sizes):
+    """Append the batch size of every Newton step to `sizes`."""
+    lhs_negative = hyperangular._lhs_negative
+
+    def counted(b, slope=False):
+        if slope:
+            sizes.append(b.size)
+        return lhs_negative(b, slope)
+
+    monkeypatch.setattr(hyperangular, "_lhs_negative", counted)
+
+
+def test_overflow_is_refused_before_any_newton_step(monkeypatch):
+    newton = []
+    _count_newton_steps(monkeypatch, newton)
+    with pytest.raises(ConfigError, match="too large in magnitude"):
+        _solve(np.array([-1.0, -1e200]), np.zeros(2, dtype=int))
+    assert newton == []
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "efimov_lab",
+                           "branches", "--x", "-1e200", "--count", "1"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == ("efimov-lab: error: x = -9.9999999999999997e+199 is too large "
+                           "in magnitude: its branch-0 root nu^2 ~ -x^2 overflows a double\n")
+
+
 @pytest.mark.parametrize("a", [-1e4, 3.3])
 def test_workspace_resolve_evaluation_budget(a, monkeypatch):
-    # on the 2,359-point grid of a 1/128 step, Illinois steps need about
-    # 14.5 evaluations per point at a = -1e4, from the first bracket
-    # [-(|x| + 3)^2, 0], and about 16.3 at a = 3.3, from the lower end
-    # 4 - 48 / (pi x) (26 from s = 0); plain bisection from a doubled
-    # bracket took about 66.  The default workspace's grid, of step 1/64,
-    # is half as dense, so neighbours start further apart: 17.9 and 19.9
-    # per point, but 21.2k and 23.6k in all against 34.3k and 38.4k
+    # evaluations of the eigenvalue function, each Newton step counted as one.
+    # At a = -1e4 every root starts from 4 Newton steps and a bracket a few
+    # ulps wide, and takes 10.0 per point on the 2,359-point grid of a 1/128
+    # step (23.7k) and 11.0 on the 1,181 points of the default workspace
+    # (13.0k).  At a = 3.3 the lower end is 4 - 48 / (pi x): 14.3 and 18.0 per
+    # point (33.8k and 21.2k).  The search starting from [-(|x| + 3)^2, 0] at
+    # a = -1e4, and evaluating both ends again, took 14.5 and 17.9 (34.3k and
+    # 21.2k), and at a = 3.3 16.3 and 19.9 (38.4k and 23.6k); plain bisection
+    # from a doubled bracket about 66.  Each bound allows one more pass
+    # over the batch than measured
+    per_point, per_point_ws = {-1e4: (11, 12), 3.3: (15, 19)}[a]
     cfg = make_config(a)
     branch = tabulate_branch(cfg, LogGrid.make(1.0, 1e8, 2))
     evaluated = []
     lhs = hyperangular._lhs
     monkeypatch.setattr(hyperangular, "_lhs",
                         lambda s: evaluated.append(s.size) or lhs(s))
+    _count_newton_steps(monkeypatch, evaluated)
     branch.nu_squared_at(_log_radii(GRID_1_128))
-    assert sum(evaluated) <= 18 * GRID_1_128
+    assert sum(evaluated) <= per_point * GRID_1_128
     evaluated.clear()
     ws = radial._Workspace(effective_potential(branch, HardWall(1.0)), 1.0, 1e8,
                            radial.DEFAULT_DT)
-    assert sum(evaluated) <= 21 * ws.n_full
-    assert sum(evaluated) <= 25_000
+    assert sum(evaluated) <= per_point_ws * ws.n_full
 
 
 def test_table_at_the_pole_floor_names_the_radius():
