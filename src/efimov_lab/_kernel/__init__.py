@@ -1,10 +1,19 @@
 """Numerov kernel for the log-grid radial integrator.
 
 `integrate_numerov(w, h, g0, dg0) -> (g, nodes)` checks its inputs,
-allocates the samples `g`, writes the first two from a fourth-order
-Taylor start and hands them to `_pure.march(w, h, g) -> nodes`, which
-marches on from g[0] and g[1] with Numerov's rule in Henrici's summed
-form.  The samples converge as h^4 whatever g0 and dg0 are.
+allocates the samples `g`, writes the first two and hands them to
+`_pure.march(w, h, g) -> nodes`, which marches on from g[0] and g[1] with
+Numerov's rule in Henrici's summed form.
+
+g[1] is the Taylor series of g through h^6 plus h^6 g^(6)(0) / 480, a term
+of the order of the march's own local error -h^6 g^(6) / 240.  Even the
+exact start g(h) leaves the march a homogeneous error of order h^5 with
+zero value and nonzero slope at t = 0.  Behind a hard wall (g0 = 0) that is
+a multiple of the solution and moves no level; from g0 != 0 (a cap, the
+probe's inward start) it moves the log-derivative at t = 0, and so every
+level, by O(h^5).  The added term cancels it: the samples converge as h^4
+whatever g0 and dg0 are, and the levels after Richardson extrapolation as
+h^6.  Fewer than seven points keep a Taylor start through h^4.
 """
 
 from __future__ import annotations
@@ -14,6 +23,31 @@ import math
 import numpy as np
 
 from . import _pure
+
+
+def _sixth_order_start(w, h, g0, dg0):
+    """g(h) through h^6 from g'' = w g, plus h^6 g^(6)(0) / 480; len(w) >= 7."""
+    w0, w1, w2, w3, w4, w5, w6 = w[:7].tolist()
+    # the first four derivatives at t = 0 of the degree-6 polynomial through
+    # w[0..6], with exact weights, written out: a loop over a table of them
+    # made the start several times slower
+    dw = (-147.0 * w0 + 360.0 * w1 - 450.0 * w2 + 400.0 * w3 - 225.0 * w4 + 72.0 * w5
+          - 10.0 * w6) / (60.0 * h)
+    d2w = (812.0 * w0 - 3132.0 * w1 + 5265.0 * w2 - 5080.0 * w3 + 2970.0 * w4 - 972.0 * w5
+           + 137.0 * w6) / (180.0 * h ** 2)
+    d3w = (-49.0 * w0 + 232.0 * w1 - 461.0 * w2 + 496.0 * w3 - 307.0 * w4 + 104.0 * w5
+           - 15.0 * w6) / (8.0 * h ** 3)
+    d4w = (35.0 * w0 - 186.0 * w1 + 411.0 * w2 - 484.0 * w3 + 321.0 * w4 - 114.0 * w5
+           + 17.0 * w6) / (6.0 * h ** 4)
+    # g^(n+2) = sum_k C(n, k) w^(k) g^(n-k) (Leibniz)
+    g2 = w0 * g0
+    g3 = dw * g0 + w0 * dg0
+    g4 = d2w * g0 + 2.0 * dw * dg0 + w0 * g2
+    g5 = d3w * g0 + 3.0 * d2w * dg0 + 3.0 * dw * g2 + w0 * g3
+    g6 = d4w * g0 + 4.0 * d3w * dg0 + 6.0 * d2w * g2 + 4.0 * dw * g3 + w0 * g4
+    # 1/720 from the series and 1/480 from the march: h^6 g^(6) / 288
+    return g0 + h * (dg0 + h * (g2 / 2.0 + h * (g3 / 6.0 + h * (
+        g4 / 24.0 + h * (g5 / 120.0 + h * (g6 / 288.0))))))
 
 
 def integrate_numerov(w, h, g0, dg0):
@@ -43,13 +77,15 @@ def integrate_numerov(w, h, g0, dg0):
     if not (h > 0.0 and math.isfinite(h)):
         raise ValueError(f"step must be positive and finite, got {h!r}")
     h, g0, dg0 = float(h), float(g0), float(dg0)
+    g = np.empty(n)
+    g[0] = g0
+    if n >= 7:
+        g[1] = _sixth_order_start(w, h, g0, dg0)
+        return g, _pure.march(w, h, g)
+    # the Taylor start through h^4, with w' to second order and w'' to first;
+    # two points give only a one-sided w' and no w''
     h2 = h * h
     w0, w1 = float(w[0]), float(w[1])
-    # Taylor start through h^4, from g'' = w g: g^(3) = w' g + w g' and
-    # g^(4) = (w^2 + w'') g + 2 w' g'.  With w' to second order and w'' to
-    # first, g[1] errs by O(h^5), so the march converges as h^4 for g0 != 0
-    # too (a cap, the probe's inward start).  Two points give only a
-    # one-sided w' and no w''.
     if n > 2:
         w2 = float(w[2])
         dw = (-3.0 * w0 + 4.0 * w1 - w2) / (2.0 * h)
@@ -57,8 +93,6 @@ def integrate_numerov(w, h, g0, dg0):
     else:
         dw = (w1 - w0) / h
         d2w = 0.0
-    g = np.empty(n)
-    g[0] = g0
     g[1] = (g0 + h * dg0 + 0.5 * h2 * w0 * g0 + (h2 * h / 6.0) * (w0 * dg0 + dw * g0)
             + (h2 * h2 / 24.0) * ((w0 * w0 + d2w) * g0 + 2.0 * dw * dg0))
     return g, _pure.march(w, h, g)

@@ -495,13 +495,26 @@ class AdiabaticBranch:
 
         nu^2 is asked for only where rho >= R (everywhere without a
         scheme).  Below R the potential is +inf behind a hard wall and its
-        value at R under a cap.
+        value at R under a cap.  Where 2 rho^2 is not a normal double the
+        quotient is taken one factor of rho at a time, which stays finite
+        wherever the potential is; a radius where it is not is refused.
         """
         above = np.ones(rho.shape, bool) if self.scheme is None else rho >= self.scheme.R
         out = np.empty(rho.shape)
         if above.any():
             r = rho[above]
-            out[above] = (nu2_where(above) - 0.25) / (2.0 * r * r)
+            num = nu2_where(above) - 0.25
+            v = np.empty(r.shape)
+            normal = (r > 1e-150) & (r < 1e150)
+            v[normal] = num[normal] / (2.0 * r[normal] * r[normal])
+            far = ~normal
+            with np.errstate(over="ignore"):
+                v[far] = num[far] / r[far] / (2.0 * r[far])
+            if not np.all(np.isfinite(v)):
+                raise ConfigError(
+                    f"v_eff = (nu^2 - 1/4) / (2 rho^2) overflows at "
+                    f"rho = {float(r[~np.isfinite(v)][0]):.6g}")
+            out[above] = v
         if not above.all():
             out[~above] = math.inf if isinstance(self.scheme, HardWall) else self.v_eff(self.R)
         return out

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,6 +163,39 @@ def _eval_terms(terms, n, shift):
     return out
 
 
+def _couplings(model: MatterModel, power: float) -> str:
+    """The model parameters behind its energy term in n^power, for messages."""
+    names = []
+    if model.statistics is Statistics.FERMI and power == 5.0 / 3.0:
+        names.append("the Fermi kinetic term")
+    if power == 2.0:
+        names.append(f"t0 = {model.t0!r}")
+    stab = model.stabilizer
+    if stab.kind is not StabilizerKind.NONE and power == stab.power:
+        names.append(f"t3 = {stab.t3!r}"
+                     + ("" if stab.alpha is None else f", alpha = {stab.alpha!r}")
+                     + ("" if model.c3 is None else f", c3 = {model.c3!r}"))
+    return " and ".join(names)
+
+
+def _finite_terms(model: MatterModel, n, shift):
+    """`_eval_terms` of the model at n, refusing a sum that leaves the float range.
+
+    The message names the couplings of the term largest in magnitude at the
+    first density where the sum is not finite.
+    """
+    terms = model.energy_terms()
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _eval_terms(terms, n, shift)
+    bad = ~np.isfinite(out)
+    if np.any(bad):
+        n_bad = float(np.asarray(n)[bad].flat[0])
+        _, power = max(terms, key=lambda t: math.log(abs(t[0])) + (t[1] + shift) * math.log(n_bad))
+        raise ConfigError(f"{_couplings(model, power)}: the energy term in n^{power:.6g} "
+                          f"overflows at n = {n_bad:.6g}")
+    return out
+
+
 def kinetic_density_fermi(n):
     """Kinetic energy density tau_F(n) of an ideal two-component Fermi gas."""
     n_arr = np.asarray(n, dtype=float)
@@ -176,7 +210,7 @@ def energy_density(model: MatterModel, n):
     n_arr = np.asarray(n, dtype=float)
     if np.any(n_arr < 0.0) or not np.all(np.isfinite(n_arr)):
         raise ConfigError("density must be nonnegative and finite")
-    out = _eval_terms(model.energy_terms(), n_arr, 0.0)
+    out = _finite_terms(model, n_arr, 0.0)
     return float(out) if np.ndim(n) == 0 else out
 
 
@@ -185,7 +219,7 @@ def energy_per_particle(model: MatterModel, n):
     n_arr = np.asarray(n, dtype=float)
     if np.any(n_arr <= 0.0) or not np.all(np.isfinite(n_arr)):
         raise ConfigError("energy per particle needs n > 0")
-    out = _eval_terms(model.energy_terms(), n_arr, -1.0)
+    out = _finite_terms(model, n_arr, -1.0)
     return float(out) if np.ndim(n) == 0 else out
 
 
@@ -232,21 +266,46 @@ class StabilityReport:
 
 # points of the log scan that brackets the minimum for the root solver
 _SCAN_POINTS = 4001
+_LN_MARGIN = math.log(1e4)   # the scan reaches this far past the outer balance points
 
 
-def _scan_bounds(terms) -> tuple[float, float]:
-    """Log-scan window bracketing every pairwise term balance point."""
-    scales = []
-    for i in range(len(terms)):
-        ci, pi = terms[i]
-        for j in range(i + 1, len(terms)):
-            cj, pj = terms[j]
-            if pi == pj:
-                continue
-            scales.append((abs(ci) / abs(cj)) ** (1.0 / (pj - pi)))
-    if not scales:
-        scales = [1.0]
-    return min(scales) * 1e-4, max(scales) * 1e4
+def _term_overflow(model: MatterModel, power: float, n: float) -> ConfigError:
+    return ConfigError(f"{_couplings(model, power)}: the energy term in n^{power:.6g} "
+                       f"overflows above n = {n:.6g}, short of the minimum of e(n)")
+
+
+def _scan_bounds(model: MatterModel, terms) -> tuple[float, float, float | None]:
+    """Log-scan window bracketing every pairwise term balance point.
+
+    Returns (n_lo, n_hi, p_top): where a term of e(n) or e'(n) would
+    overflow below n_hi, the window stops short of it and p_top is that
+    term's power, else None.  Each balance |ci| n^pi = |cj| n^pj is taken
+    in logs, so that it cannot overflow, and a window end outside the
+    normal doubles is refused, naming the couplings that balance there.
+    """
+    balances = sorted(((math.log(abs(ci)) - math.log(abs(cj))) / (pj - pi), pi, pj)
+                      for i, (ci, pi) in enumerate(terms) for cj, pj in terms[i + 1:])
+    (ln_lo, *lo_pair), (ln_hi, *hi_pair) = balances[0], balances[-1]
+    for ln_balance, ln_n, (pi, pj) in ((ln_lo, ln_lo - _LN_MARGIN, lo_pair),
+                                       (ln_hi, ln_hi + _LN_MARGIN, hi_pair)):
+        if not math.log(sys.float_info.min) <= ln_n <= math.log(sys.float_info.max):
+            raise ConfigError(
+                f"{_couplings(model, pi)} and {_couplings(model, pj)} balance at "
+                f"n = 10^{ln_balance / math.log(10.0):.4g}; the scan of e(n) within a "
+                f"factor 1e4 of it leaves the float range")
+    # every power exceeds 1, so at n >= 1 the terms c n^(p - 1) of e(n) and
+    # c (p - 1) n^(p - 2) of e'(n), and the powers of n in them, are at most
+    # p max(|c|, 1) n^(p - 1), and their sums at most len(terms) times that;
+    # 2.3e-16 covers the rounding of exp(ln n) to n
+    ln_room = math.log(sys.float_info.max) - math.log(len(terms))
+    ln_top, p_top = min(
+        ((ln_room - max(math.log(abs(c)), 0.0) - math.log(p)) / (p - 1.0) - 2.3e-16, p)
+        for c, p in terms)
+    if ln_top >= ln_hi + _LN_MARGIN:
+        return math.exp(ln_lo - _LN_MARGIN), math.exp(ln_hi + _LN_MARGIN), None
+    if ln_top <= ln_lo - _LN_MARGIN:
+        raise _term_overflow(model, p_top, math.exp(ln_top))
+    return math.exp(ln_lo - _LN_MARGIN), math.exp(ln_top), p_top
 
 
 def classify_stability(model: MatterModel, *, tol: float = 1e-10) -> StabilityReport:
@@ -258,7 +317,9 @@ def classify_stability(model: MatterModel, *, tol: float = 1e-10) -> StabilityRe
     between its two grid neighbours, and `bracketed_roots` narrows that
     bracket to adjacent doubles.  `tol` gates the result: a pressure
     residual n^2 e'(n) above sqrt(tol) |epsilon(n_sat)| raises
-    :class:`SolverError`.
+    :class:`SolverError`.  A scan that would leave the float range, at a
+    balance point or where a term of e(n) overflows short of its minimum,
+    raises :class:`ConfigError` naming the couplings of those terms.
     """
     if not (0.0 < tol < 1e-2):
         raise ConfigError(f"tol must be in (0, 1e-2), got {tol!r}")
@@ -274,10 +335,12 @@ def classify_stability(model: MatterModel, *, tol: float = 1e-10) -> StabilityRe
         return StabilityReport(Classification.TRIVIAL_MINIMUM_AT_ZERO, model,
                                n_sat=0.0, e_min=0.0)
 
-    n_lo, n_hi = _scan_bounds(terms)
+    n_lo, n_hi, p_top = _scan_bounds(model, terms)
     grid = np.geomspace(n_lo, n_hi, _SCAN_POINTS)
     vals = _eval_terms(terms, grid, -1.0)
     i_min = int(np.argmin(vals))
+    if p_top is not None and i_min == _SCAN_POINTS - 1:
+        raise _term_overflow(model, p_top, n_hi)
     if vals[i_min] >= 0.0:
         return StabilityReport(Classification.TRIVIAL_MINIMUM_AT_ZERO, model,
                                n_sat=0.0, e_min=0.0)
@@ -290,11 +353,10 @@ def classify_stability(model: MatterModel, *, tol: float = 1e-10) -> StabilityRe
     roots, closing = bracketed_roots(lambda n, idx: _eval_terms(de_terms, n, -2.0),
                                      grid[i_min - 1:i_min], grid[i_min + 1:i_min + 2])
     n_sat = roots[0]
-    residual = n_sat * n_sat * closing[0]
-    scale = max(abs(_eval_terms(terms, n_sat, 0.0)), 1e-300)
-    if residual > math.sqrt(tol) * scale:
+    e_min = float(_eval_terms(terms, n_sat, -1.0))
+    # the pressure n^2 e'(n) against epsilon = n e(n), both divided by n, which
+    # may overflow where e(n) does not
+    if n_sat * closing[0] > math.sqrt(tol) * max(abs(e_min), 1e-300 / n_sat):
         raise SolverError(f"saturation point did not converge: "
-                          f"pressure residual {residual:.3e}")
-    return StabilityReport(Classification.SATURATING, model,
-                           n_sat=float(n_sat),
-                           e_min=float(_eval_terms(terms, n_sat, -1.0)))
+                          f"pressure residual {n_sat * n_sat * closing[0]:.3e}")
+    return StabilityReport(Classification.SATURATING, model, n_sat=float(n_sat), e_min=e_min)

@@ -24,15 +24,17 @@ ln kappa above the level before.
 The kernel converges as h^4, so each level is searched twice, on the
 grid of step h <= dt and on its every other point, and the level
 reported is the Richardson extrapolation (16 E_h - E_2h) / 15, with
-|E_h - E_2h| / 15 as its error estimate.  Each level is searched on the
-2h grid first, and the h search starts from two integrations just around
-the 2h level, so most integrations run on the grid of half the length.
-Each search mostly ends with both ends of its final bracket integrated,
-and the h-grid probe on the deeper end is the level's solution, so no
-level is integrated again once found.  At the default step DEFAULT_DT
-and tolerance DEFAULT_TOL_E a unitarity level costs about 7 integrations
+|E_h - E_2h| / 15 as its error estimate.  The kernel's start carries the
+march's own local error, so what Richardson leaves is an h^6 term under
+a hard wall and a cap alike.  Each level is searched on the 2h grid
+first, and the h search starts from two integrations just around the 2h
+level, so most integrations run on the grid of half the length.  Each
+search mostly ends with both ends of its final bracket integrated, and
+the h-grid probe on the deeper end is the level's solution, so no level
+is integrated again once found.  At the default step DEFAULT_DT = 1/32
+and tolerance DEFAULT_TOL_E a unitarity level costs about 6 integrations
 on the 2h grid and 4 on the h grid, its solution included, against
-about 40 for plain bisection on one grid, and lies within 5e-11 of the
+about 40 for plain bisection on one grid, and lies within 4e-11 of the
 exact one.
 
 Levels are searched only below the branch's threshold E_thr, the edge
@@ -66,14 +68,14 @@ from .core import (
 )
 from .hyperangular import AdiabaticBranch, Cap
 
-DEFAULT_DT = 1.0 / 64.0
+DEFAULT_DT = 1.0 / 32.0
 DEFAULT_TOL_E = 1e-10
 DEFAULT_TAIL_FACTOR = 36.0
 DEFAULT_BOX_FLAG_FACTOR = 100.0
 
 _KAPPA_SEARCH_EDGE = 0.03   # kappa * rho_max at the shallow search edge
 _FLOOR_SCALE = 10.0         # |E_floor| in units of 1/(2 R^2)
-_SEED_HALF_WIDTH = 1e-7     # ln kappa from the 2h level to each h-grid seed
+_SEED_HALF_WIDTH = 1e-6     # ln kappa from the 2h level to each h-grid seed
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,7 +153,8 @@ class _Workspace:
     nu^2 is evaluated once per grid point; each energy then only
     assembles w = nu^2 + kappa^2 rho^2 over the truncated range.  The
     number of steps is even, so that every other point forms the grid of
-    step 2h that `coarse` returns.
+    step 2h that `coarse` returns.  At DEFAULT_DT = 1/32 the grid from
+    R = 1 to rho_max = 1e8 holds 591 points (1,181 at 1/64).
 
     Up to the tail cutoff w reaches DEFAULT_TAIL_FACTOR^2 + nu^2, with
     nu^2 < 4 on branch 0, and the Numerov coefficient 1 - (2h)^2 w / 12 of
@@ -412,8 +415,9 @@ def find_spectrum(potential: AdiabaticBranch, rho_max: float,
     `E_error` is |E_h - E_2h| / 15.  The returned solution samples and
     node count are the h grid's at E_h, which carries exactly k nodes.
     They come from the h search's own probe at E_h; only where no probe sits
-    there (none of 568 levels over 180 spectra at the default tolerance,
-    264 of them at tol_E = 1e-6) is E_h integrated once more.
+    there (none of 568 levels over 180 spectra at the default tolerance or
+    at tol_E = 1e-6, 261 of them at tol_E = 1e-5) is E_h integrated once
+    more.
     The relative energy width of each final bracket is below `tol_E`.  A
     `tol_E` below the spacing of doubles in ln kappa ends each bisection
     at adjacent doubles instead.
@@ -447,11 +451,11 @@ def find_spectrum(potential: AdiabaticBranch, rho_max: float,
 
     The h search then runs the same bisection over the same window, from
     the previous h level.  It starts from two integrations _SEED_HALF_WIDTH
-    either side of the 2h level, which lies within 5e-8 of the h level in
-    ln kappa at the default step, so the gap closes on the h level in
-    about two more.  Since the final brackets do not depend on where the
-    known points lie, the order of the two searches leaves every level as
-    it was.
+    either side of the 2h level, which lies within 6.1e-7 of the h level in
+    ln kappa at the default step (over 272 levels of 96 spectra), so the
+    gap closes on the h level in about two more.  Since the final brackets
+    do not depend on where the known points lie, the order of the two
+    searches leaves every level as it was.
 
     The window runs from the search floor up to kappa rho_max =
     _KAPPA_SEARCH_EDGE or, where the threshold (`potential.threshold`)

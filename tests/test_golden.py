@@ -2,8 +2,8 @@
 
 Each case runs one CLI command in-process through `efimov_lab.cli.main`
 and compares its stdout with `tests/golden/<name>.csv` byte for byte.
-The cases are the README command set plus a dimer-side spectrum and a
-finite-a potential table.  The README's `constants --format json` runs
+The cases are the README command set plus a dimer-side spectrum, a
+capped spectrum and a finite-a potential table.  The README's `constants --format json` runs
 here as CSV: its JSON manifest carries a timestamp.
 
 A change that alters output on purpose rewrites the files with
@@ -34,6 +34,8 @@ CASES = {
                            "--stabilizer", "dd", "--alpha", "1", "--t3", "1"],
     "branches_x0": ["branches", "--x", "0", "--count", "4"],
     "spectrum_dimer": ["spectrum", "--a=-1e4", "--R", "1", "--rho-max", "1e8"],
+    "spectrum_cap_unitarity": ["spectrum", "--a", "inf", "--R", "1", "--rho-max", "1e8",
+                               "--regularization", "cap"],
     "potential_finite_a": ["potential", "--a", "-2.5", "--rho-min", "0.01",
                            "--rho-max", "1e3", "--points", "80"],
 }

@@ -291,13 +291,29 @@ def _log_radii(points):
 GRID_1_128 = 2359
 
 
+def test_potential_is_finite_wherever_representable():
+    # 2 rho^2 is not a normal double below rho ~ 1e-154 or above ~ 1e154; there
+    # (nu^2 - 1/4) / (2 rho^2) is taken one factor of rho at a time
+    mpmath = pytest.importorskip("mpmath")
+    pot = tabulate_branch(make_config(math.inf), LogGrid.make(1e-3, 1e3, 2))
+    rho = np.array([6e-155, 1e-152, 1.0, 1e152, 1e160, 1e200])
+    nu2 = pot.nu_squared_at(1.0)
+    want = [float((mpmath.mpf(nu2) - 0.25) / (2 * mpmath.mpf(r) ** 2)) for r in rho]
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        got = pot.v_eff(rho)
+    assert np.allclose(got, want, rtol=1e-15, atol=0.0)
+    with pytest.raises(ConfigError, match=r"^v_eff = \(nu\^2 - 1/4\) / \(2 rho\^2\) overflows "
+                                          r"at rho = 5e-155"):
+        pot.v_eff(np.array([1.0, 5e-155]))
+
+
 def test_workspace_resolve_equals_pointwise_solve_exactly():
     # the radial workspace re-solves nu^2 at each of its radii in one array
-    # call; checked on the 1/128 grid and on the workspace's own radii
+    # call; checked on the 1/128 grid and on the radii of a workspace at
+    # dt = 1/64, which holds more than 1,000 of them
     cfg = make_config(-1e4)
     branch = tabulate_branch(cfg, LogGrid.make(1.0, 1e8, 512))
-    ws = radial._Workspace(effective_potential(branch, HardWall(1.0)), 1.0, 1e8,
-                           radial.DEFAULT_DT)
+    ws = radial._Workspace(effective_potential(branch, HardWall(1.0)), 1.0, 1e8, 1.0 / 64.0)
     rho_1_128 = _log_radii(GRID_1_128)
     for rho, got in ((rho_1_128, branch.nu_squared_at(rho_1_128)), (ws.rho, ws.nu2)):
         n = len(rho)
@@ -522,13 +538,14 @@ def test_workspace_resolve_evaluation_budget(a, monkeypatch):
     # evaluations of the eigenvalue function, each Newton step counted as one.
     # At a = -1e4 every root starts from 4 Newton steps and a bracket a few
     # ulps wide, and takes 10.0 per point on the 2,359-point grid of a 1/128
-    # step (23.7k) and 11.0 on the 1,181 points of the default workspace
-    # (13.0k).  At a = 3.3 the lower end is 4 - 48 / (pi x): 14.3 and 18.0 per
-    # point (33.8k and 21.2k).  The search starting from [-(|x| + 3)^2, 0] at
-    # a = -1e4, and evaluating both ends again, took 14.5 and 17.9 (34.3k and
-    # 21.2k), and at a = 3.3 16.3 and 19.9 (38.4k and 23.6k); plain bisection
-    # from a doubled bracket about 66.  Each bound allows one more pass
-    # over the batch than measured
+    # step (23.7k) and 11.0 on the 591 points of the default workspace (6.5k;
+    # 13.0k on the 1,181 points of a 1/64 step).  At a = 3.3 the lower end is
+    # 4 - 48 / (pi x): 14.3 and 18.1 per point (33.8k and 10.7k).  On the 1,181
+    # points, the search starting from [-(|x| + 3)^2, 0] at a = -1e4, and
+    # evaluating both ends again, took 14.5 on the 2,359 points and 17.9 on
+    # the 1,181 (34.3k and 21.2k), and at a = 3.3 16.3 and 19.9 (38.4k and
+    # 23.6k); plain bisection from a doubled bracket about 66.  Each bound
+    # allows one more pass over the batch than measured
     per_point, per_point_ws = {-1e4: (11, 12), 3.3: (15, 19)}[a]
     cfg = make_config(a)
     branch = tabulate_branch(cfg, LogGrid.make(1.0, 1e8, 2))

@@ -25,16 +25,17 @@ def _rescales_of_growing_sinh(g, k, h):
     the step falls short of it by more than ln 1e250.  A rescale is
     expected where the unscaled march has grown past ln 1e250 since the
     last one.  The unscaled march is the exact solution of the Numerov
-    recurrence c g+ - (12 - 10 c) g + c g- = 0 from the Taylor start
-    g1 = h + h^3 k^2 / 6: g_i = g1 (l^i - l^-i) / (l - 1/l), with l its
-    root above 1; its drift from k t decides which step crosses first.
+    recurrence c g+ - (12 - 10 c) g + c g- = 0 from the start
+    g1 = h + h^3 k^2 / 6 + h^5 k^4 / 120: g_i = g1 (l^i - l^-i) / (l - 1/l),
+    with l its root above 1; its drift from k t decides which step crosses
+    first.
     """
     t = h * np.arange(len(g))
     closed = k * t - math.log(2.0 * k)
     c = 1.0 - h * h * k * k / 12.0
     a = 12.0 - 10.0 * c
     lam = (a + math.sqrt(a * a - 4.0 * c * c)) / (2.0 * c)
-    g1 = h + h ** 3 * k * k / 6.0
+    g1 = h + h ** 3 * k * k / 6.0 + h ** 5 * k ** 4 / 120.0
     threshold = math.log(_pure.RESCALE_THRESHOLD)
     late = np.flatnonzero(t > 1.0)
     unscaled = math.log(g1 / (lam - 1.0 / lam)) + late * math.log(lam)
@@ -66,8 +67,9 @@ def test_zero_solution_stays_zero():
 @pytest.mark.parametrize("w, g0, dg0, zero_at, signbit, want_nodes", [
     # w = 0, h = 1: g = 1 - t crosses zero exactly at t = 1
     (np.zeros(6), 1.0, -1.0, 1, False, 1),
-    # c = 1 - w/12 = -1 at points 3 and 4: 3, 2, 1, 0/(-1) = -0.0, 1, 22, ...
-    (np.array([0.0, 0.0, 0.0, 24.0, 24.0] + [0.0] * 7), 3.0, -1.0, 3, True, 0),
+    # c = 1 - w/12 = -1 at points 3 and 4: 39, 26, 13, 0/(-1) = -0.0, 13, 286, ...;
+    # dg0 is the double for which the sixth-order start lands g[1] on 26 exactly
+    (np.array([0.0, 0.0, 0.0, 24.0, 24.0] + [0.0] * 7), 39.0, -359.7372421281216, 3, True, 0),
 ])
 def test_exact_zeros_are_not_nodes(w, g0, dg0, zero_at, signbit, want_nodes):
     # a zero sample of either sign is skipped when counting sign changes
@@ -140,11 +142,22 @@ def test_fourth_order_convergence():
 
 @pytest.mark.parametrize("case", ["cos", "airy"])
 def test_fourth_order_convergence_from_nonzero_start(case):
-    # g0 != 0 needs the start's h^4 term and its second-order w'
+    # g0 != 0 needs the start's terms in w g0 and its derivatives of w
     if case == "airy":
         pytest.importorskip("mpmath")
     order = _observed_order(case)
     assert 3.6 < order < 4.4, f"observed order {order:.2f}"
+
+
+@pytest.mark.parametrize("h", [0.1, 0.05, 0.025])
+def test_start_carries_the_march_local_error(h):
+    # g'' = k^2 g from g = 1, g' = 0 is cosh(k t); the start is its Taylor
+    # series through h^6 plus Numerov's local error h^6 g^(6)(0) / 480, and
+    # g^(6)(0) = k^6, so g[1] - cosh(k h) is (k h)^6 / 480 to O(h^7)
+    k = 3.0
+    g, _ = integrate_numerov(np.full(12, k * k), h, 1.0, 0.0)
+    excess = float(g[1]) - math.cosh(k * h)
+    assert abs(excess - (k * h) ** 6 / 480.0) <= 1e-3 * (k * h) ** 7, excess
 
 
 def test_renormalization_preserves_log_trajectory():

@@ -180,6 +180,16 @@ def test_bose_three_body_saturation_closed_form():
     assert r.e_min == pytest.approx(-0.375, rel=1e-12)
 
 
+def test_extreme_couplings_still_saturate():
+    # eps = t0 n^2 / 2 + t3 n^3 / 6 with t0 = -t3 = -1e300 saturates at n = 3/2,
+    # e = -3/8 t3: the balance of the two terms is taken in logs, and the scan
+    # stops short of where t3 n^2 / 6 would overflow
+    r = classify_stability(model(Statistics.BOSE, -1e300, StabilizerKind.THREE_BODY, t3=1e300))
+    assert r.classification is Classification.SATURATING
+    assert r.n_sat == pytest.approx(1.5, rel=1e-12)
+    assert r.e_min == pytest.approx(-0.375e300, rel=1e-12)
+
+
 def test_bose_density_dependent_saturation_closed_form():
     # eps = -n^2/2 + n^2.5/2 gives e minimal at n = 4/9, e = -2/27
     r = classify_stability(model(Statistics.BOSE, -1.0,

@@ -73,15 +73,14 @@ def test_hardwall_levels_match_exact_bessel_zeros():
         assert abs(state.E - exact) <= state.E_error, (m, state.E_error)
 
 
-def test_cap_levels_match_exact_matching():
-    # at unitarity the capped well is f = sin(q rho) below R, with
-    # q^2 = (b^2 + 1/4) / R^2 - kappa^2, and sqrt(rho) K_ib(kappa rho) above;
-    # each level is a zero of the Wronskian of the two at R, found next to the
-    # computed level
+def _exact_cap_level(kappa):
+    """The exact capped level at unitarity (R = 1) next to kappa.
+
+    The capped well is f = sin(q rho) below R, with
+    q^2 = (b^2 + 1/4) / R^2 - kappa^2, and sqrt(rho) K_ib(kappa rho) above;
+    each level is a zero of the Wronskian of the two at R.
+    """
     mpmath = pytest.importorskip("mpmath")
-    spec = find_spectrum(_unitarity_potential(1e8, Cap(1.0)), 1e8)
-    levels = spec.interior_states()
-    assert len(levels) >= 5
     b = mpmath.mpf(efimov_constants().b)
 
     def wronskian(kappa):
@@ -90,12 +89,36 @@ def test_cap_levels_match_exact_matching():
         dk = -(mpmath.besselk(1j * b - 1, kappa) + mpmath.besselk(1j * b + 1, kappa)).real / 2
         return q * mpmath.cos(q) * k - mpmath.sin(q) * (k / 2 + kappa * dk)
 
+    kappa = mpmath.mpf(kappa)
+    z = mpmath.findroot(wronskian, (kappa * (1 - 1e-6), kappa * (1 + 1e-6)), solver="anderson")
+    return float(-z * z / 2)
+
+
+def test_cap_levels_match_exact_matching():
+    pytest.importorskip("mpmath")
+    spec = find_spectrum(_unitarity_potential(1e8, Cap(1.0)), 1e8)
+    levels = spec.interior_states()
+    assert len(levels) >= 5
     for state in levels:
-        kappa = mpmath.mpf(state.kappa)
-        z = mpmath.findroot(wronskian, (kappa * (1 - 1e-6), kappa * (1 + 1e-6)),
-                            solver="anderson")
-        exact = float(-z * z / 2)
+        exact = _exact_cap_level(state.kappa)
         assert abs(state.E - exact) <= 1e-10 * abs(exact), (state.node_count, state.E, exact)
+
+
+def test_cap_levels_converge_as_h6():
+    # Richardson removes the h^4 term of each level.  A start that is exact
+    # through h^4 but lacks the march's own local error leaves an h^5 term
+    # under a cap (4.5e-11 at dt = 1/64); with it the worst level error is
+    # 1.1e-11, 9.5e-13 and 1.7e-13 at dt = 1/32, 1/48 and 1/64.  h^6 divides
+    # it by 64 from 1/32 to 1/64, h^5 by 32
+    pytest.importorskip("mpmath")
+    pot = _unitarity_potential(1e8, Cap(1.0))
+    worst = {}
+    for dt in (1.0 / 32.0, 1.0 / 64.0):
+        levels = find_spectrum(pot, 1e8, tol_E=1e-14, dt=dt).interior_states()
+        assert len(levels) >= 5
+        worst[dt] = max(abs(s.E / _exact_cap_level(s.kappa) - 1.0) for s in levels)
+    assert worst[1.0 / 32.0] <= 2e-11, worst
+    assert worst[1.0 / 32.0] >= 40.0 * worst[1.0 / 64.0], worst
 
 
 def magnus_end_value(nu2_at, R, T, steps_per_unit=256):
@@ -144,8 +167,8 @@ def test_finite_a_levels_match_magnus_shooting(a, rho_max, scheme):
     # rho reaches DEFAULT_TAIL_FACTOR, found by secant steps from the computed
     # level.  The start is the closed-form solution below R: g = 0, g' = 1 at
     # a hard wall; f = sin(q rho) or sinh(|q| rho) under a cap.  Measured
-    # agreement: at most 4.1e-11 over the 19 levels (1.6e-10 from one search
-    # at h = 1/128)
+    # agreement: at most 3.8e-11 over the 19 levels (4.1e-11 at h = 1/64 with a
+    # fourth-order start, 1.6e-10 from one search at h = 1/128)
     R = 1.0
     pot = effective_potential(tabulate_branch(make_config(a), LogGrid.make(R, rho_max, 2)),
                               scheme(R))
@@ -619,8 +642,10 @@ def test_level_search_reuses_known_node_counts(monkeypatch):
     # the 2h grid and 4 per level on the h grid: 62 calls and 34,054 steps.
     # Snapping each regula-falsi point to an end of its final bisection cell
     # ends every search on an integrated hi, whose probe is the level's
-    # solution: no integration at E_h after the searches, 57 calls, 30,241 steps
-    assert (len(steps), sum(steps)) == (57, 30241)
+    # solution: no integration at E_h after the searches, 57 calls, 30,241 steps.
+    # Starting the march with its own h^6 error lets the step double to 1/32,
+    # with the h-grid seeds 1e-6 either side of the 2h level: 53 calls, 14,502 steps
+    assert (len(steps), sum(steps)) == (53, 14502)
 
 
 def test_dimer_side_search_cost(monkeypatch):
@@ -631,7 +656,8 @@ def test_dimer_side_search_cost(monkeypatch):
     # with the h grid searched first; searching the 2h grid first moves 20 of
     # the 50 onto its half-length grid, 21,027 steps.  The last h-grid probe,
     # at hi, is each level's solution, which saves one call per level and the
-    # snapped regula-falsi points two more: 45 calls and 18,649 steps
+    # snapped regula-falsi points two more: 45 calls and 18,649 steps.  At
+    # h = 1/32 with the sixth-order start: 44 calls and 9,190 steps
     cfg = make_config(-1e4)
     pot = effective_potential(tabulate_branch(cfg, LogGrid.make(1.0, 1e8, 2)), HardWall(1.0))
     steps = []
@@ -639,7 +665,7 @@ def test_dimer_side_search_cost(monkeypatch):
     monkeypatch.setattr(radial, "integrate_numerov",
                         lambda w, *args: steps.append(len(w)) or march(w, *args))
     assert len(find_spectrum(pot, 1e8)) == 3
-    assert (len(steps), sum(steps)) == (45, 18649)
+    assert (len(steps), sum(steps)) == (44, 9190)
 
 
 def test_h_grid_search_starts_from_the_2h_level(monkeypatch):
@@ -679,12 +705,12 @@ def test_h_grid_search_starts_from_the_2h_level(monkeypatch):
 
 @pytest.mark.parametrize("a, scheme, tol_E", [
     (math.inf, HardWall, DEFAULT_TOL_E), (math.inf, Cap, DEFAULT_TOL_E),
-    (-1e4, HardWall, DEFAULT_TOL_E), (math.inf, HardWall, 1e-6), (-1e3, Cap, 1e-6),
+    (-1e4, HardWall, DEFAULT_TOL_E), (math.inf, HardWall, 1e-5), (-1e3, Cap, 1e-5),
 ])
 def test_level_solution_is_the_h_grid_solution_at_E_h(a, scheme, tol_E, monkeypatch):
     # a level's f, rho and node count come from its last h-grid probe, at hi,
     # and equal a fresh integration at E_h bit for bit; only where no probe
-    # sits at hi (often at tol_E = 1e-6) is E_h integrated again
+    # sits at hi (often at tol_E = 1e-5) is E_h integrated again
     pot = _dimer_potential(a, 1.0, 1e8, 2, scheme(1.0))
     found = _searched_levels(monkeypatch)
     solution = radial._Workspace.solution
@@ -694,7 +720,7 @@ def test_level_solution_is_the_h_grid_solution_at_E_h(a, scheme, tol_E, monkeypa
     spec = find_spectrum(pot, 1e8, tol_E=tol_E)
     if (a, scheme, tol_E) == (math.inf, HardWall, DEFAULT_TOL_E):
         assert fresh == []    # the README spectrum
-    if tol_E == 1e-6:
+    if tol_E == 1e-5:
         assert fresh          # both paths are checked
     fine, _ = _per_grid(found)
     assert len(fine) == len(spec) >= 2
@@ -734,11 +760,12 @@ def test_trimer_count_per_decade_follows_the_channel():
 def test_tail_cutoff_is_converged_next_to_the_threshold(monkeypatch):
     # level 2 at a = -1e3 lies 2.4% below the threshold -1e-6; a cutoff at
     # kappa rho = 36 moved it by 3.2e-6, one at the decay constant leaves a
-    # doubled tail factor nothing to move
+    # doubled tail factor nothing to move.  The doubled factor halves the
+    # step bound to 0.024, so both run at dt = 1/64
     pot = _dimer_potential(-1e3, 1.0, 1e8, 2, HardWall(1.0))
-    level = find_spectrum(pot, 1e8, tol_E=1e-13).states[2].E
+    level = find_spectrum(pot, 1e8, tol_E=1e-13, dt=1.0 / 64.0).states[2].E
     monkeypatch.setattr(radial, "DEFAULT_TAIL_FACTOR", 2.0 * DEFAULT_TAIL_FACTOR)
-    longer = find_spectrum(pot, 1e8, tol_E=1e-13).states[2].E
+    longer = find_spectrum(pot, 1e8, tol_E=1e-13, dt=1.0 / 64.0).states[2].E
     assert abs(longer / level - 1.0) <= 1e-10, (level, longer)
 
 
@@ -822,7 +849,7 @@ def test_contradicting_counts_fall_back_to_every_midpoint(monkeypatch):
 def test_dt_just_inside_the_stability_bound_still_computes(a, scheme):
     # at dt = 0.048 the 2h grid's Numerov coefficient 1 - (2h)^2 w / 12 is
     # still positive at w = DEFAULT_TAIL_FACTOR^2 + 4; every level and node
-    # count of the default step comes out, within 1.5e-8 (cap) of its energy
+    # count of the default step comes out, within 3.3e-10 (cap) of its energy
     pot = _dimer_potential(a, 1.0, 1e8, 2, scheme(1.0))
     default = find_spectrum(pot, 1e8)
     coarse = find_spectrum(pot, 1e8, dt=0.048)
