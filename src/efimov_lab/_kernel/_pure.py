@@ -51,7 +51,6 @@ def march(w, h, g):
     y = c[1] * gi
     d = y - c[0] * float(g[0])
     gl = []
-    append = gl.append  # local names are faster to read in the loop
     top = RESCALE_THRESHOLD
     bottom = -top
     for hw, cp in zip(h2w, islice(c, 2, None)):
@@ -63,8 +62,8 @@ def march(w, h, g):
             y /= scale
             d /= scale
             gi /= scale
-        append(gi)
+        gl.append(gi)
 
-    g[2:] = np.fromiter(gl, dtype=np.float64, count=len(gl))
+    g[2:] = gl
     positive = g[g != 0.0] > 0.0
     return int(np.count_nonzero(positive[1:] != positive[:-1]))

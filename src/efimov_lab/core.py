@@ -164,6 +164,18 @@ _SOLVE_CHUNK = 4096
 _COMPACT_FLOOR = 1024
 
 
+def _not_nan(fv: np.ndarray, v: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """fv, or a SolverError naming the first element where it is NaN."""
+    nan = np.isnan(fv)
+    if nan.any():
+        i = int(np.argmax(nan))
+        exc = SolverError(f"the function of element {int(idx[i])} is NaN at {float(v[i])!r}; "
+                          f"its bracket cannot narrow")
+        exc.index = int(idx[i])
+        raise exc
+    return fv
+
+
 def bracketed_roots(f, lo_all: np.ndarray, hi_all: np.ndarray,
                     flo_all: np.ndarray | None = None,
                     fhi_all: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -182,14 +194,16 @@ def bracketed_roots(f, lo_all: np.ndarray, hi_all: np.ndarray,
     may stay in the batch until `_COMPACT_FLOOR` others remain.  A root
     never depends on the other elements of the batch, nor on how the batch
     is cut into chunks of `_SOLVE_CHUNK`.  Each root is the bracket end
-    with the smaller |f|, returned together with that |f|.
+    with the smaller |f|, returned together with that |f|.  An f that is
+    NaN, at an end or inside, would leave its bracket standing for ever;
+    it raises :class:`SolverError` carrying the element as `index`.
     """
     roots, closing = np.empty(lo_all.size), np.empty(lo_all.size)
     for start in range(0, lo_all.size, _SOLVE_CHUNK):
         idx = np.arange(start, min(start + _SOLVE_CHUNK, lo_all.size))
         lo, hi = lo_all[idx], hi_all[idx]
-        flo = f(lo, idx) if flo_all is None else flo_all[idx]
-        fhi = f(hi, idx) if fhi_all is None else fhi_all[idx]
+        flo = _not_nan(f(lo, idx) if flo_all is None else flo_all[idx], lo, idx)
+        fhi = _not_nan(f(hi, idx) if fhi_all is None else fhi_all[idx], hi, idx)
         # a zero at an end collapses the bracket onto it
         hi = np.where(flo == 0.0, lo, hi)
         lo = np.where(fhi == 0.0, hi, lo)
@@ -218,7 +232,7 @@ def bracketed_roots(f, lo_all: np.ndarray, hi_all: np.ndarray,
                 v = np.fmin(np.fmax(hi - width * (whi / (whi - wlo)), np.nextafter(lo, hi)),
                             np.nextafter(hi, lo))
             v = np.where(falsi, v, mid)
-            fv = f(v, idx)
+            fv = _not_nan(f(v, idx), v, idx)
             # a zero at v collapses the bracket onto it
             up, down = fv <= 0.0, fv >= 0.0
             side = np.where(up, -1.0, 1.0)

@@ -308,6 +308,28 @@ def _scan_bounds(model: MatterModel, terms) -> tuple[float, float, float | None]
     return math.exp(ln_lo - _LN_MARGIN), math.exp(ln_top), p_top
 
 
+def _refuse_underflowing_minimum(model: MatterModel, terms, grid: np.ndarray) -> None:
+    """Refuse a model whose e(n) is negative on the scan only below the normal doubles.
+
+    Each term c n^(p - 1) of e(n) is taken in logs and scaled by the largest
+    of them, so the sign of e(n) survives where e(n) itself underflows to 0.
+    """
+    ln_n = np.log(grid)
+    ln_terms = [math.log(abs(c)) + (p - 1.0) * ln_n for c, p in terms]
+    ln_top = np.max(ln_terms, axis=0)
+    scaled = sum(math.copysign(1.0, c) * np.exp(t - ln_top) for (c, _), t in zip(terms, ln_terms))
+    if not np.any(scaled < 0.0):
+        return
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ln_depth = np.where(scaled < 0.0, ln_top + np.log(-scaled), -np.inf)
+    j = int(np.argmax(ln_depth))
+    if ln_depth[j] < math.log(sys.float_info.min):
+        raise ConfigError(
+            f"{' and '.join(_couplings(model, p) for _, p in terms)}: e(n) has its "
+            f"minimum near n = {grid[j]:.6g}, where it is about "
+            f"-10^{ln_depth[j] / math.log(10.0):.4g}, below the smallest normal double")
+
+
 def classify_stability(model: MatterModel, *, tol: float = 1e-10) -> StabilityReport:
     """Classify the density dependence of e(n) = epsilon(n) / n.
 
@@ -319,7 +341,8 @@ def classify_stability(model: MatterModel, *, tol: float = 1e-10) -> StabilityRe
     residual n^2 e'(n) above sqrt(tol) |epsilon(n_sat)| raises
     :class:`SolverError`.  A scan that would leave the float range, at a
     balance point or where a term of e(n) overflows short of its minimum,
-    raises :class:`ConfigError` naming the couplings of those terms.
+    raises :class:`ConfigError` naming the couplings of those terms, and
+    so does a minimum of e(n) that lies below the normal doubles.
     """
     if not (0.0 < tol < 1e-2):
         raise ConfigError(f"tol must be in (0, 1e-2), got {tol!r}")
@@ -342,6 +365,7 @@ def classify_stability(model: MatterModel, *, tol: float = 1e-10) -> StabilityRe
     if p_top is not None and i_min == _SCAN_POINTS - 1:
         raise _term_overflow(model, p_top, n_hi)
     if vals[i_min] >= 0.0:
+        _refuse_underflowing_minimum(model, terms, grid)
         return StabilityReport(Classification.TRIVIAL_MINIMUM_AT_ZERO, model,
                                n_sat=0.0, e_min=0.0)
     if i_min == 0 or i_min == _SCAN_POINTS - 1:

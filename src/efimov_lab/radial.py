@@ -8,18 +8,20 @@ cutoff probe.
 The radial equation -f'' + [(nu^2(rho) - 1/4) / rho^2] f = 2 E f is
 integrated on the uniform grid t = ln(rho/R) after the substitution
 f = sqrt(rho) g, which turns it into g'' = [nu^2(rho) + kappa^2 rho^2] g
-with kappa = sqrt(-2E).  Node-counting bisection on ln(kappa) then
-yields the bound spectrum; for a supercritical branch the levels form a
-geometric tower whose ratio is set by the imaginary order b.
+with kappa = sqrt(-2E).  The node count of the outward solution steps
+by one at each level, and a search on ln(kappa) then yields the bound
+spectrum; for a supercritical branch the levels form a geometric tower
+whose ratio is set by the imaginary order b.
 
-The bisection is guided, not replaced: its midpoints and final brackets
-are those of integrating every midpoint, but it integrates only where no
-known node count settles a midpoint, and there preferably at the
-regula-falsi zero of a continuous guide value, g at the last grid point
-with its WKB growth divided out, which changes sign where the count steps.
-Each level after the first is probed once where the discrete scale
-invariance of a supercritical channel puts it, one period pi / b in
-ln kappa above the level before.
+Node counts keep the search honest, and a continuous guide value makes
+it fast: g at the last grid point with its WKB growth divided out, which
+changes sign where the count steps.  Each level is the zero of that guide
+value inside the count bracket of the integrations so far, found by
+Illinois regula falsi and accepted once two successive estimates agree
+within tol_E / 8 in ln kappa.  Each level after the first is probed where
+the discrete scale invariance of a supercritical channel puts it, one
+period pi / b in ln kappa above the level before, and then one secant
+step from there with the slope of the guide value at the level before.
 
 The kernel converges as h^4, so each level is searched twice, on the
 grid of step h <= dt and on its every other point, and the level
@@ -28,19 +30,22 @@ reported is the Richardson extrapolation (16 E_h - E_2h) / 15, with
 march's own local error, so what Richardson leaves is an h^6 term under
 a hard wall and a cap alike.  Each level is searched on the 2h grid
 first, and the h search starts from two integrations just around the 2h
-level, so most integrations run on the grid of half the length.  Each
-search mostly ends with both ends of its final bracket integrated, and
-the h-grid probe on the deeper end is the level's solution, so no level
-is integrated again once found.  At the default step DEFAULT_DT = 1/32
-and tolerance DEFAULT_TOL_E a unitarity level costs about 6 integrations
-on the 2h grid and 4 on the h grid, its solution included, against
-about 40 for plain bisection on one grid, and lies within 4e-11 of the
-exact one.
+level, which straddle the h level; one more, tol_E / 16 in ln kappa past
+the regula-falsi zero of the two on the side that holds k nodes, mostly
+converges it and is the level's solution, so no level is
+integrated again once found.  At the default step DEFAULT_DT = 1/32 and
+tolerance DEFAULT_TOL_E a unitarity level costs about 5 integrations on
+the 2h grid (9 for the first, 3 to 4 for the others) and 3 on the h
+grid, its solution included, against about 40 for plain bisection on
+one grid, and lies within 1.2e-11 of the exact one.
 
 Levels are searched only below the branch's threshold E_thr, the edge
 of its continuum: on the dimer side (a < 0) that is the atom-dimer
 threshold -1/(2 mu a^2), above which a state is atom-dimer continuum and
-not a trimer; elsewhere it is 0.  Below E_thr the solution decays as
+not a trimer; elsewhere it is 0.  w is assembled from its value at the
+threshold, nu^2 + kappa_d^2 rho^2 with E_thr = -kappa_d^2 / 2, which on
+the dimer side keeps the march free of the rounding error of two large
+terms that cancel.  Below E_thr the solution decays as
 exp(-sqrt(-2 (E - E_thr)) rho), and integration is cut off where that
 decay constant times rho reaches DEFAULT_TAIL_FACTOR, beyond which the
 solution has grown by e^DEFAULT_TAIL_FACTOR and deeper tails carry no
@@ -76,6 +81,7 @@ DEFAULT_BOX_FLAG_FACTOR = 100.0
 _KAPPA_SEARCH_EDGE = 0.03   # kappa * rho_max at the shallow search edge
 _FLOOR_SCALE = 10.0         # |E_floor| in units of 1/(2 R^2)
 _SEED_HALF_WIDTH = 1e-6     # ln kappa from the 2h level to each h-grid seed
+_X2_RESIDUAL_EDGE = 1024.0  # (kappa_d rho)^2 beyond which nu^2 + kappa_d^2 rho^2 is 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,12 +96,12 @@ class RadialSolution:
     A level of `find_spectrum` splits in two.  `E` and `kappa` are the
     Richardson-extrapolated level (16 E_h - E_2h) / 15 from the searches
     on the grids of step h and 2h, which belongs to no integrated solution.
-    `f`, `rho` and `node_count` are the h-grid solution at E_h, on the
-    deeper bracket edge, with exactly k nodes: the search's own probe
-    there, or one more integration at E_h where no probe sits on that
-    edge.  `E_error` = |E_h - E_2h| / 15 estimates the error of E_h, and
-    so bounds that of `E` from above; it is NaN where no pair of searches
-    ran, as for `integrate_radial`.
+    `f`, `rho` and `node_count` are an h-grid solution with exactly k
+    nodes, on the deeper side of E_h and within the search tolerance of it
+    in ln kappa (tol_E / 4, or a few ulps where the doubles are sparser):
+    the search's own probe there.  `E_error` = |E_h - E_2h| / 15 estimates
+    the error of E_h, and so bounds that of `E` from above; it is NaN where
+    no pair of searches ran, as for `integrate_radial`.
     """
 
     E: float
@@ -151,7 +157,8 @@ class _Workspace:
     """Shared grids for repeated integrations of one potential.
 
     nu^2 is evaluated once per grid point; each energy then only
-    assembles w = nu^2 + kappa^2 rho^2 over the truncated range.  The
+    assembles w = nu^2 + kappa^2 rho^2 over the truncated range, as its
+    value at the threshold plus 2 (E_thr - E) rho^2.  The
     number of steps is even, so that every other point forms the grid of
     step 2h that `coarse` returns.  At DEFAULT_DT = 1/32 the grid from
     R = 1 to rho_max = 1e8 holds 591 points (1,181 at 1/64).
@@ -201,11 +208,19 @@ class _Workspace:
         self.nu2 = np.asarray(potential.nu_squared_at(self.rho), dtype=float)
         self.scheme = potential.scheme
         self.threshold = potential.threshold
+        # w at the threshold, nu^2 + kappa_d^2 rho^2 with kappa_d^2 = -2 E_thr; on
+        # the dimer side nu^2 -> -kappa_d^2 rho^2, and the sum falls as
+        # exp(-pi kappa_d rho / 3), below 1e-12 from kappa_d rho = 32 on, where it
+        # is taken as 0 rather than as the rounding error of the sum, which is
+        # 8e3 at kappa_d rho = 1e10
+        x2 = (-2.0 * self.threshold) * self.rho2
+        self.w_thr = np.where(x2 <= _X2_RESIDUAL_EDGE, self.nu2 + x2, 0.0)
 
     def coarse(self) -> _Workspace:
         """The same workspace on every other point, of step 2h: views, not copies."""
         ws = copy.copy(self)
-        ws.rho, ws.rho2, ws.nu2 = self.rho[::2], self.rho2[::2], self.nu2[::2]
+        ws.rho, ws.rho2, ws.nu2, ws.w_thr = (
+            self.rho[::2], self.rho2[::2], self.nu2[::2], self.w_thr[::2])
         ws.n_full = (self.n_full + 1) // 2
         ws.h = 2.0 * self.h
         return ws
@@ -257,7 +272,9 @@ class _Workspace:
                     f"{decay * self.R:.3g}, leaves no integration range below "
                     f"the tail cutoff")
             n = max(min(n, int(math.floor(t_tail / self.h)) + 1), 2)
-        w = self.nu2[:n] + (kappa * kappa) * self.rho2[:n]
+        # 2 (E_thr - E) is exact next to the threshold, where kappa^2 - kappa_d^2
+        # would carry the rounding of both squares
+        w = self.w_thr[:n] + (2.0 * (self.threshold - E)) * self.rho2[:n]
 
         if isinstance(self.scheme, Cap):
             g0, dg0, cap_nodes = self._cap_start(kappa)
@@ -299,110 +316,110 @@ def _guide(h: float, w: np.ndarray, g: np.ndarray) -> float:
     smoothly with E where the kappa rho growth does not.  At fixed grid
     length the node count steps where g_end, and so q, crosses zero.
     """
-    return float(g[-1]) * math.exp(-h * float(np.sum(np.sqrt(np.maximum(w, 0.0)))))
+    return float(g[-1]) * math.exp(-h * float(np.sqrt(np.maximum(w, 0.0)).sum()))
 
 
 def _probe(ws: _Workspace, x: float) -> tuple[float, int, float, np.ndarray]:
-    """(x, node count, guide value q, g) of one integration at E = -exp(x)^2 / 2.
-
-    `find_spectrum` computes E_h from a bracket edge by the same expression,
-    so a probe on the final edge is the level's h-grid solution bit for bit.
-    """
+    """(x, node count, guide value q, g) of one integration at E = -exp(x)^2 / 2."""
     w, g, count = ws.integrate(-0.5 * math.exp(x) ** 2)
     return x, count, _guide(ws.h, w, g), g
 
 
-def _final_cell(lo: float, hi: float, ln_tol: float, x: float) -> tuple[float, float]:
-    """The final bracket of plain bisection on [lo, hi] if the level sat at x."""
-    while hi - lo > ln_tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:   # lo and hi are adjacent doubles
-            break
-        if mid < x:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+def _bracket(known: list[tuple[float, int, float, np.ndarray | None]],
+             k: int) -> tuple[float, float, float, float]:
+    """(x_lo, q_lo, x_hi, q_hi) of the count bracket of level k in `known`.
 
-
-def _bisect(ws: _Workspace, k: int, lo: float, hi: float, ln_tol: float,
-            known: list[tuple[float, int, float, np.ndarray | None]]) -> float:
-    """Bisect ln kappa on [lo, hi] for the step of the node count from k+1 to k.
-
-    Returns the final upper bracket end.  The bisection also stops when lo
-    and hi are adjacent doubles, however small `ln_tol` is.  Every
-    integration is appended to `known` as `_probe` gives it.
-
-    The midpoints and the final bracket are those of integrating every
-    midpoint; only where it integrates differs.  The loop keeps the ends of
-    the known gap, the deepest point holding > k nodes and the shallowest
-    holding <= k, and a midpoint outside that gap is settled unseen.  A
-    midpoint inside it is integrated, unless the guide values q of the ends
-    have opposite signs: then the Illinois regula-falsi point of the gap is
-    integrated instead, or the gap's midpoint when two such probes have not
-    halved the gap.  A regula-falsi point is moved to the nearer end, inside
-    the gap, of the final plain-bisection cell that holds it, a move no
-    wider than that cell.  So once the level is located to its final cell,
-    the next probes land on that cell's ends, and the search mostly ends
-    with its final `hi` integrated.  Where the points in `known` contradict
-    a count that falls as kappa grows, they are set aside and every
-    midpoint is integrated.
+    x_lo is the deepest point known to hold > k nodes and x_hi the
+    shallowest known to hold <= k, each with its guide value; an end that
+    no point gives is -inf or inf, with q NaN.
     """
-    x_lo, q_lo = -math.inf, math.nan     # deepest point known to hold > k nodes
-    x_hi, q_hi = math.inf, math.nan      # shallowest known to hold <= k
+    x_lo, q_lo, x_hi, q_hi = -math.inf, math.nan, math.inf, math.nan
     for x, c, q, _ in known:
-        if c >= k + 1 and x > x_lo:
-            x_lo, q_lo = x, q
-        elif c < k + 1 and x < x_hi:
+        if c > k:
+            if x > x_lo:
+                x_lo, q_lo = x, q
+        elif x < x_hi:
             x_hi, q_hi = x, q
-    guided = x_lo <= x_hi
+    return x_lo, q_lo, x_hi, q_hi
+
+
+def _level(ws: _Workspace, k: int, lo: float, hi: float, ln_tol: float,
+           known: list[tuple[float, int, float, np.ndarray | None]],
+           deeper: bool) -> tuple[float, float]:
+    """(ln kappa of level k on the grid of `ws`, the <= k-node end of its count bracket).
+
+    The level is the zero of the guide value q where the node count steps
+    from k+1 to k, searched in the window [lo, hi], and every integration
+    is appended to `known` as `_probe` gives it.  The search keeps the
+    integrated count bracket: the deepest known point holding > k nodes
+    and the shallowest holding <= k, or a window end where none is known.
+    Where the guide values of its ends differ in sign it integrates at
+    their Illinois regula-falsi point (Dowell & Jarratt, BIT 11, 168
+    (1971)), or at the bracket's midpoint when two such probes have not
+    halved it, and elsewhere at the midpoint.  It accepts a regula-falsi
+    point that agrees within ln_tol / 2 with the one before it.  With
+    `deeper` each regula-falsi probe moves ln_tol / 4, and at least two
+    ulps, toward the side holding k nodes, and a point is accepted only
+    within ln_tol (and four ulps) of the bracket's k-node end, so that end
+    is the level's solution.  The search also ends once the bracket is
+    narrower than ln_tol or its ends are adjacent doubles, at the
+    regula-falsi point of the bracket.  Where the points in `known`
+    contradict a count that falls as kappa grows, they are set aside and
+    every midpoint is integrated.
+    """
+    x_lo, q_lo, x_hi, q_hi = _bracket(known, k)
+    guided = x_lo < x_hi and x_lo < hi and x_hi > lo
     if not guided:
         x_lo, x_hi = -math.inf, math.inf
-    moved = None    # end replaced by the last regula-falsi probe; an end that
-                    # two of them in a row leave standing has its q halved (Illinois)
-    gaps = []       # gap width before each guided probe
-    while hi - lo > ln_tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:   # lo and hi are adjacent doubles
+    if x_lo < lo:
+        x_lo, q_lo = lo, math.nan
+    if x_hi > hi:
+        x_hi, q_hi = hi, math.nan
+    w_lo, w_hi = q_lo, q_hi     # the values the regula-falsi point is drawn from
+    moved = None    # end replaced by the last regula-falsi probe; an end that two
+                    # of them in a row leave standing has its weight halved
+    gaps = []       # bracket width before each guided probe
+    last = math.nan
+    while True:
+        gap = x_hi - x_lo
+        mid = 0.5 * (x_lo + x_hi)
+        if gap <= ln_tol or not x_lo < mid < x_hi:
             break
-        if mid <= x_lo:
-            lo = mid
-            continue
-        if mid >= x_hi:
-            hi = mid
-            continue
         x, falsi = mid, False
         if guided and q_lo * q_hi < 0.0:
-            gap = x_hi - x_lo
-            x = 0.5 * (x_lo + x_hi)
             if len(gaps) < 2 or gap <= 0.5 * gaps[-2]:
-                x = x_hi - gap * (q_hi / (q_hi - q_lo))
-                # a point that rounds onto an end moves one double inside; then
-                # the cell's end on mid's side of x lies inside the gap
-                x = min(max(x, math.nextafter(x_lo, x_hi)), math.nextafter(x_hi, x_lo))
-                ends = [e for e in _final_cell(lo, hi, ln_tol, x) if x_lo < e < x_hi]
-                x = min(ends, key=lambda e: abs(e - x))
-                falsi = True
+                # a point that rounds onto an end moves one double inside
+                f = min(max(x_hi - gap * (w_hi / (w_hi - w_lo)), math.nextafter(x_lo, x_hi)),
+                        math.nextafter(x_hi, x_lo))
+                reach = max(ln_tol, 4.0 * math.ulp(f)) if deeper else math.inf
+                if abs(f - last) <= 0.5 * ln_tol and x_hi - f <= reach:
+                    return f, x_hi
+                last = f
+                if deeper:
+                    f = min(f + max(0.25 * ln_tol, 2.0 * math.ulp(f)), math.nextafter(x_hi, x_lo))
+                x, falsi = f, True
             gaps.append(gap)
         known.append(_probe(ws, x))
         _, count, q, _ = known[-1]
-        if count >= k + 1:
+        if count > k:
             if falsi and moved == "lo":
-                q_hi *= 0.5
-            x_lo, q_lo = x, q
+                w_hi *= 0.5
+            x_lo, q_lo, w_lo = x, q, q
             moved = "lo" if falsi else moved
         else:
             if falsi and moved == "hi":
-                q_lo *= 0.5
-            x_hi, q_hi = x, q
+                w_lo *= 0.5
+            x_hi, q_hi, w_hi = x, q, q
             moved = "hi" if falsi else moved
-    return hi
+    if q_lo * q_hi < 0.0:
+        return min(max(x_hi - gap * (q_hi / (q_hi - q_lo)), x_lo), x_hi), x_hi
+    return mid if x_lo < mid < x_hi else x_hi, x_hi
 
 
 def find_spectrum(potential: AdiabaticBranch, rho_max: float,
                   max_levels: int = 8, tol_E: float = DEFAULT_TOL_E,
                   *, dt: float = DEFAULT_DT) -> BoundStateSpectrum:
-    """Bound spectrum by node-counting bisection on ln(kappa).
+    """Bound spectrum by a node-count-guarded search on ln(kappa).
 
     The node count of the outward solution at energy E equals the number
     of levels below E and decreases monotonically with kappa, so each
@@ -411,51 +428,50 @@ def find_spectrum(potential: AdiabaticBranch, rho_max: float,
     every other point, step 2h.  The levels converge as h^4, so the
     returned energy is the Richardson extrapolation (16 E_h - E_2h) / 15
     (L. F. Richardson, Phil. Trans. R. Soc. A 210, 307 (1911)), where E_h
-    and E_2h sit on the deeper edges of the two final brackets; its
-    `E_error` is |E_h - E_2h| / 15.  The returned solution samples and
-    node count are the h grid's at E_h, which carries exactly k nodes.
-    They come from the h search's own probe at E_h; only where no probe sits
-    there (none of 568 levels over 180 spectra at the default tolerance or
-    at tol_E = 1e-6, 261 of them at tol_E = 1e-5) is E_h integrated once
-    more.
-    The relative energy width of each final bracket is below `tol_E`.  A
-    `tol_E` below the spacing of doubles in ln kappa ends each bisection
-    at adjacent doubles instead.
+    and E_2h are the levels found on the two grids; its `E_error` is
+    |E_h - E_2h| / 15.  The returned solution samples and node count are
+    the h grid's, with exactly k nodes, within the search tolerance above
+    E_h in ln kappa; they come from the h search's own last probe, and a
+    level is integrated again only where no probe sits there.
 
-    The brackets are those of integrating every midpoint, but far fewer
-    points are integrated.  Every integration is kept, and a midpoint that
-    a known node count already settles by monotonicity is not integrated.
-    Between the known points that hold more than k and at most k nodes,
-    where their guide values q = g_end exp(-S) (see `_guide`) differ in
-    sign, the search integrates at the Illinois regula-falsi point of q,
-    which crosses zero where the count steps, so the known gap closes on
-    the level within a few integrations and the remaining midpoints are
-    settled unseen; where two such probes have not halved the gap, its
-    midpoint is integrated instead.  Each regula-falsi point moves to the
-    nearer end inside the gap of the final bisection cell that holds it,
-    so the last probes land on the final bracket's ends.  If the known
-    counts ever contradict monotonicity, that level integrates every
-    midpoint.
+    The search (`_level`) keeps the count bracket of every integration
+    made on its grid: the deepest point holding more than k nodes and the
+    shallowest holding at most k.  Where their guide values q =
+    g_end exp(-S) (see `_guide`) differ in sign, it integrates at the
+    Illinois regula-falsi point of q, which crosses zero where the count
+    steps, and elsewhere, or where two such probes have not halved the
+    bracket, at its midpoint.  A level is the regula-falsi point that
+    agrees within tol_E / 8 in ln kappa with the one before it; on the h
+    grid it must also lie within tol_E / 4 of the bracket's k-node end,
+    and each regula-falsi probe there moves tol_E / 16 (at least two ulps)
+    toward the deeper side, so that the probe which converges a level is
+    mostly its k-node solution.  A bracket narrower than tol_E / 4, or with
+    adjacent doubles for ends where that is finer than the doubles in ln
+    kappa, ends the search at its regula-falsi point.  So every level
+    lies inside an integrated count bracket on its grid.  If the known
+    counts ever contradict monotonicity, that level sets them aside and
+    integrates every midpoint.
 
     Each level is searched on the 2h grid first, from the previous 2h
     level, with its own known points; the floor, edge and threshold are
     integrated on the h grid only.  Before level k >= 1 is searched there,
     one integration is made where the tower predicts it: pi / sqrt(-nu^2)
     in ln kappa above 2h level k-1, with nu^2 taken at the 2h grid point
-    nearest rho = 1 / kappa of that level.  Its count and q join the known
-    points like any other integration, so the brackets do not change.  The
-    probe is skipped where that nu^2 is not negative (no tower, as beyond a
-    for a > 0), where the nearest grid point is the inner radius, and where
-    the prediction falls outside the gap that the known counts leave for
-    level k.
+    nearest rho = 1 / kappa of that level.  A second follows, one secant
+    step from the first with the slope of q across the count bracket of
+    level k-1, sign flipped: q crosses zero at consecutive levels with
+    slopes of opposite sign and nearly equal size, so the two mostly
+    straddle level k.  Their counts and q join the known points like any
+    other integration.  Either probe is skipped where it falls outside the
+    bracket that the known counts leave for level k; the first also where
+    that nu^2 is not negative (no tower, as beyond a for a > 0) and where
+    the nearest grid point is the inner radius.
 
-    The h search then runs the same bisection over the same window, from
-    the previous h level.  It starts from two integrations _SEED_HALF_WIDTH
-    either side of the 2h level, which lies within 6.1e-7 of the h level in
-    ln kappa at the default step (over 272 levels of 96 spectra), so the
-    gap closes on the h level in about two more.  Since the final brackets
-    do not depend on where the known points lie, the order of the two
-    searches leaves every level as it was.
+    The h search then runs over the same window, from the previous h
+    level.  It starts from two integrations _SEED_HALF_WIDTH either side
+    of the 2h level, which lies within 6.1e-7 of the h level in ln kappa
+    at the default step (over 272 levels of 96 spectra), so one more
+    probe mostly converges the h level.
 
     The window runs from the search floor up to kappa rho_max =
     _KAPPA_SEARCH_EDGE or, where the threshold (`potential.threshold`)
@@ -517,8 +533,9 @@ def find_spectrum(potential: AdiabaticBranch, rho_max: float,
         known.append((ln_lo, levels, _guide(ws.h, w_thr, g_thr), None))
     ln_hi2 = ln_hi
     known2: list[tuple[float, int, float, np.ndarray | None]] = []   # the same on the 2h grid
-    # bisection to half the relative energy tolerance (E ~ kappa^2)
+    # the search tolerance in ln kappa: half the relative energy tolerance (E ~ kappa^2)
     ln_tol = max(0.25 * tol_E, 4.0 * np.finfo(float).eps)
+    slope2 = math.nan   # dq / d ln kappa at the last 2h level, across its count bracket
     for k in range(min(max_levels, levels)):
         if k:
             # in a channel nu^2 = -b^2 the levels are pi / b apart in ln kappa;
@@ -526,31 +543,38 @@ def find_spectrum(potential: AdiabaticBranch, rho_max: float,
             i = min(round(-(ln_hi2 + math.log(R)) / coarse.h), coarse.n_full - 1)
             if i > 0 and coarse.nu2[i] < 0.0:
                 x_pred = ln_hi2 - math.pi / math.sqrt(-coarse.nu2[i])
-                x_lo = max([x for x, c, _, _ in known2 if c >= k + 1] + [ln_lo])
-                x_hi = min([x for x, c, _, _ in known2 if c <= k] + [ln_hi2])
-                if x_lo < x_pred < x_hi:
+                # then one secant step from there: q crosses zero at consecutive
+                # levels with slopes of opposite sign and nearly equal size
+                for _ in range(2):
+                    x_lo, _, x_hi, _ = _bracket(known2, k)
+                    if not max(x_lo, ln_lo) < x_pred < min(x_hi, ln_hi2):
+                        break
                     known2.append(_probe(coarse, x_pred))
-        hi2 = _bisect(coarse, k, ln_lo, ln_hi2, ln_tol, known2)
+                    x_pred += known2[-1][2] / slope2 if slope2 else math.nan
+        x2, _ = _level(coarse, k, ln_lo, ln_hi2, ln_tol, known2, deeper=False)
+        x_lo, q_lo, x_hi, q_hi = _bracket(known2, k)
+        slope2 = (q_hi - q_lo) / (x_hi - x_lo)
         # the same level on the h grid, seeded around the 2h level
-        for x in (hi2 - _SEED_HALF_WIDTH, hi2 + _SEED_HALF_WIDTH):
+        for x in (x2 - _SEED_HALF_WIDTH, x2 + _SEED_HALF_WIDTH):
             if ln_lo < x < ln_hi:
                 known.append(_probe(ws, x))
-        hi = _bisect(ws, k, ln_lo, ln_hi, ln_tol, known)
-        E_h, E_2h = -0.5 * math.exp(hi) ** 2, -0.5 * math.exp(hi2) ** 2
-        # the search mostly ends with hi integrated, and that probe is the
-        # solution at E_h
-        at_hi = [(g, c) for x, c, _, g in known if x == hi and g is not None]
-        sol = ws.sampled(E_h, *at_hi[0]) if at_hi else ws.solution(E_h)
+        x, x_sol = _level(ws, k, ln_lo, ln_hi, ln_tol, known, deeper=True)
+        E_h, E_2h = -0.5 * math.exp(x) ** 2, -0.5 * math.exp(x2) ** 2
+        # the search mostly ends with its k-node end integrated, and that probe
+        # is the level's solution
+        E_sol = -0.5 * math.exp(x_sol) ** 2
+        at_sol = [(g, c) for x_k, c, _, g in known if x_k == x_sol and g is not None]
+        sol = ws.sampled(E_sol, *at_sol[0]) if at_sol else ws.solution(E_sol)
         if sol.node_count != k:
             raise SolverError(
-                f"level {k}: bisection landed on a solution with "
+                f"level {k}: the search ended on a solution with "
                 f"{sol.node_count} nodes; grid too coarse for tol_E = {tol_E}")
         E = (16.0 * E_h - E_2h) / 15.0
         flagged = abs(E - E_thr) < DEFAULT_BOX_FLAG_FACTOR * 0.5 / (rho_max * rho_max)
         states.append(replace(sol, E=E, kappa=math.sqrt(-2.0 * E),
                               E_error=abs(E_h - E_2h) / 15.0, box_limited=flagged))
-        ln_hi, ln_hi2 = hi, hi2
-        # a later level's final hi is almost always one of its own probes, so
+        ln_hi, ln_hi2 = x, x2
+        # a later level's solution is almost always one of its own probes, so
         # no sample outlives its level
         known = [(x, c, q, None) for x, c, q, _ in known]
         known2 = [(x, c, q, None) for x, c, q, _ in known2]

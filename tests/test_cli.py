@@ -398,6 +398,9 @@ def test_meanfield_argument_errors(cli):
     # 0.63 / rho^2 is not a double at rho = 5e-324
     (["potential", "--a", "inf", "--rho-min", "5e-324", "--rho-max", "1e-300", "--points", "3"],
      "v_eff = (nu^2 - 1/4) / (2 rho^2) overflows at rho = 4.94066e-324"),
+    # e = -3.75e-601 at the minimum n = 1.5e-300 underflows
+    (["meanfield", "--statistics", "bose", "--t0=-1e-300", "--stabilizer", "threebody",
+      "--t3=1"], "t0 = -1e-300 and t3 = 1.0: e(n) has its minimum near n = 1.49"),
 ])
 def test_bad_input_exits_2_naming_it(argv, named, capsys):
     with warnings.catch_warnings(record=True) as caught:

@@ -1,4 +1,5 @@
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ from efimov_lab import (
     ConfigError,
     GridError,
     LogGrid,
+    SolverError,
     SystemConfig,
     make_config,
 )
+from efimov_lab.core import bracketed_roots
 
 
 def test_make_config_defaults():
@@ -106,3 +109,26 @@ def test_log_grid_geometric_property(lo, span, points):
 def test_system_config_direct_construction_validates():
     with pytest.raises(ConfigError):
         SystemConfig(scattering_length_a=1.0, reduced_mass_mu=-0.5)
+
+
+@pytest.mark.parametrize("f, where", [
+    # NaN at the upper end: the bracket could never narrow past 0.5
+    (lambda v, i: np.where(v > 0.5, np.nan, v - 0.7), 1.0),
+    # finite ends, NaN at the first regula-falsi point 0.7
+    (lambda v, i: np.where((v > 0.5) & (v < 0.9), np.nan, v - 0.7), 0.7),
+])
+def test_nan_function_raises_naming_its_element(f, where):
+    # an element whose f is NaN never narrows; it raises at once, within 3 s
+    def expired(signum, frame):
+        raise TimeoutError("bracketed_roots did not return within 3 s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(3)
+    try:
+        with pytest.raises(SolverError, match=f"element 1 is NaN at {where!r}") as info:
+            bracketed_roots(lambda v, idx: np.where(idx == 1, f(v, idx), v - 0.25),
+                            np.zeros(2), np.ones(2))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert info.value.index == 1

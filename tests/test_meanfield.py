@@ -190,6 +190,20 @@ def test_extreme_couplings_still_saturate():
     assert r.e_min == pytest.approx(-0.375e300, rel=1e-12)
 
 
+def test_minimum_that_underflows_is_refused_naming_t0():
+    # eps = t0 n^2 / 2 + n^3 / 6 with t0 = -1e-300 saturates at n = 1.5e-300, where
+    # e = -3.75e-601 underflows: every scanned e(n) reads 0, which once passed for
+    # a trivial minimum.  Its sign, taken in logs, shows the minimum
+    m = model(Statistics.BOSE, -1e-300, StabilizerKind.THREE_BODY, t3=1.0)
+    with pytest.raises(ConfigError, match=r"^t0 = -1e-300 and t3 = 1\.0: e\(n\) has its "
+                                          r"minimum near n = 1\.49\d*e-300, where it is about "
+                                          r"-10\^-600\.4, below the smallest normal double"):
+        classify_stability(m)
+    # a repulsive model whose e(n) underflows is still trivial
+    r = classify_stability(model(Statistics.BOSE, 1e-300, StabilizerKind.THREE_BODY, t3=1.0))
+    assert r.classification is Classification.TRIVIAL_MINIMUM_AT_ZERO
+
+
 def test_bose_density_dependent_saturation_closed_form():
     # eps = -n^2/2 + n^2.5/2 gives e minimal at n = 4/9, e = -2/27
     r = classify_stability(model(Statistics.BOSE, -1.0,

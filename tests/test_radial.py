@@ -580,17 +580,31 @@ def _reference_levels(pot, rho_max):
 
 
 def _searched_levels(monkeypatch) -> dict:
-    """Collect, per grid step, the deeper bracket edge of every level search."""
+    """Collect, per grid step, (ln kappa of the level, of its solution) of every search."""
     found = {}
-    bisect = radial._bisect
+    level = radial._level
 
-    def recording(ws, *args):
-        hi = bisect(ws, *args)
-        found.setdefault(ws.h, []).append(-0.5 * math.exp(hi) ** 2)
-        return hi
+    def recording(ws, *args, **kwargs):
+        x, x_sol = level(ws, *args, **kwargs)
+        found.setdefault(ws.h, []).append((x, x_sol))
+        return x, x_sol
 
-    monkeypatch.setattr(radial, "_bisect", recording)
+    monkeypatch.setattr(radial, "_level", recording)
     return found
+
+
+def _integrations(monkeypatch) -> list:
+    """Collect (grid step, ln kappa, node count) of every integration, in call order."""
+    seen = []
+    integrate = radial._Workspace.integrate
+
+    def recording(self, E):
+        w, g, count = integrate(self, E)
+        seen.append((self.h, 0.5 * math.log(-2.0 * E), count))
+        return w, g, count
+
+    monkeypatch.setattr(radial._Workspace, "integrate", recording)
+    return seen
 
 
 def _per_grid(found) -> tuple[list, list]:
@@ -598,6 +612,29 @@ def _per_grid(found) -> tuple[list, list]:
     fine, coarse = sorted(found)
     assert coarse == 2.0 * fine
     return found[fine], found[coarse]
+
+
+def _reach(ln_tol, x):
+    """How far a level's solution may lie from it in ln kappa: ln_tol, or a few ulps."""
+    return max(ln_tol, 4.0 * math.ulp(x))
+
+
+def _assert_levels_in_count_brackets(found, seen, spec, ln_tol):
+    """Each level lies inside the integrated count bracket on its own grid, and
+    its solution is an h-grid solution with k nodes within `_reach` above it."""
+    fine, coarse = _per_grid(found)
+    assert len(fine) == len(coarse) == len(spec)
+    for levels, step in ((fine, min(found)), (coarse, max(found))):
+        points = [(x, c) for h, x, c in seen if h == step]
+        for k, (x, _) in enumerate(levels):
+            # the integrations' ln kappa is recovered from E, to an ulp or two
+            slack = 4.0 * math.ulp(x)
+            deep = max(xp for xp, c in points if c > k)
+            shallow = min(xp for xp, c in points if c <= k)
+            assert deep - slack <= x <= shallow + slack, (step, k, deep, x, shallow)
+    for k, (state, (x, x_sol)) in enumerate(zip(spec.states, fine)):
+        assert state.node_count == k
+        assert 0.0 <= x_sol - x <= _reach(ln_tol, x), (k, x, x_sol)
 
 
 def test_coarse_grid_is_every_other_point(monkeypatch):
@@ -630,7 +667,8 @@ def test_level_search_reuses_known_node_counts(monkeypatch):
     monkeypatch.setattr(radial, "integrate_numerov",
                         lambda w, *args: steps.append(len(w)) or march(w, *args))
     spec = find_spectrum(pot, rho_max)
-    assert spec.energies.tolist() == want[2]
+    # plain bisection's deeper cell edges lie up to tol_E / 2 above each step
+    assert np.allclose(spec.energies, want[2], rtol=DEFAULT_TOL_E, atol=0.0)
     # integrating every midpoint, the floor and edge probes and each
     # level's final solution took 172 calls; reusing known counts alone, 162;
     # with the guide value, 47; with a first probe one period above each level, 38;
@@ -644,8 +682,12 @@ def test_level_search_reuses_known_node_counts(monkeypatch):
     # ends every search on an integrated hi, whose probe is the level's
     # solution: no integration at E_h after the searches, 57 calls, 30,241 steps.
     # Starting the march with its own h^6 error lets the step double to 1/32,
-    # with the h-grid seeds 1e-6 either side of the 2h level: 53 calls, 14,502 steps
-    assert (len(steps), sum(steps)) == (53, 14502)
+    # with the h-grid seeds 1e-6 either side of the 2h level: 53 calls, 14,502 steps.
+    # Converging each level on the zero of its guide value, and not on a
+    # bisection cell, takes 2 seeds and 1 probe per level on the h grid:
+    # 43 calls, 11,505 steps; a secant step after each predicted probe, with the
+    # last level's slope of q, saves two on the 2h grid: 41 calls, 10,948 steps
+    assert (len(steps), sum(steps)) == (41, 10948)
 
 
 def test_dimer_side_search_cost(monkeypatch):
@@ -657,7 +699,9 @@ def test_dimer_side_search_cost(monkeypatch):
     # the 50 onto its half-length grid, 21,027 steps.  The last h-grid probe,
     # at hi, is each level's solution, which saves one call per level and the
     # snapped regula-falsi points two more: 45 calls and 18,649 steps.  At
-    # h = 1/32 with the sixth-order start: 44 calls and 9,190 steps
+    # h = 1/32 with the sixth-order start: 44 calls and 9,190 steps; converged
+    # on the guide value's zero: 39 calls and 8,006 steps, and with a secant
+    # step after each predicted probe, 35 calls and 7,310 steps
     cfg = make_config(-1e4)
     pot = effective_potential(tabulate_branch(cfg, LogGrid.make(1.0, 1e8, 2)), HardWall(1.0))
     steps = []
@@ -665,52 +709,54 @@ def test_dimer_side_search_cost(monkeypatch):
     monkeypatch.setattr(radial, "integrate_numerov",
                         lambda w, *args: steps.append(len(w)) or march(w, *args))
     assert len(find_spectrum(pot, 1e8)) == 3
-    assert (len(steps), sum(steps)) == (44, 9190)
+    assert (len(steps), sum(steps)) == (35, 7310)
 
 
 def test_h_grid_search_starts_from_the_2h_level(monkeypatch):
     # each level is searched on the 2h grid first; the h-grid search then starts
-    # from two seeds _SEED_HALF_WIDTH either side of the 2h level
+    # from two seeds _SEED_HALF_WIDTH either side of the 2h level, which
+    # straddle the h level, so one more probe converges it
     pot = _unitarity_potential(1e8, HardWall(1.0))
     events = []     # (grid step, ln kappa, is a level) in call order
-    probe, bisect = radial._probe, radial._bisect
+    probe, level = radial._probe, radial._level
     monkeypatch.setattr(radial, "_probe",
                         lambda ws, x: events.append((ws.h, x, False)) or probe(ws, x))
 
-    def recording(ws, *args):
-        hi = bisect(ws, *args)
-        events.append((ws.h, hi, True))
-        return hi
+    def recording(ws, *args, **kwargs):
+        x, x_sol = level(ws, *args, **kwargs)
+        events.append((ws.h, x, True))
+        return x, x_sol
 
-    monkeypatch.setattr(radial, "_bisect", recording)
+    monkeypatch.setattr(radial, "_level", recording)
     assert len(find_spectrum(pot, 1e8)) == 5
     h = min(step for step, _, _ in events)
     ends = [i for i, (step, _, is_level) in enumerate(events) if is_level and step == h]
     assert len(ends) == 5
     start = 0
     for end in ends:
-        level = events[start:end]
-        split = [i for i, (_, _, is_level) in enumerate(level) if is_level]
+        level_events = events[start:end]
+        split = [i for i, (_, _, is_level) in enumerate(level_events) if is_level]
         assert len(split) == 1
-        coarse_probes, (step2, hi2, _), fine_probes = (
-            level[:split[0]], level[split[0]], level[split[0] + 1:])
+        coarse_probes, (step2, x2, _), fine_probes = (
+            level_events[:split[0]], level_events[split[0]], level_events[split[0] + 1:])
         assert step2 == 2.0 * h
         assert coarse_probes and all(step == 2.0 * h for step, _, _ in coarse_probes)
-        assert len(fine_probes) >= 2 and all(step == h for step, _, _ in fine_probes)
+        assert len(fine_probes) == 3 and all(step == h for step, _, _ in fine_probes)
         (_, below, _), (_, above, _) = fine_probes[:2]
-        assert below == hi2 - radial._SEED_HALF_WIDTH, (below, hi2)
-        assert above == hi2 + radial._SEED_HALF_WIDTH, (above, hi2)
+        assert below == x2 - radial._SEED_HALF_WIDTH, (below, x2)
+        assert above == x2 + radial._SEED_HALF_WIDTH, (above, x2)
+        assert below < events[end][1] < above
         start = end + 1
 
 
 @pytest.mark.parametrize("a, scheme, tol_E", [
     (math.inf, HardWall, DEFAULT_TOL_E), (math.inf, Cap, DEFAULT_TOL_E),
-    (-1e4, HardWall, DEFAULT_TOL_E), (math.inf, HardWall, 1e-5), (-1e3, Cap, 1e-5),
+    (-1e4, HardWall, DEFAULT_TOL_E), (math.inf, HardWall, 1e-5), (-1e3, Cap, 1e-14),
 ])
-def test_level_solution_is_the_h_grid_solution_at_E_h(a, scheme, tol_E, monkeypatch):
-    # a level's f, rho and node count come from its last h-grid probe, at hi,
-    # and equal a fresh integration at E_h bit for bit; only where no probe
-    # sits at hi (often at tol_E = 1e-5) is E_h integrated again
+def test_level_solution_is_an_h_grid_solution_next_to_E_h(a, scheme, tol_E, monkeypatch):
+    # a level's f, rho and node count come from the search's probe on the k-node
+    # end of its h-grid bracket, within ln_tol of E_h, and equal a fresh
+    # integration there bit for bit; no level is integrated after its search
     pot = _dimer_potential(a, 1.0, 1e8, 2, scheme(1.0))
     found = _searched_levels(monkeypatch)
     solution = radial._Workspace.solution
@@ -718,16 +764,14 @@ def test_level_solution_is_the_h_grid_solution_at_E_h(a, scheme, tol_E, monkeypa
     monkeypatch.setattr(radial._Workspace, "solution",
                         lambda self, E: fresh.append(E) or solution(self, E))
     spec = find_spectrum(pot, 1e8, tol_E=tol_E)
-    if (a, scheme, tol_E) == (math.inf, HardWall, DEFAULT_TOL_E):
-        assert fresh == []    # the README spectrum
-    if tol_E == 1e-5:
-        assert fresh          # both paths are checked
+    assert fresh == []
     fine, _ = _per_grid(found)
     assert len(fine) == len(spec) >= 2
     ws = radial._Workspace(pot, 1.0, 1e8, DEFAULT_DT)
-    for state, E_h in zip(spec.states, fine):
-        want = solution(ws, E_h)
-        assert state.node_count == want.node_count
+    for k, (state, (x, x_sol)) in enumerate(zip(spec.states, fine)):
+        assert 0.0 <= x_sol - x <= _reach(_ln_tol(tol_E), x)
+        want = solution(ws, -0.5 * math.exp(x_sol) ** 2)
+        assert state.node_count == want.node_count == k
         assert state.rho.tobytes() == want.rho.tobytes()
         assert state.f.tobytes() == want.f.tobytes()
 
@@ -782,12 +826,36 @@ def test_threshold_below_the_search_floor_is_refused(monkeypatch):
     assert resolves == []
 
 
+@pytest.mark.parametrize("a, scheme, levels", [(-2.0, HardWall, 0), (-2.0, Cap, 1),
+                                               (-5.0, HardWall, 1)])
+@pytest.mark.parametrize("dt", [DEFAULT_DT, 1.0 / 64.0])
+def test_threshold_count_carries_no_rounding_nodes(a, scheme, levels, dt):
+    # at E = E_thr, nu^2 + kappa^2 rho^2 cancels to what the channel holds above
+    # the threshold; summed as is, its rounding error was 8e3 at rho = 1e10 and
+    # the march counted 6, 29 and 77 nodes at rho_max = 1e10, 2e10 and 1e11
+    # (a = -2, hard wall), against none just below the threshold, so that
+    # `spectrum --a=-2 --R 2 --rho-max 2e10` exited 2 on a level that was not
+    # there, under a cap and at --dt 0.015625 too
+    pot = _dimer_potential(a, 2.0, 1e8, 2, scheme(2.0))
+    for rho_max in (1e8, 1e10, 2e10, 1e11):
+        ws = radial._Workspace(pot, 2.0, rho_max, dt)
+        E_thr = pot.threshold
+        counts = [ws.integrate(E)[2] for E in (E_thr, E_thr * (1.0 + 1e-9), E_thr * 1.01)]
+        assert counts == [levels] * 3, (rho_max, counts)
+        assert len(find_spectrum(pot, rho_max, dt=dt)) == levels
+
+
 def test_no_trimer_below_the_threshold_gives_no_level():
     # at a = -1, R = 1 the channel binds nothing below the threshold -1
     spec = find_spectrum(_dimer_potential(-1.0, 1.0, 1e8, 2, HardWall(1.0)), 1e8)
     assert len(spec) == 0
     assert spec.threshold == -1.0
     assert spec.total_nodes_at_edge > 0
+
+
+def _ln_tol(tol_E):
+    """The search tolerance in ln kappa for a relative energy tolerance tol_E."""
+    return max(0.25 * tol_E, 4.0 * np.finfo(float).eps)
 
 
 @pytest.mark.parametrize("scheme", [HardWall, Cap])
@@ -798,50 +866,76 @@ def test_no_trimer_below_the_threshold_gives_no_level():
     (math.inf, 0.5, 5e7), (math.inf, 2.0, 2e8),
 ], ids=["inf", "-100.0", "-10000.0", "inf-R0.5", "inf-R2"])
 def test_guided_search_matches_plain_bisection(a, R, rho_max, scheme, monkeypatch):
+    # plain bisection, integrating every midpoint, ends each level on the deeper
+    # edge of a cell ln_tol wide; the guided search ends on the zero of the
+    # guide value inside the step, so on each grid it lies in that cell, and
+    # inside the count bracket of its own integrations
     branch = tabulate_branch(make_config(a), LogGrid.make(R, rho_max, 64))
     pot = effective_potential(branch, scheme(R))
     fine, coarse, want = _reference_levels(pot, rho_max)
     assert len(want) >= 2
     found = _searched_levels(monkeypatch)
-    assert find_spectrum(pot, rho_max).energies.tolist() == want
-    assert _per_grid(found) == (fine, coarse)
+    seen = _integrations(monkeypatch)
+    spec = find_spectrum(pot, rho_max)
+    ln_tol = _ln_tol(DEFAULT_TOL_E)
+    _assert_levels_in_count_brackets(found, seen, spec, ln_tol)
+    for levels, reference in zip(_per_grid(found), (fine, coarse)):
+        for (x, _), E_ref in zip(levels, reference):
+            x_ref = 0.5 * math.log(-2.0 * E_ref)
+            assert x_ref - ln_tol - 4.0 * math.ulp(x) <= x <= x_ref, (x, x_ref)
+    assert np.allclose(spec.energies, want, rtol=DEFAULT_TOL_E, atol=0.0)
 
 
 def test_contradicting_counts_fall_back_to_every_midpoint(monkeypatch):
     rho_max = 1e6
     pot = _unitarity_potential(rho_max, HardWall(1.0))
-    fine, coarse, want = _reference_levels(pot, rho_max)
-    integrate = radial._Workspace.integrate
-    seen = []
-
-    def recording(self, E):
-        w, g, count = integrate(self, E)
-        seen.append((self.h, E, count))
-        return w, g, count
-
-    monkeypatch.setattr(radial._Workspace, "integrate", recording)
     found = _searched_levels(monkeypatch)
-    assert find_spectrum(pot, rho_max).energies.tolist() == want
-    assert _per_grid(found) == (fine, coarse)
+    seen = _integrations(monkeypatch)
+    honest = find_spectrum(pot, rho_max)
     honest_calls = len(seen)
-    # on the h grid the second probe holding one node lies deeper than the
-    # first; a false count of two there leaves level 0 as it was but
-    # contradicts the first probe for level 1, which must then integrate
-    # every midpoint
+    # the first h-grid probe holding one node lies at level 0, deeper than
+    # level 1; a false count of two there leaves level 0 as it was but
+    # contradicts the seeds of level 1, which must then integrate every midpoint
     h = min(found)
-    bad_E = [E for step, E, n in seen if step == h and n == 1][1]
+    bad_x = [x for step, x, n in seen if step == h and n == 1][0]
     seen.clear()
     found.clear()
+    integrate = radial._Workspace.integrate
 
     def lying(self, E):
-        w, g, count = recording(self, E)
-        return w, g, 2 if E == bad_E else count
+        w, g, count = integrate(self, E)
+        return w, g, 2 if self.h == h and 0.5 * math.log(-2.0 * E) == bad_x else count
 
     monkeypatch.setattr(radial._Workspace, "integrate", lying)
-    assert find_spectrum(pot, rho_max).energies.tolist() == want
-    assert _per_grid(found) == (fine, coarse)
-    assert bad_E in [E for _, E, _ in seen]
+    seen = _integrations(monkeypatch)
+    spec = find_spectrum(pot, rho_max)
+    assert [s.node_count for s in spec.states] == list(range(len(honest)))
+    # every midpoint of the window ends on a cell ln_tol wide around the step
+    assert np.allclose(spec.energies, honest.energies, rtol=DEFAULT_TOL_E, atol=0.0)
+    assert bad_x in [x for step, x, _ in seen if step == h]
     assert len(seen) > honest_calls + 15
+
+
+@given(a=st.one_of(st.just(math.inf), st.floats(min_value=-1e5, max_value=-1e2),
+                   st.floats(min_value=50.0, max_value=1e4)),
+       scheme=st.sampled_from([HardWall, Cap]),
+       R=st.floats(min_value=0.5, max_value=2.0),
+       decades=st.floats(min_value=6.0, max_value=8.5),
+       tol_E=st.sampled_from([1e-6, 1e-10, 1e-14]))
+@settings(max_examples=12, deadline=None)
+def test_levels_lie_in_count_brackets_with_k_node_solutions(a, scheme, R, decades, tol_E):
+    # at every tolerance, below the spacing of doubles too, each level lies in
+    # the integrated count bracket of each grid and its solution carries k
+    # nodes within ln_tol (or a few ulps) of the h level
+    rho_max = R * 10.0 ** decades
+    pot = _dimer_potential(a, R, rho_max, 2, scheme(R))
+    with pytest.MonkeyPatch.context() as mp:
+        found = _searched_levels(mp)
+        seen = _integrations(mp)
+        spec = find_spectrum(pot, rho_max, tol_E=tol_E)
+        if len(spec):
+            _assert_levels_in_count_brackets(found, seen, spec, _ln_tol(tol_E))
+    assert all(s.E < spec.threshold for s in spec.states)
 
 
 @pytest.mark.parametrize("scheme", [HardWall, Cap])
