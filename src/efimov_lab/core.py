@@ -5,13 +5,15 @@ one particle.  Lengths are measured in an arbitrary internal unit L;
 energies then carry hbar^2/(m L^2).  Every result, in the library and
 on the command line, is reported in these units.
 
-`bracketed_roots` is the package's one solver for roots of continuous
-increasing functions: every nu^2 root and b (`hyperangular`) and the
-mean-field saturation density n_sat (`meanfield`) come from it, narrowed
-to adjacent doubles.  Callers only choose the starting bracket, and may
-hand over f at its ends where they have evaluated it already.  Only the
-level search in `radial`, which looks for steps of a node count, has its
-own.
+`bracketed_roots` narrows brackets around roots of continuous increasing
+functions down to adjacent doubles.  It serves the nu^2 roots of
+`hyperangular` on branches k >= 1 and on branch 0 at x >= 0, the
+resonant b, and the mean-field saturation density n_sat (`meanfield`).
+Callers only choose the starting bracket, and may hand over f at its ends
+where they have evaluated it already.  Branch 0 at x < 0, the dimer side,
+steps from a Newton estimate one double at a time to the same contract,
+and hands over only a root that the steps do not reach.  The level search
+in `radial`, which looks for steps of a node count, has its own.
 """
 
 from __future__ import annotations
@@ -158,11 +160,6 @@ class LogGrid:
 # about 1 MB whatever the batch size
 _SOLVE_CHUNK = 4096
 
-# finished elements leave the batch only while this many others remain:
-# numpy keeps up to 7 freed buffers of each size under 1 kB for reuse, and
-# a batch shrinking through every size below that leaves megabytes of them
-_COMPACT_FLOOR = 1024
-
 
 def _not_nan(fv: np.ndarray, v: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """fv, or a SolverError naming the first element where it is NaN."""
@@ -189,9 +186,8 @@ def bracketed_roots(f, lo_all: np.ndarray, hi_all: np.ndarray,
     a row leave standing has its weight halved, and a point that rounds
     onto an end moves one double inside.  Where two steps have not halved
     the bracket, the next one is its midpoint.  An element stops when its
-    ends are adjacent doubles or f vanishes at one of them; from then on
-    every step re-evaluates one of its ends and leaves it unchanged, so it
-    may stay in the batch until `_COMPACT_FLOOR` others remain.  A root
+    ends are adjacent doubles or f vanishes at one of them, and leaves the
+    batch, so an element that arrives finished costs no evaluation.  A root
     never depends on the other elements of the batch, nor on how the batch
     is cut into chunks of `_SOLVE_CHUNK`.  Each root is the bracket end
     with the smaller |f|, returned together with that |f|.  An f that is
@@ -216,7 +212,7 @@ def bracketed_roots(f, lo_all: np.ndarray, hi_all: np.ndarray,
             mid = 0.5 * lo + 0.5 * hi
             done = ~((lo < mid) & (mid < hi))
             n_done = np.count_nonzero(done)
-            if n_done == idx.size or (n_done and idx.size - n_done >= _COMPACT_FLOOR):
+            if n_done:
                 afl, afh = np.abs(flo[done]), np.abs(fhi[done])
                 roots[idx[done]] = np.where(afl <= afh, lo[done], hi[done])
                 closing[idx[done]] = np.minimum(afl, afh)

@@ -14,12 +14,13 @@ small x; there nu = i b and the equation continues analytically to
 
 an exponentially scaled form that stays finite for every b > 0.  This
 module evaluates both forms stably on whole arrays, locates the roots of
-any branch at many x at once with one array solve (each element brackets
-its root, and `core.bracketed_roots` narrows the bracket down to adjacent
-doubles), and tabulates branches over log grids.  On branch 0 at x < 0,
-the dimer side, four Newton steps in b on the scaled form put each
-bracket a few ulps wide around the root, and a dimer-side root takes
-about 11 evaluations of the left-hand side, the Newton steps included.
+any branch at many x at once with one array solve, and tabulates branches
+over log grids.  Every root ends on two adjacent doubles between which the
+left-hand side crosses x.  On branch 0 at x < 0, the dimer side, four
+Newton steps in b on the scaled form land a few doubles from that pair,
+and the root steps to it one double at a time: about 6 evaluations of the
+left-hand side per root, the Newton steps included.  Every other root is
+bracketed, and `core.bracketed_roots` narrows the bracket.
 
 Every bracket end next to a genuine pole of the left-hand side, on any
 branch, steps toward it by factors of 8 and stops 1e-11 short of it in
@@ -53,6 +54,7 @@ from .core import (
     PoleError,
     SolverError,
     SystemConfig,
+    _not_nan,
     bracketed_roots,
 )
 
@@ -90,9 +92,13 @@ _POLE_FLOOR = 1e-11
 # branch-0 root at x < 0 start; every such root lies at larger b
 _B_UNITARITY = 1.0062378251027815
 
-# Newton steps that place the first bracket of every branch-0 root at x < 0;
-# four land within 2 ulps of the root in b at every such x
+# Newton steps in b toward every branch-0 root at x < 0; four land within
+# 2 ulps of the root in b at every such x
 _NEWTON_STEPS = 4
+
+# one-double steps from Newton's landing after which a branch-0 root at x < 0
+# that has not met its sign change goes to the generic bracket
+_WALK_STEPS = 8
 
 
 def _lhs_negative(b: np.ndarray, slope: bool = False):
@@ -195,32 +201,64 @@ def _branch0_b(x: np.ndarray) -> np.ndarray:
     return b
 
 
+def _dimer_roots(f, x: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Branch-0 roots at x[idx] < 0, one double at a time from Newton's landing.
+
+    Each element starts at s = -b^2, b from `_branch0_b`, and steps one
+    double at a time toward its sign change (up where f <= 0) until two
+    adjacent doubles give f of opposite signs, or f vanishes.  Of that pair
+    it keeps the end with the smaller |f|, the lower one on a tie, and that
+    |f|: the contract of `bracketed_roots`.  Returns the roots, their |f|,
+    and whether each element is still open after `_WALK_STEPS` steps; the
+    root and |f| of an open element mean nothing.  An f that is NaN raises
+    :class:`SolverError` naming its element.
+    """
+    b = _branch0_b(x[idx])
+    near = -(b * b)
+    fnear = _not_nan(f(near, idx), near, idx)
+    far, ffar = near.copy(), fnear.copy()
+    up = fnear <= 0.0
+    toward = np.where(up, np.inf, -np.inf)
+    walking = np.flatnonzero(fnear != 0.0)
+    for _ in range(_WALK_STEPS):
+        if not walking.size:
+            break
+        t, at = np.nextafter(near[walking], toward[walking]), idx[walking]
+        ft = _not_nan(f(t, at), t, at)
+        # the double just taken is the far end of the pair where f has changed
+        # sign, and the near end from which the walk goes on everywhere else
+        far[walking], ffar[walking] = t, ft
+        stay = np.where(up[walking], ft < 0.0, ft > 0.0)
+        walking = walking[stay]
+        near[walking], fnear[walking] = t[stay], ft[stay]
+    # the far end wins where its |f| is smaller, or equal and it is the lower
+    # end; the results overwrite the near end, allocated first
+    afar, anear = np.abs(ffar, out=ffar), np.abs(fnear, out=fnear)
+    np.copyto(near, far, where=(afar < anear) | ((afar == anear) & ~up))
+    is_open = np.zeros(idx.size, bool)
+    is_open[walking] = True
+    return near, np.minimum(anear, afar, out=anear), is_open
+
+
 def _brackets(f, x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, ...]:
     """[lo, hi] in s around the root of branch k[i] at x[i], and f at both ends.
 
     Each branch holds exactly one root: the left-hand side increases
     strictly over it, from -inf (as s -> -inf on branch 0, at the lower
     pole otherwise) to +inf at the upper pole, smoothly across the
-    removable point nu = 4 on branch 1.  Branch 0 at x < 0 starts from
-    -(b -/+ 2 ulps)^2 around the Newton estimate `_branch0_b`; an end
-    with the wrong sign moves away from b by a factor of 8 at a time, at
-    most to [-(|x| + 3)^2, 0], where the sign is right since
-    lhs(-b^2) <= -b + 0.3 for every b >= 3.  Branch 0 at
-    0 <= x < `LHS_AT_ZERO` starts from [-(|x| + 3)^2, 0].  Above
-    `LHS_AT_ZERO` its lower end is s = 0, or, beyond x = 12/pi, the
-    asymptote 4 - 48 / (pi x) that the root approaches from above,
-    wherever f is negative there.  Every end next to a pole steps toward
-    it by a factor of 8 in nu until the sign is right, and stops at
-    `_POLE_FLOOR`.  f at s = 0 is LHS_AT_ZERO - x without an evaluation.
+    removable point nu = 4 on branch 1.  Branch 0 below `LHS_AT_ZERO`
+    starts from [-(|x| + 3)^2, 0], where the sign is right since
+    lhs(-b^2) <= -b + 0.3 for every b >= 3; the caller refuses an x whose
+    lower end overflows.  Above `LHS_AT_ZERO` its lower end is s = 0, or,
+    beyond x = 12/pi, the asymptote 4 - 48 / (pi x) that the root
+    approaches from above, wherever f is negative there.  Every end next to
+    a pole steps toward it by a factor of 8 in nu until the sign is right,
+    and stops at `_POLE_FLOOR`.  f at s = 0 is LHS_AT_ZERO - x without an
+    evaluation.
     """
     lo, hi = np.zeros(x.shape), np.zeros(x.shape)
     below = (k == 0) & (x < LHS_AT_ZERO)
-    with np.errstate(over="ignore"):
-        lo[below] = -(np.abs(x[below]) + 3.0) ** 2
-    if np.isinf(lo).any():
-        raise ConfigError(
-            f"x = {x[np.argmax(np.isinf(lo))]:.17g} is too large in magnitude: its "
-            "branch-0 root nu^2 ~ -x^2 overflows a double")
+    lo[below] = -(np.abs(x[below]) + 3.0) ** 2
     flo, fhi = LHS_AT_ZERO - x, LHS_AT_ZERO - x
     far = np.flatnonzero((k == 0) & (x > 12.0 / np.pi))   # where the asymptote is > 0
     if far.size:
@@ -230,56 +268,66 @@ def _brackets(f, x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, ...]:
         fs = f(s, far)
         lo[far] = np.where(fs < 0.0, s, 0.0)
         flo[far] = np.where(fs < 0.0, fs, flo[far])
-    unit = np.flatnonzero(below & (x >= 0.0))
-    if unit.size:
-        flo[unit] = f(lo[unit], unit)
-    dimer = np.flatnonzero(below & (x < 0.0))
-    b = np.zeros(x.shape)
-    if dimer.size:
-        b[dimer] = _branch0_b(x[dimer])
+    floor = np.flatnonzero(below)
+    if floor.size:
+        flo[floor] = f(lo[floor], floor)
     nu_lo, nu_hi = _intervals(k)
-    # each end moves from `anchor` by `gap`, to sign * (anchor + side gap)^2, and
-    # stops at `limit` + side `margin`: toward a pole in nu, away from b in b
-    for todo, side, end, fend, sign, anchor, limit, margin, gap, grow in (
-            (np.flatnonzero(k > 0), 1.0, lo, flo, 1.0, nu_lo, nu_lo ** 2, _POLE_FLOOR,
-             1e-6 * (nu_hi - nu_lo), 0.125),
-            (np.flatnonzero(~below), -1.0, hi, fhi, 1.0, nu_hi, nu_hi ** 2, _POLE_FLOOR,
-             1e-6 * (nu_hi - nu_lo), 0.125),
-            (dimer, 1.0, lo, flo, -1.0, b, lo.copy(), 0.0, 2.0 * np.spacing(b), 8.0),
-            (dimer, -1.0, hi, fhi, -1.0, b, hi.copy(), 0.0, 2.0 * np.spacing(b), 8.0)):
+    # each end moves from its pole by `gap` in nu toward the branch's inside and
+    # stops `_POLE_FLOOR` from it in nu^2
+    for todo, side, end, fend, pole in ((np.flatnonzero(k > 0), 1.0, lo, flo, nu_lo),
+                                        (np.flatnonzero(~below), -1.0, hi, fhi, nu_hi)):
+        gap = 1e-6 * (nu_hi - nu_lo)
         while todo.size:
-            with np.errstate(over="ignore"):   # -inf past -(|x| + 3)^2 ~ -1.8e308
-                s = sign * np.maximum(anchor[todo] + side * gap[todo], 0.0) ** 2
-            at_limit = side * (s - limit[todo]) <= margin
-            end[todo] = np.where(at_limit, limit[todo] + side * margin, s)
+            s = (pole[todo] + side * gap[todo]) ** 2
+            limit = pole[todo] ** 2
+            at_limit = side * (s - limit) <= _POLE_FLOOR
+            end[todo] = np.where(at_limit, limit + side * _POLE_FLOOR, s)
             fend[todo] = f(end[todo], todo)
             wrong = side * fend[todo] > 0.0
-            # only a pole's limit can have the wrong sign: the ends of branch 0
-            # at x < 0 stop at [-(|x| + 3)^2, 0]
             if (wrong & at_limit).any():
                 i = todo[np.argmax(wrong & at_limit)]
                 raise _at(SolverError(
                     f"branch {k[i]} root at x = {x[i]:.17g} lies within "
-                    f"{_POLE_FLOOR:g} of the pole at nu^2 = {limit[i]:g}; double "
+                    f"{_POLE_FLOOR:g} of the pole at nu^2 = {pole[i] ** 2:g}; double "
                     "precision cannot separate them"), i)
             todo = todo[wrong]
-            gap[todo] *= grow
+            gap[todo] *= 0.125
     return lo, hi, flo, fhi
 
 
 def _solve(x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Roots nu^2 on branch k[i] at x[i], and their residuals, as one array solve.
 
-    Errors raised for a single element carry its position as `index`.
+    Branch 0 at x < 0 walks from Newton's landing (`_dimer_roots`); an
+    element the walk leaves open, and every other element, is bracketed by
+    `_brackets` and narrowed by `bracketed_roots`, where an element the walk
+    has finished enters as a bracket collapsed onto its root.  Errors raised
+    for a single element carry its position as `index`.
     """
     infinite = ~np.isfinite(x)
     if infinite.any():
         raise ConfigError(f"x must be finite, got {float(x[np.argmax(infinite)])!r}")
+    dimer = np.flatnonzero((k == 0) & (x < 0.0))
+    with np.errstate(over="ignore"):
+        floor = -(np.abs(x[dimer]) + 3.0) ** 2
+    if np.isinf(floor).any():
+        raise ConfigError(
+            f"x = {x[dimer[np.argmax(np.isinf(floor))]]:.17g} is too large in magnitude: "
+            "its branch-0 root nu^2 ~ -x^2 overflows a double")
 
     def f(s, idx):
         return _lhs(s) - x[idx]
 
-    values, closing = bracketed_roots(f, *_brackets(f, x, k))
+    values, closing, is_open = np.empty(0), np.empty(0), np.zeros(0, bool)
+    if dimer.size:
+        values, closing, is_open = _dimer_roots(f, x, dimer)
+    # done when the batch is all dimer side and the walk has finished it
+    if dimer.size < x.size or is_open.any():
+        lo, hi, flo, fhi = _brackets(f, x, k)
+        done = ~is_open
+        walked, values, closing = dimer[done], values[done], closing[done]
+        lo[walked], hi[walked], flo[walked], fhi[walked] = values, values, -closing, closing
+        values, closing = bracketed_roots(f, lo, hi, flo, fhi)
     near = _flag_near_pole(values) & (k > 0)
     if near.any():
         warnings.warn(
@@ -506,9 +554,11 @@ class AdiabaticBranch:
             num = nu2_where(above) - 0.25
             v = np.empty(r.shape)
             normal = (r > 1e-150) & (r < 1e150)
-            v[normal] = num[normal] / (2.0 * r[normal] * r[normal])
             far = ~normal
+            # nu^2 ~ -x^2 puts v_eff near -1 / (2 mu a^2), which overflows
+            # for |a| below about 1e-154 at any rho
             with np.errstate(over="ignore"):
+                v[normal] = num[normal] / (2.0 * r[normal] * r[normal])
                 v[far] = num[far] / r[far] / (2.0 * r[far])
             if not np.all(np.isfinite(v)):
                 raise ConfigError(

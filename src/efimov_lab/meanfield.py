@@ -156,10 +156,20 @@ class MatterModel:
 
 
 def _eval_terms(terms, n, shift):
-    """Sum of c n^(p + shift) over the (c, p) terms, zeros shaped like n if none."""
+    """Sum of c n^(p + shift) over the (c, p) terms, zeros shaped like n if none.
+
+    Where n^(p + shift) alone overflows, the term is taken in logs, as
+    exp(ln|c| + (p + shift) ln n), which a small |c| keeps finite.
+    """
     out = np.zeros(np.shape(n))
     for c, p in terms:
-        out += c * n ** (p + shift)
+        with np.errstate(over="ignore"):
+            power = n ** (p + shift)
+            term = c * power
+            if np.any(np.isinf(power)):
+                logged = np.exp(math.log(abs(c)) + (p + shift) * np.log(n))
+                term = np.where(np.isinf(power), math.copysign(1.0, c) * logged, term)
+        out += term
     return out
 
 
@@ -294,12 +304,13 @@ def _scan_bounds(model: MatterModel, terms) -> tuple[float, float, float | None]
                 f"n = 10^{ln_balance / math.log(10.0):.4g}; the scan of e(n) within a "
                 f"factor 1e4 of it leaves the float range")
     # every power exceeds 1, so at n >= 1 the terms c n^(p - 1) of e(n) and
-    # c (p - 1) n^(p - 2) of e'(n), and the powers of n in them, are at most
-    # p max(|c|, 1) n^(p - 1), and their sums at most len(terms) times that;
-    # 2.3e-16 covers the rounding of exp(ln n) to n
+    # c (p - 1) n^(p - 2) of e'(n) are at most p |c| n^(p - 1), and their sums
+    # at most len(terms) times that; a power of n that overflows on its own is
+    # taken in logs (`_eval_terms`); 2.3e-16 covers the rounding of exp(ln n)
+    # to n
     ln_room = math.log(sys.float_info.max) - math.log(len(terms))
     ln_top, p_top = min(
-        ((ln_room - max(math.log(abs(c)), 0.0) - math.log(p)) / (p - 1.0) - 2.3e-16, p)
+        ((ln_room - math.log(abs(c)) - math.log(p)) / (p - 1.0) - 2.3e-16, p)
         for c, p in terms)
     if ln_top >= ln_hi + _LN_MARGIN:
         return math.exp(ln_lo - _LN_MARGIN), math.exp(ln_hi + _LN_MARGIN), None

@@ -5,14 +5,18 @@ argument parsing and exit codes are exercised exactly as a shell user
 would hit them.
 """
 
+import contextlib
+import io
 import json
 import math
+import re
 import subprocess
 import sys
 import warnings
 from datetime import datetime
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from efimov_lab.cli import main
 from efimov_lab.core import MAX_GRID_POINTS
@@ -409,6 +413,41 @@ def test_bad_input_exits_2_naming_it(argv, named, capsys):
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
     err = capsys.readouterr().err
     assert f"efimov-lab: error: {named}" in err
+
+
+def _log_uniform(lo, hi):
+    return st.floats(min_value=math.log(lo), max_value=math.log(hi)).map(math.exp)
+
+
+_DIMER_RUNS = st.one_of(
+    st.builds(lambda x, count: ["branches", f"--x={-x!r}", "--count", str(count)],
+              _log_uniform(5e-324, 1.3e154), st.integers(1, 3)),
+    st.builds(lambda a, rho, span, points: ["potential", f"--a={-a!r}", "--rho-min",
+                                            repr(rho), "--rho-max", repr(rho * span),
+                                            "--points", str(points)],
+              _log_uniform(1e-300, 1e300), _log_uniform(1e-300, 1e280), _log_uniform(1.5, 1e20),
+              st.integers(2, 5)))
+
+
+@given(_DIMER_RUNS)
+# v_eff ~ -1 / (2 mu a^2) overflows at every rho: refused, once after a numpy warning
+@example(["potential", "--a=-5.3704431246552086e-157", "--rho-min", "2.659536005159497e-118",
+          "--rho-max", "5.152568547759542e-117", "--points", "4"])
+@settings(max_examples=60, deadline=None)
+def test_dimer_side_runs_compute_or_exit_2_naming_an_argument(argv):
+    # branch 0 at x < 0 on the command line (with branches 1 and 2 in the same
+    # batch), every RuntimeWarning an error but the designed near-pole one,
+    # which branch 1 raises beyond |x| of about 1e8
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        warnings.filterwarnings("ignore", r"root nu\^2 = .* lies within 1e-08 of a pole",
+                                RuntimeWarning)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2), argv
+    if code == 2:
+        assert re.match(r"efimov-lab: error: .*(x = |rho|a = )", err.getvalue()), (argv, err)
 
 
 @pytest.mark.parametrize("argv, code, fragment", [

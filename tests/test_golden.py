@@ -3,7 +3,9 @@
 Each case runs one CLI command in-process through `efimov_lab.cli.main`
 and compares its stdout with `tests/golden/<name>.csv` byte for byte.
 The cases are the README command set plus a dimer-side spectrum, a
-capped spectrum and a finite-a potential table.  The README's `constants --format json` runs
+capped spectrum, a finite-a potential table and the branches at x = -40,
+where branch 0 walks from Newton's landing and branches 1-3 are bracketed
+in the same batch.  The README's `constants --format json` runs
 here as CSV: its JSON manifest carries a timestamp.
 
 A change that alters output on purpose rewrites the files with
@@ -33,6 +35,7 @@ CASES = {
     "meanfield_fermi_dd": ["meanfield", "--statistics", "fermi", "--t0", "-4",
                            "--stabilizer", "dd", "--alpha", "1", "--t3", "1"],
     "branches_x0": ["branches", "--x", "0", "--count", "4"],
+    "branches_dimer": ["branches", "--x=-40", "--count", "4"],
     "spectrum_dimer": ["spectrum", "--a=-1e4", "--R", "1", "--rho-max", "1e8"],
     "spectrum_cap_unitarity": ["spectrum", "--a", "inf", "--R", "1", "--rho-max", "1e8",
                                "--regularization", "cap"],

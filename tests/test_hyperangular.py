@@ -448,12 +448,13 @@ def test_branch0_first_bracket_holds():
 # the most negative x whose branch-0 bound -(|x| + 3)^2 is still a double
 X_EDGE = -1.3407807929942596e154
 
-# branch-0 roots at x < 0 start from Newton's estimate: both ends of the range,
+# branch-0 roots at x < 0 walk from Newton's landing: both ends of the range,
 # x around -0.6, where the first b = hypot(x, b_u) lies furthest from the root,
-# and two of the x (about 1 in 1,200) where the first lower or upper end has the
-# wrong sign and moves out
+# two x whose walk to the sign change takes 6 and 7 steps (no x of 200,001
+# log-spaced in -[5e-324, 1.3e154] takes more than 7), and one whose two ends
+# have the same |f|, where the lower is kept
 X_DIMER = [-5e-324, -1e-300, -1e-6, -0.5, -3.0, -40.0, -1e12, X_EDGE,
-           -1.4451533715040548, -0.388269351103592]
+           -1.4451533715040548, -0.388269351103592, -0.03951061212048244]
 
 
 def test_x_edge_is_the_last_finite_bound():
@@ -463,26 +464,32 @@ def test_x_edge_is_the_last_finite_bound():
 
 
 def _check_dimer_root(x, batch_x):
-    """x's bracket holds its root, with f at its ends, and x's root is the one
-    it has in a batch with `batch_x`, next to a sign change and within 8 ulps
-    of plain bisection."""
+    """x's walk from Newton's landing ends within `_WALK_STEPS` on the end of a
+    sign change with the smaller |f|, and x's root is the one it has in a batch
+    with `batch_x`, within 8 ulps of plain bisection."""
     xs = np.array([x, *batch_x])
     k = np.zeros(xs.size, dtype=int)
 
     def f(s, idx):
         return _lhs(s) - xs[idx]
 
-    lo, hi, flo, fhi = hyperangular._brackets(f, xs, k)
-    assert np.all(flo <= 0.0) and np.all(fhi >= 0.0), x
-    assert flo.tobytes() == f(lo, np.arange(xs.size)).tobytes()
-    assert fhi.tobytes() == f(hi, np.arange(xs.size)).tobytes()
-    batch, _ = _solve(xs, k)
+    roots, closing, is_open = hyperangular._dimer_roots(f, xs, np.arange(xs.size))
+    assert not is_open.any(), x
+    batch, batch_res = _solve(xs, k)
+    assert batch.tobytes() == roots.tobytes(), x
+    assert batch_res.tobytes() == (closing / np.maximum(1.0, np.abs(xs))).tobytes(), x
     one, _ = _solve(xs[:1], k[:1])
     assert batch[0].tobytes() == one[0].tobytes(), x
     s = float(one[0])
-    near = (math.nextafter(s, -math.inf), s, math.nextafter(s, math.inf))
-    vals = [eigen_lhs(v) - x for v in near if math.isfinite(v)]
-    assert min(vals) <= 0.0 <= max(vals), x
+    fs = eigen_lhs(s) - x
+    assert closing[0] == abs(fs), x
+    # f changes sign between s and a neighbour whose |f| is larger, or the same
+    # with the neighbour above s
+    near = [v for v in (math.nextafter(s, -math.inf), math.nextafter(s, math.inf))
+            if math.isfinite(v)]
+    assert any(min(fs, fv) <= 0.0 <= max(fs, fv)
+               and (abs(fv) > abs(fs) or abs(fv) == abs(fs) and v > s)
+               for v, fv in ((v, eigen_lhs(v) - x) for v in near)), x
     assert _ulps(s, _plain_bisection_branch0(x)) <= 8, x
 
 
@@ -533,20 +540,82 @@ def test_overflow_is_refused_before_any_newton_step(monkeypatch):
                            "in magnitude: its branch-0 root nu^2 ~ -x^2 overflows a double\n")
 
 
+def test_walk_left_open_ends_in_the_generic_bracket(monkeypatch):
+    # Newton's landing pushed 1e-9 off, thousands of doubles from the root:
+    # the walk gives up after _WALK_STEPS and [-(|x| + 3)^2, 0] takes over
+    # with the same contract, while the other elements keep their walked roots
+    xs = np.array([-1e-6, -3.0, -40.0, -1e12, -0.0424424064429568])
+    k = np.zeros(xs.size, dtype=int)
+    walked, walked_res = _solve(xs, k)
+    branch0_b = hyperangular._branch0_b
+    monkeypatch.setattr(hyperangular, "_branch0_b",
+                        lambda x: branch0_b(x) * np.where(x == -3.0, 1.0 + 1e-9, 1.0))
+    narrowed = []
+    bracketed = hyperangular.bracketed_roots
+    monkeypatch.setattr(hyperangular, "bracketed_roots",
+                        lambda f, *ends: narrowed.append(ends[0].size) or bracketed(f, *ends))
+    got, got_res = _solve(xs, k)
+    assert narrowed == [xs.size]
+    keep = xs != -3.0
+    assert got[keep].tobytes() == walked[keep].tobytes()
+    assert got_res[keep].tobytes() == walked_res[keep].tobytes()
+    s = float(got[1])
+    vals = [eigen_lhs(v) - xs[1] for v in _two_ulps_around(s)]
+    assert min(vals) <= 0.0 <= max(vals)
+    assert got_res[1] == abs(eigen_lhs(s) - xs[1]) / 3.0
+    assert _ulps(s, _plain_bisection_branch0(-3.0)) <= 8
+    alone, alone_res = _solve(xs[1:2], k[1:2])
+    assert alone.tobytes() == got[1:2].tobytes() and alone_res.tobytes() == got_res[1:2].tobytes()
+
+
+@pytest.mark.parametrize("x", [-40.0, -0.0424424064429568])
+def test_mixed_batch_matches_each_element_alone(x):
+    # solve_branches at x < 0 walks branch 0 and brackets branches 1-3 in one
+    # batch; no root or residual depends on the others.  At the second x the
+    # bracket [-(|x| + 3)^2, 0] would end on another sign change than the walk
+    batch, batch_res = _solve(np.full(4, x), np.arange(4))
+    for k in range(4):
+        one, one_res = _solve(np.array([x]), np.array([k]))
+        assert batch[k].tobytes() == one[0].tobytes(), k
+        assert batch_res[k].tobytes() == one_res[0].tobytes(), k
+    assert [r.value for r in solve_branches(x, 4)] == batch.tolist()
+
+
+def test_nan_on_the_walk_raises_naming_its_element(monkeypatch):
+    # the eigenvalue function made NaN at Newton's landing for x = -0.5 alone,
+    # then at the two doubles next to it, one of which the walk takes first
+    b = float(hyperangular._branch0_b(np.array([-0.5]))[0])
+    landing = -(b * b)
+    lhs = hyperangular._lhs
+    neighbours = [math.nextafter(landing, -math.inf), math.nextafter(landing, math.inf)]
+    for bad in ([landing], neighbours):
+        monkeypatch.setattr(hyperangular, "_lhs",
+                            lambda s, bad=bad: np.where(np.isin(s, bad), np.nan, lhs(s)))
+        with pytest.raises(SolverError, match=r"^the function of element 2 is NaN at -1\."
+                           ) as info:
+            _solve(np.array([-1.0, 2.0, -0.5, -40.0]), np.array([0, 0, 0, 1]))
+        assert info.value.index == 2
+        # x = -rho at a = -1 and mu = 1
+        branch = tabulate_branch(make_config(-1.0, mu=1.0), LogGrid.make(1.0, 2.0, 2))
+        with pytest.raises(SolverError, match=r"^branch 0 root failed at rho = 0.5: the "
+                                              r"function of element 1 is NaN"):
+            branch.nu_squared_at(np.array([1.0, 0.5, 5.0]))
+
+
 @pytest.mark.parametrize("a", [-1e4, 3.3])
 def test_workspace_resolve_evaluation_budget(a, monkeypatch):
     # evaluations of the eigenvalue function, each Newton step counted as one.
-    # At a = -1e4 every root starts from 4 Newton steps and a bracket a few
-    # ulps wide, and takes 10.0 per point on the 2,359-point grid of a 1/128
-    # step (23.7k) and 11.0 on the 591 points of the default workspace (6.5k;
-    # 13.0k on the 1,181 points of a 1/64 step).  At a = 3.3 the lower end is
-    # 4 - 48 / (pi x): 14.3 and 18.1 per point (33.8k and 10.7k).  On the 1,181
-    # points, the search starting from [-(|x| + 3)^2, 0] at a = -1e4, and
-    # evaluating both ends again, took 14.5 on the 2,359 points and 17.9 on
-    # the 1,181 (34.3k and 21.2k), and at a = 3.3 16.3 and 19.9 (38.4k and
-    # 23.6k); plain bisection from a doubled bracket about 66.  Each bound
-    # allows one more pass over the batch than measured
-    per_point, per_point_ws = {-1e4: (11, 12), 3.3: (15, 19)}[a]
+    # At a = -1e4 every root takes 4 Newton steps and walks from their landing
+    # to its sign change: 5.86 per point on the 2,359-point grid of a 1/128
+    # step (13.8k) and 5.87 on the 591 points of the default workspace (3.5k).
+    # Narrowing a bracket 2 ulps either side of the landing took 10.0 and 11.0
+    # (23.7k and 6.5k).  At a = 3.3 the lower end is 4 - 48 / (pi x) and
+    # finished elements leave the batch at once: 11.4 per point on both grids
+    # (26.9k and 6.8k), where keeping them while fewer than 1,024 others
+    # remained took 14.3 and 18.1.  Plain bisection from a doubled bracket
+    # takes about 66.  Each bound allows one more pass over the batch than
+    # measured
+    per_point, per_point_ws = {-1e4: (7, 7), 3.3: (13, 13)}[a]
     cfg = make_config(a)
     branch = tabulate_branch(cfg, LogGrid.make(1.0, 1e8, 2))
     evaluated = []

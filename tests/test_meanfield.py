@@ -7,7 +7,11 @@ with parabolic refinement, and boundedness from the sign of the
 highest-power coefficient assembled by hand.
 """
 
+import contextlib
+import io
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +29,7 @@ from efimov_lab import (
     energy_per_particle,
     kinetic_density_fermi,
 )
+from efimov_lab.cli import main
 
 TAU_F_AT_1 = 3.617528156010963     # 0.6 (1.5 pi^2)^(2/3)
 EPS_FERMI_FREE_AT_1 = 1.8087640780054815
@@ -188,6 +193,20 @@ def test_extreme_couplings_still_saturate():
     assert r.classification is Classification.SATURATING
     assert r.n_sat == pytest.approx(1.5, rel=1e-12)
     assert r.e_min == pytest.approx(-0.375e300, rel=1e-12)
+    # t0 = -1, t3 = 1e-300 saturates at n = 1.5e300, e = -3.75e299, past where
+    # n^2 overflows on its own: there the term t3 n^2 / 6 is taken in logs
+    r = classify_stability(model(Statistics.BOSE, -1.0, StabilizerKind.THREE_BODY, t3=1e-300))
+    assert r.classification is Classification.SATURATING
+    assert r.n_sat == pytest.approx(1.5e300, rel=1e-12)
+    assert r.e_min == pytest.approx(-3.75e299, rel=1e-12)
+    out = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out):
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["meanfield", "--statistics", "bose", "--t0=-1", "--stabilizer",
+                     "threebody", "--t3=1e-300", "--format", "json"]) == 0
+    report = json.loads(out.getvalue())["report"]
+    assert report["classification"] == "Saturating"
+    assert (report["n_sat"], report["e_min"]) == (r.n_sat, r.e_min)
 
 
 def test_minimum_that_underflows_is_refused_naming_t0():
