@@ -61,5 +61,5 @@ from .radial import (
 )
 
 __version__ = "0.1.0"
-# stays only until ROADMAP item 3(b) drops perfbench/run.py's read of it
+# stays only until ROADMAP item 5 drops perfbench/run.py's read of it
 KERNEL_BACKEND = "pure"

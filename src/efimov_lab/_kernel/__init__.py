@@ -1,9 +1,12 @@
 """Numerov kernel for the log-grid radial integrator.
 
-`integrate_numerov(w, h, g0, dg0) -> (g, nodes)` checks its inputs,
-allocates the samples `g`, writes the first two and hands them to
-`_pure.march(w, h, g) -> nodes`, which marches on from g[0] and g[1] with
-Numerov's rule in Henrici's summed form.
+`integrate_numerov(w, h, g0, dg0, samples=True) -> (g, nodes)` checks its
+inputs, computes the first two samples and hands them to
+`_pure.march(w, h, g0, g1, samples) -> (nodes, samples)`, which marches on
+from them with Numerov's rule in Henrici's summed form and counts nodes as
+it goes.  With `samples=False` the march keeps no samples and `g` holds the
+last one alone, so `g[-1]` is the end value either way; the node count and
+the arithmetic of every step are the same.
 
 g[1] is the Taylor series of g through h^6 plus h^6 g^(6)(0) / 480, a term
 of the order of the march's own local error -h^6 g^(6) / 240.  Even the
@@ -50,7 +53,7 @@ def _sixth_order_start(w, h, g0, dg0):
         g4 / 24.0 + h * (g5 / 120.0 + h * (g6 / 288.0))))))
 
 
-def integrate_numerov(w, h, g0, dg0):
+def integrate_numerov(w, h, g0, dg0, samples=True):
     """March g'' = w(t) g across a uniform grid with the Numerov rule.
 
     Parameters
@@ -61,12 +64,16 @@ def integrate_numerov(w, h, g0, dg0):
         Grid spacing, h > 0.
     g0, dg0 : float
         Value and t-derivative of g at the first point.
+    samples : bool
+        Keep every sample.  Without, `g` holds only the last one, for a
+        caller that reads no more than the node count and the end value.
 
     Returns
     -------
     (g, nodes) : ndarray, int
-        Samples and the count of strict sign changes between
-        consecutive nonzero samples.  Whenever |g| passes the
+        Samples (length n, or 1 without `samples`) and the count of strict
+        sign changes between consecutive nonzero samples, where a NaN counts
+        as negative and -0.0 as zero.  Whenever |g| passes the
         renormalization threshold 1e250 the running state is divided by
         |g|, unrecorded; stored samples keep the scale of their own segment.
     """
@@ -77,22 +84,26 @@ def integrate_numerov(w, h, g0, dg0):
     if not (h > 0.0 and math.isfinite(h)):
         raise ValueError(f"step must be positive and finite, got {h!r}")
     h, g0, dg0 = float(h), float(g0), float(dg0)
-    g = np.empty(n)
-    g[0] = g0
     if n >= 7:
-        g[1] = _sixth_order_start(w, h, g0, dg0)
-        return g, _pure.march(w, h, g)
-    # the Taylor start through h^4, with w' to second order and w'' to first;
-    # two points give only a one-sided w' and no w''
-    h2 = h * h
-    w0, w1 = float(w[0]), float(w[1])
-    if n > 2:
-        w2 = float(w[2])
-        dw = (-3.0 * w0 + 4.0 * w1 - w2) / (2.0 * h)
-        d2w = (w0 - 2.0 * w1 + w2) / h2
+        g1 = _sixth_order_start(w, h, g0, dg0)
     else:
-        dw = (w1 - w0) / h
-        d2w = 0.0
-    g[1] = (g0 + h * dg0 + 0.5 * h2 * w0 * g0 + (h2 * h / 6.0) * (w0 * dg0 + dw * g0)
-            + (h2 * h2 / 24.0) * ((w0 * w0 + d2w) * g0 + 2.0 * dw * dg0))
-    return g, _pure.march(w, h, g)
+        # the Taylor start through h^4, with w' to second order and w'' to
+        # first; two points give only a one-sided w' and no w''
+        h2 = h * h
+        w0, w1 = float(w[0]), float(w[1])
+        if n > 2:
+            w2 = float(w[2])
+            dw = (-3.0 * w0 + 4.0 * w1 - w2) / (2.0 * h)
+            d2w = (w0 - 2.0 * w1 + w2) / h2
+        else:
+            dw = (w1 - w0) / h
+            d2w = 0.0
+        g1 = (g0 + h * dg0 + 0.5 * h2 * w0 * g0 + (h2 * h / 6.0) * (w0 * dg0 + dw * g0)
+              + (h2 * h2 / 24.0) * ((w0 * w0 + d2w) * g0 + 2.0 * dw * dg0))
+    nodes, tail = _pure.march(w, h, g0, g1, samples)
+    if not samples:
+        return np.array(tail), nodes
+    g = np.empty(n)
+    g[0], g[1] = g0, g1
+    g[2:] = tail
+    return g, nodes

@@ -149,10 +149,11 @@ def _lhs_positive(nu: np.ndarray) -> np.ndarray:
 
 
 def _lhs(s: np.ndarray) -> np.ndarray:
-    """Left-hand side at every s = nu^2 of a finite float array."""
+    """Left-hand side at every s = nu^2 of a float array, NaN where s is NaN."""
     if np.all(s < 0.0):  # the whole dimer side, no masks needed
         return _lhs_negative(np.sqrt(-s))
-    out = np.full(s.shape, LHS_AT_ZERO)
+    # s < 0 and s > 0 are overwritten below, which leaves s = 0 and NaN
+    out = np.where(s == 0.0, LHS_AT_ZERO, np.nan)
     neg, pos = s < 0.0, s > 0.0
     out[neg] = _lhs_negative(np.sqrt(-s[neg]))
     out[pos] = _lhs_positive(np.sqrt(s[pos]))
@@ -240,8 +241,11 @@ def _dimer_roots(f, x: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, ...]:
     return near, np.minimum(anear, afar, out=anear), is_open
 
 
-def _brackets(f, x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, ...]:
+def _brackets(f, x: np.ndarray, k: np.ndarray, want: np.ndarray) -> tuple[np.ndarray, ...]:
     """[lo, hi] in s around the root of branch k[i] at x[i], and f at both ends.
+
+    Only the elements where the mask `want` holds are bracketed and evaluated;
+    the others keep meaningless ends for the caller to overwrite.
 
     Each branch holds exactly one root: the left-hand side increases
     strictly over it, from -inf (as s -> -inf on branch 0, at the lower
@@ -257,10 +261,10 @@ def _brackets(f, x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, ...]:
     evaluation.
     """
     lo, hi = np.zeros(x.shape), np.zeros(x.shape)
-    below = (k == 0) & (x < LHS_AT_ZERO)
+    below = want & (k == 0) & (x < LHS_AT_ZERO)
     lo[below] = -(np.abs(x[below]) + 3.0) ** 2
     flo, fhi = LHS_AT_ZERO - x, LHS_AT_ZERO - x
-    far = np.flatnonzero((k == 0) & (x > 12.0 / np.pi))   # where the asymptote is > 0
+    far = np.flatnonzero(want & (k == 0) & (x > 12.0 / np.pi))   # where the asymptote is > 0
     if far.size:
         # pi x overflows above x ~ 5.7e307, where s = 4 puts the root at the pole
         with np.errstate(over="ignore"):
@@ -274,8 +278,8 @@ def _brackets(f, x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, ...]:
     nu_lo, nu_hi = _intervals(k)
     # each end moves from its pole by `gap` in nu toward the branch's inside and
     # stops `_POLE_FLOOR` from it in nu^2
-    for todo, side, end, fend, pole in ((np.flatnonzero(k > 0), 1.0, lo, flo, nu_lo),
-                                        (np.flatnonzero(~below), -1.0, hi, fhi, nu_hi)):
+    for todo, side, end, fend, pole in ((np.flatnonzero(want & (k > 0)), 1.0, lo, flo, nu_lo),
+                                        (np.flatnonzero(want & ~below), -1.0, hi, fhi, nu_hi)):
         gap = 1e-6 * (nu_hi - nu_lo)
         while todo.size:
             s = (pole[todo] + side * gap[todo]) ** 2
@@ -323,9 +327,11 @@ def _solve(x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         values, closing, is_open = _dimer_roots(f, x, dimer)
     # done when the batch is all dimer side and the walk has finished it
     if dimer.size < x.size or is_open.any():
-        lo, hi, flo, fhi = _brackets(f, x, k)
         done = ~is_open
         walked, values, closing = dimer[done], values[done], closing[done]
+        want = np.ones(x.size, bool)
+        want[walked] = False
+        lo, hi, flo, fhi = _brackets(f, x, k, want)
         lo[walked], hi[walked], flo[walked], fhi[walked] = values, values, -closing, closing
         values, closing = bracketed_roots(f, lo, hi, flo, fhi)
     near = _flag_near_pole(values) & (k > 0)

@@ -158,17 +158,21 @@ class MatterModel:
 def _eval_terms(terms, n, shift):
     """Sum of c n^(p + shift) over the (c, p) terms, zeros shaped like n if none.
 
-    Where n^(p + shift) alone overflows, the term is taken in logs, as
-    exp(ln|c| + (p + shift) ln n), which a small |c| keeps finite.
+    Where n^(p + shift) alone overflows, or falls below the normal doubles
+    and so loses its digits, the term is taken in logs, as
+    exp(ln|c| + (p + shift) ln n), which a |c| of the other extreme keeps
+    finite and normal.
     """
     out = np.zeros(np.shape(n))
     for c, p in terms:
         with np.errstate(over="ignore"):
             power = n ** (p + shift)
             term = c * power
-            if np.any(np.isinf(power)):
-                logged = np.exp(math.log(abs(c)) + (p + shift) * np.log(n))
-                term = np.where(np.isinf(power), math.copysign(1.0, c) * logged, term)
+            outside = np.isinf(power) | (power < sys.float_info.min)
+            if np.any(outside):
+                with np.errstate(divide="ignore"):   # ln 0 = -inf gives the term 0
+                    logged = np.exp(math.log(abs(c)) + (p + shift) * np.log(n))
+                term = np.where(outside, math.copysign(1.0, c) * logged, term)
         out += term
     return out
 
@@ -375,8 +379,10 @@ def classify_stability(model: MatterModel, *, tol: float = 1e-10) -> StabilityRe
     i_min = int(np.argmin(vals))
     if p_top is not None and i_min == _SCAN_POINTS - 1:
         raise _term_overflow(model, p_top, n_hi)
-    if vals[i_min] >= 0.0:
+    if vals[i_min] > -sys.float_info.min:
+        # the minimum reads 0 or a subnormal, whose digits are gone
         _refuse_underflowing_minimum(model, terms, grid)
+    if vals[i_min] >= 0.0:
         return StabilityReport(Classification.TRIVIAL_MINIMUM_AT_ZERO, model,
                                n_sat=0.0, e_min=0.0)
     if i_min == 0 or i_min == _SCAN_POINTS - 1:

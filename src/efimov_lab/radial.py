@@ -252,12 +252,13 @@ class _Workspace:
             cap_nodes = 0
         return 1.0, R * L - 0.5, cap_nodes
 
-    def integrate(self, E: float) -> tuple[np.ndarray, np.ndarray, int]:
+    def integrate(self, E: float, samples: bool = True) -> tuple[np.ndarray, np.ndarray, int]:
         """(w, g, node count) at E < 0 over the grid up to the tail cutoff.
 
         Below the threshold the tail decays as exp(-sqrt(-2 (E - E_thr)) rho),
         and the grid ends where that decay constant times rho reaches
         DEFAULT_TAIL_FACTOR; at or above the threshold it is used whole.
+        Without `samples`, g holds only its last sample (`integrate_numerov`).
         """
         if not (math.isfinite(E) and E < 0.0):
             raise ConfigError(f"bound-state integration needs E < 0, got {E!r}")
@@ -281,7 +282,7 @@ class _Workspace:
         else:
             g0, dg0, cap_nodes = 0.0, 1.0, 0
 
-        g, nodes = integrate_numerov(w, self.h, g0, dg0)
+        g, nodes = integrate_numerov(w, self.h, g0, dg0, samples)
         return w, g, nodes + cap_nodes
 
     def solution(self, E: float) -> RadialSolution:
@@ -319,10 +320,14 @@ def _guide(h: float, w: np.ndarray, g: np.ndarray) -> float:
     return float(g[-1]) * math.exp(-h * float(np.sqrt(np.maximum(w, 0.0)).sum()))
 
 
-def _probe(ws: _Workspace, x: float) -> tuple[float, int, float, np.ndarray]:
-    """(x, node count, guide value q, g) of one integration at E = -exp(x)^2 / 2."""
-    w, g, count = ws.integrate(-0.5 * math.exp(x) ** 2)
-    return x, count, _guide(ws.h, w, g), g
+def _probe(ws: _Workspace, x: float,
+           samples: bool = False) -> tuple[float, int, float, np.ndarray | None]:
+    """(x, node count, guide value q, g) of one integration at E = -exp(x)^2 / 2.
+
+    g is None unless `samples` asks for it.
+    """
+    w, g, count = ws.integrate(-0.5 * math.exp(x) ** 2, samples)
+    return x, count, _guide(ws.h, w, g), g if samples else None
 
 
 def _bracket(known: list[tuple[float, int, float, np.ndarray | None]],
@@ -350,7 +355,8 @@ def _level(ws: _Workspace, k: int, lo: float, hi: float, ln_tol: float,
 
     The level is the zero of the guide value q where the node count steps
     from k+1 to k, searched in the window [lo, hi], and every integration
-    is appended to `known` as `_probe` gives it.  The search keeps the
+    is appended to `known` as `_probe` gives it, with its samples only for
+    a regula-falsi probe with `deeper`.  The search keeps the
     integrated count bracket: the deepest known point holding > k nodes
     and the shallowest holding <= k, or a window end where none is known.
     Where the guide values of its ends differ in sign it integrates at
@@ -399,7 +405,7 @@ def _level(ws: _Workspace, k: int, lo: float, hi: float, ln_tol: float,
                     f = min(f + max(0.25 * ln_tol, 2.0 * math.ulp(f)), math.nextafter(x_hi, x_lo))
                 x, falsi = f, True
             gaps.append(gap)
-        known.append(_probe(ws, x))
+        known.append(_probe(ws, x, samples=deeper and falsi))
         _, count, q, _ = known[-1]
         if count > k:
             if falsi and moved == "lo":
@@ -432,7 +438,10 @@ def find_spectrum(potential: AdiabaticBranch, rho_max: float,
     |E_h - E_2h| / 15.  The returned solution samples and node count are
     the h grid's, with exactly k nodes, within the search tolerance above
     E_h in ln kappa; they come from the h search's own last probe, and a
-    level is integrated again only where no probe sits there.
+    level is integrated again only where no probe sits there that kept its
+    samples.  Only the h search's regula-falsi probes keep them, and its
+    seeds where the tolerance is so loose that the search ends on them;
+    every other integration reads no more than its node count and end value.
 
     The search (`_level`) keeps the count bracket of every integration
     made on its grid: the deepest point holding more than k nodes and the
@@ -505,7 +514,7 @@ def find_spectrum(potential: AdiabaticBranch, rho_max: float,
             f"a trimer needs R well below |a|")
     ws = _Workspace(potential, R, rho_max, dt)
     coarse = ws.coarse()
-    w_floor, g_floor, n_floor = ws.integrate(E_floor)
+    w_floor, g_floor, n_floor = ws.integrate(E_floor, samples=False)
     if n_floor > 0:
         raise SolverError(
             f"{n_floor} level(s) lie below the search floor "
@@ -514,13 +523,14 @@ def find_spectrum(potential: AdiabaticBranch, rho_max: float,
     kappa_edge = _KAPPA_SEARCH_EDGE / rho_max
     if kappa_edge >= kappa_floor:
         raise ConfigError("rho_max too small: search window is empty")
-    w_edge, g_edge, total = ws.integrate(-0.5 * kappa_edge * kappa_edge)
+    w_edge, g_edge, total = ws.integrate(-0.5 * kappa_edge * kappa_edge, samples=False)
 
     ln_lo = math.log(kappa_edge)
     states: list[RadialSolution] = []
     ln_hi = math.log(kappa_floor)
-    # every (ln kappa, node count, guide value, g) integrated so far; g is None
-    # where the energy is not -exp(ln kappa)^2 / 2
+    # every (ln kappa, node count, guide value, g) integrated so far; g is kept
+    # only by the h-grid probes that may become a level's solution, and is None
+    # elsewhere
     known = [(ln_hi, 0, _guide(ws.h, w_floor, g_floor), None),
              (ln_lo, total, _guide(ws.h, w_edge, g_edge), None)]
     # a threshold above the edge ends the window, and its count is the number
@@ -528,7 +538,7 @@ def find_spectrum(potential: AdiabaticBranch, rho_max: float,
     levels = total
     kappa_d = math.sqrt(-2.0 * E_thr)
     if kappa_d > kappa_edge:
-        w_thr, g_thr, levels = ws.integrate(E_thr)
+        w_thr, g_thr, levels = ws.integrate(E_thr, samples=False)
         ln_lo = math.log(kappa_d)
         known.append((ln_lo, levels, _guide(ws.h, w_thr, g_thr), None))
     ln_hi2 = ln_hi
@@ -536,6 +546,9 @@ def find_spectrum(potential: AdiabaticBranch, rho_max: float,
     # the search tolerance in ln kappa: half the relative energy tolerance (E ~ kappa^2)
     ln_tol = max(0.25 * tol_E, 4.0 * np.finfo(float).eps)
     slope2 = math.nan   # dq / d ln kappa at the last 2h level, across its count bracket
+    # the h-grid seeds keep their samples only where their bracket is already
+    # within ln_tol: there the search ends on them, and one is the solution
+    seeded = 2.0 * _SEED_HALF_WIDTH <= ln_tol
     for k in range(min(max_levels, levels)):
         if k:
             # in a channel nu^2 = -b^2 the levels are pi / b apart in ln kappa;
@@ -557,7 +570,7 @@ def find_spectrum(potential: AdiabaticBranch, rho_max: float,
         # the same level on the h grid, seeded around the 2h level
         for x in (x2 - _SEED_HALF_WIDTH, x2 + _SEED_HALF_WIDTH):
             if ln_lo < x < ln_hi:
-                known.append(_probe(ws, x))
+                known.append(_probe(ws, x, samples=seeded))
         x, x_sol = _level(ws, k, ln_lo, ln_hi, ln_tol, known, deeper=True)
         E_h, E_2h = -0.5 * math.exp(x) ** 2, -0.5 * math.exp(x2) ** 2
         # the search mostly ends with its k-node end integrated, and that probe

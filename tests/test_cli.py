@@ -450,6 +450,39 @@ def test_dimer_side_runs_compute_or_exit_2_naming_an_argument(argv):
         assert re.match(r"efimov-lab: error: .*(x = |rho|a = )", err.getvalue()), (argv, err)
 
 
+_EXTREME = st.sampled_from([0.0, 5e-324, 1e-300, 1.0, 1e154, 1e300]).flatmap(
+    lambda v: st.sampled_from([v, -v]))
+
+_MEANFIELD_RUNS = st.builds(
+    lambda statistics, t0, stabilizer, t3, alpha: (
+        ["meanfield", "--statistics", statistics, f"--t0={t0!r}", "--stabilizer", stabilizer]
+        + ([] if t3 is None else [f"--t3={t3!r}"])
+        + ([] if alpha is None else [f"--alpha={alpha!r}"])),
+    st.sampled_from(["bose", "fermi"]), _EXTREME, st.sampled_from(["none", "threebody", "dd"]),
+    st.none() | _EXTREME, st.none() | _EXTREME)
+
+
+@given(_MEANFIELD_RUNS)
+# e(n)'s n^2 term falls below the normal doubles near the minimum: the scan
+# once put the minimum on its window edge and exited 2 naming no argument
+@example(["meanfield", "--statistics", "bose", "--t0=-4.0", "--stabilizer", "threebody",
+          "--t3=1e+300"])
+@example(["meanfield", "--statistics", "bose", "--t0=-4.0", "--stabilizer", "dd",
+          "--t3=1e+300", "--alpha=1.0"])
+@settings(max_examples=60, deadline=None)
+def test_meanfield_runs_compute_or_exit_2_naming_an_argument(argv):
+    # both statistics and every stabilizer at couplings from zero and the least
+    # subnormal to 1e300, with every RuntimeWarning an error
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2), argv
+    if code == 2:
+        assert re.match(r"efimov-lab: error: .*(t0|t3|alpha)", err.getvalue()), (argv, err)
+
+
 @pytest.mark.parametrize("argv, code, fragment", [
     (["nodes"], 2, "error: level mode requires --a, --R and --rho-max"),
     (["nodes", "--a", "inf", "--R", "1"], 2,

@@ -569,11 +569,16 @@ def test_walk_left_open_ends_in_the_generic_bracket(monkeypatch):
 
 
 @pytest.mark.parametrize("x", [-40.0, -0.0424424064429568])
-def test_mixed_batch_matches_each_element_alone(x):
+def test_mixed_batch_matches_each_element_alone(x, monkeypatch):
     # solve_branches at x < 0 walks branch 0 and brackets branches 1-3 in one
     # batch; no root or residual depends on the others.  At the second x the
-    # bracket [-(|x| + 3)^2, 0] would end on another sign change than the walk
+    # bracket [-(|x| + 3)^2, 0] would end on another sign change than the walk.
+    # The walked element takes no bracket, so f is never evaluated at its end
+    evaluated = []
+    lhs = hyperangular._lhs
+    monkeypatch.setattr(hyperangular, "_lhs", lambda s: evaluated.extend(s.tolist()) or lhs(s))
     batch, batch_res = _solve(np.full(4, x), np.arange(4))
+    assert -(abs(x) + 3.0) ** 2 not in evaluated
     for k in range(4):
         one, one_res = _solve(np.array([x]), np.array([k]))
         assert batch[k].tobytes() == one[0].tobytes(), k
@@ -600,6 +605,20 @@ def test_nan_on_the_walk_raises_naming_its_element(monkeypatch):
         with pytest.raises(SolverError, match=r"^branch 0 root failed at rho = 0.5: the "
                                               r"function of element 1 is NaN"):
             branch.nu_squared_at(np.array([1.0, 0.5, 5.0]))
+
+
+def test_nan_landing_raises_naming_its_element(monkeypatch):
+    # a NaN in s, not in f: Newton's landing made NaN for x = -0.5 alone.  The
+    # eigenvalue function is NaN there too, where it once read LHS_AT_ZERO and
+    # let the walk step on from NaN
+    assert np.isnan(hyperangular._lhs(np.array([np.nan, 0.0, -1.0, 1.0]))).tolist() == [
+        True, False, False, False]
+    branch0_b = hyperangular._branch0_b
+    monkeypatch.setattr(hyperangular, "_branch0_b",
+                        lambda x: np.where(x == -0.5, np.nan, branch0_b(x)))
+    with pytest.raises(SolverError, match=r"^the function of element 2 is NaN at nan") as info:
+        _solve(np.array([-1.0, 2.0, -0.5, -40.0]), np.array([0, 0, 0, 1]))
+    assert info.value.index == 2
 
 
 @pytest.mark.parametrize("a", [-1e4, 3.3])

@@ -7,14 +7,34 @@ g'' = -(t + 1) g has the Airy solution Ai(-(t + 1)).  The growing twin
 g'' = k^2 g gives sinh(k t) / k, whose rescales are checked through the
 step-by-step growth of ln|g|, which does not depend on the scale each
 segment carries.
+
+Every case that counts nodes also runs count-only (`samples=False`), which
+must give the same node count and the same last sample.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from efimov_lab._kernel import _pure, integrate_numerov
+
+
+def _integrate(w, h, g0, dg0):
+    """integrate_numerov with samples, checked against the same march count-only."""
+    g, nodes = integrate_numerov(w, h, g0, dg0)
+    end, end_nodes = integrate_numerov(w, h, g0, dg0, samples=False)
+    assert end_nodes == nodes
+    # bytes, so that a NaN or the sign of a zero must match too
+    assert end.shape == (1,) and end.tobytes() == g[-1:].tobytes()
+    return g, nodes
+
+
+def _numpy_nodes(g):
+    """Sign changes between consecutive nonzero samples, a NaN counting as negative."""
+    positive = g[g != 0.0] > 0.0
+    return int(np.count_nonzero(positive[1:] != positive[:-1]))
 
 
 def _rescales_of_growing_sinh(g, k, h):
@@ -54,12 +74,12 @@ def _rescales_of_growing_sinh(g, k, h):
 
 def test_one_rescale_under_renormalization():
     w = np.full(4000, 400.0)  # growth e^{20 t} to e^{800}, forces rescaling
-    g, _ = integrate_numerov(w, 0.01, 0.0, 1.0)
+    g, _ = _integrate(w, 0.01, 0.0, 1.0)
     assert len(_rescales_of_growing_sinh(g, 20.0, 0.01)) == 1
 
 
 def test_zero_solution_stays_zero():
-    g, nodes = integrate_numerov(np.full(50, -3.0), 0.1, 0.0, 0.0)
+    g, nodes = _integrate(np.full(50, -3.0), 0.1, 0.0, 0.0)
     assert not np.any(g)
     assert nodes == 0
 
@@ -73,7 +93,7 @@ def test_zero_solution_stays_zero():
 ])
 def test_exact_zeros_are_not_nodes(w, g0, dg0, zero_at, signbit, want_nodes):
     # a zero sample of either sign is skipped when counting sign changes
-    g, nodes = integrate_numerov(w, 1.0, g0, dg0)
+    g, nodes = _integrate(w, 1.0, g0, dg0)
     assert g[zero_at] == 0.0 and np.signbit(g[zero_at]) == signbit
     assert np.all(np.delete(g, zero_at) != 0.0)
     assert nodes == want_nodes
@@ -82,7 +102,7 @@ def test_exact_zeros_are_not_nodes(w, g0, dg0, zero_at, signbit, want_nodes):
 def test_nan_in_w_counts_as_negative():
     w = np.random.default_rng(3).normal(0.0, 30.0, 300)
     w[100] = np.nan
-    g, nodes = integrate_numerov(w, 0.01, 0.0, 1.0)
+    g, nodes = _integrate(w, 0.01, 0.0, 1.0)
     assert np.all(np.isnan(g[100:])) and not np.any(np.isnan(g[:100]))
     # every NaN counts as a negative sample
     signs = np.where(g > 0.0, 1, -1)[g != 0.0]
@@ -91,7 +111,7 @@ def test_nan_in_w_counts_as_negative():
 
 def test_several_rescales():
     w = np.full(4000, 1600.0)  # growth e^{40 t} to e^{1600}
-    g, _ = integrate_numerov(w, 0.01, 0.0, 1.0)
+    g, _ = _integrate(w, 0.01, 0.0, 1.0)
     assert len(_rescales_of_growing_sinh(g, 40.0, 0.01)) >= 2
 
 
@@ -170,7 +190,7 @@ def test_renormalization_preserves_log_trajectory():
 
 def test_growth_never_overflows():
     w = np.full(20000, 2500.0)  # bare growth e^{50 t} over t in [0, 20]
-    g, nodes = integrate_numerov(w, 1e-3, 0.0, 1.0)
+    g, nodes = _integrate(w, 1e-3, 0.0, 1.0)
     assert np.all(np.isfinite(g))
     assert np.max(np.abs(g)) <= _pure.RESCALE_THRESHOLD
     assert len(_rescales_of_growing_sinh(g, 50.0, 1e-3)) >= 1
@@ -180,8 +200,27 @@ def test_growth_never_overflows():
 def test_node_counting_ignores_touching_zero():
     # start exactly at zero: the leading zero sample is not a node
     w = np.full(64, -1.0)
-    _, nodes = integrate_numerov(w, 0.01, 0.0, 1.0)
+    _, nodes = _integrate(w, 0.01, 0.0, 1.0)
     assert nodes == 0
+
+
+_W = st.one_of(st.floats(-2e3, 2e3), st.just(0.0), st.just(-0.0), st.just(math.nan))
+
+
+@given(w=st.lists(_W, min_size=2, max_size=60),
+       h=st.sampled_from([0.01, 0.3, 1.0]),
+       g0=st.sampled_from([0.0, -0.0, 1.0, -2.0, math.nan]),
+       dg0=st.sampled_from([0.0, 1.0, -1e3]))
+@settings(max_examples=200, deadline=None)
+def test_inline_node_count_is_the_numpy_count(w, h, g0, dg0):
+    # the march counts nodes as it goes; numpy counts them on the samples
+    # afterwards, as the kernel once did.  Large |w| at h = 1 flips the sign
+    # every step and rescales; NaN in w or g0 turns the rest of the march NaN
+    # (a Numerov coefficient of exactly 0 would divide by zero)
+    assume(np.all(1.0 - (h * h / 12.0) * np.array(w[2:]) != 0.0))
+    with np.errstate(all="ignore"):
+        g, nodes = _integrate(np.array(w), h, g0, dg0)
+    assert nodes == _numpy_nodes(g)
 
 
 def test_input_validation():

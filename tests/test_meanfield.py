@@ -209,6 +209,32 @@ def test_extreme_couplings_still_saturate():
     assert (report["n_sat"], report["e_min"]) == (r.n_sat, r.e_min)
 
 
+@pytest.mark.parametrize("t0, kind, t3, alpha, n_sat, e_min", [
+    # eps = t0 n^2 / 2 + t3 n^3 / 6 saturates at n = -3 t0 / (2 t3), e = t0 n / 4; the
+    # n^2 of e(n) falls below the normal doubles near the minimum, where it once
+    # lost its digits (t3 = 1e160 gave e = -5.99998e-160) or all of them, which
+    # put the scan's minimum on its window edge (t3 = 1e170 to 1e300 exited 2)
+    (-4.0, StabilizerKind.THREE_BODY, 1e160, None, 6e-160, -6e-160),
+    (-4.0, StabilizerKind.THREE_BODY, 1e300, None, 6e-300, -6e-300),
+    (-1e10, StabilizerKind.THREE_BODY, 1e300, None, 1.5e-290, -3.75e-281),
+    # eps = t0 n^2 / 2 + t3 n^3 / 2: n = -t0 / (2 t3), e = t0 n / 4
+    (-4.0, StabilizerKind.DENSITY_DEPENDENT, 1e300, 1.0, 2e-300, -2e-300),
+])
+def test_terms_below_the_normal_doubles_are_taken_in_logs(t0, kind, t3, alpha, n_sat, e_min):
+    r = classify_stability(model(Statistics.BOSE, t0, kind, t3=t3, alpha=alpha))
+    assert r.classification is Classification.SATURATING
+    assert r.n_sat == pytest.approx(n_sat, rel=1e-12, abs=0.0)
+    assert r.e_min == pytest.approx(e_min, rel=1e-12, abs=0.0)
+    argv = ["meanfield", "--statistics", "bose", f"--t0={t0!r}", "--stabilizer",
+            "threebody" if alpha is None else "dd", f"--t3={t3!r}", "--format", "json"]
+    out = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out):
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv + ([] if alpha is None else [f"--alpha={alpha!r}"])) == 0
+    report = json.loads(out.getvalue())["report"]
+    assert (report["n_sat"], report["e_min"]) == (r.n_sat, r.e_min)
+
+
 def test_minimum_that_underflows_is_refused_naming_t0():
     # eps = t0 n^2 / 2 + n^3 / 6 with t0 = -1e-300 saturates at n = 1.5e-300, where
     # e = -3.75e-601 underflows: every scanned e(n) reads 0, which once passed for
@@ -217,6 +243,14 @@ def test_minimum_that_underflows_is_refused_naming_t0():
     with pytest.raises(ConfigError, match=r"^t0 = -1e-300 and t3 = 1\.0: e\(n\) has its "
                                           r"minimum near n = 1\.49\d*e-300, where it is about "
                                           r"-10\^-600\.4, below the smallest normal double"):
+        classify_stability(m)
+    # eps = t0 n^2 / 2 + t3 n^5 / 2 with t0 = -1e-300 and t3 = 1e-275 saturates
+    # at n = 2.9e-9, where e = -1.1e-309 is subnormal: it once passed for a
+    # level with the digits of n_sat gone
+    m = model(Statistics.BOSE, -1e-300, StabilizerKind.DENSITY_DEPENDENT, t3=1e-275, alpha=3.0)
+    with pytest.raises(ConfigError, match=r"^t0 = -1e-300 and t3 = 1e-275, alpha = 3\.0: e\(n\) "
+                                          r"has its minimum near n = 2\.9\d*e-09, where it is "
+                                          r"about -10\^-309, below the smallest normal double"):
         classify_stability(m)
     # a repulsive model whose e(n) underflows is still trivial
     r = classify_stability(model(Statistics.BOSE, 1e-300, StabilizerKind.THREE_BODY, t3=1.0))

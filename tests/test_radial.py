@@ -598,8 +598,8 @@ def _integrations(monkeypatch) -> list:
     seen = []
     integrate = radial._Workspace.integrate
 
-    def recording(self, E):
-        w, g, count = integrate(self, E)
+    def recording(self, E, *args, **kwargs):
+        w, g, count = integrate(self, E, *args, **kwargs)
         seen.append((self.h, 0.5 * math.log(-2.0 * E), count))
         return w, g, count
 
@@ -662,10 +662,11 @@ def test_level_search_reuses_known_node_counts(monkeypatch):
     want = _reference_levels(pot, rho_max)
     assert len(want[2]) == 5
 
-    steps = []
+    steps, kept = [], []
     march = radial.integrate_numerov
     monkeypatch.setattr(radial, "integrate_numerov",
-                        lambda w, *args: steps.append(len(w)) or march(w, *args))
+                        lambda w, *args: steps.append(len(w)) or kept.append(args[3:] != (False,))
+                        or march(w, *args))
     spec = find_spectrum(pot, rho_max)
     # plain bisection's deeper cell edges lie up to tol_E / 2 above each step
     assert np.allclose(spec.energies, want[2], rtol=DEFAULT_TOL_E, atol=0.0)
@@ -688,6 +689,8 @@ def test_level_search_reuses_known_node_counts(monkeypatch):
     # 43 calls, 11,505 steps; a secant step after each predicted probe, with the
     # last level's slope of q, saves two on the 2h grid: 41 calls, 10,948 steps
     assert (len(steps), sum(steps)) == (41, 10948)
+    # only the probe that becomes each level's solution keeps its samples
+    assert sum(kept) == len(spec) == 5
 
 
 def test_dimer_side_search_cost(monkeypatch):
@@ -720,7 +723,8 @@ def test_h_grid_search_starts_from_the_2h_level(monkeypatch):
     events = []     # (grid step, ln kappa, is a level) in call order
     probe, level = radial._probe, radial._level
     monkeypatch.setattr(radial, "_probe",
-                        lambda ws, x: events.append((ws.h, x, False)) or probe(ws, x))
+                        lambda ws, x, **kwargs: events.append((ws.h, x, False))
+                        or probe(ws, x, **kwargs))
 
     def recording(ws, *args, **kwargs):
         x, x_sol = level(ws, *args, **kwargs)
@@ -774,6 +778,28 @@ def test_level_solution_is_an_h_grid_solution_next_to_E_h(a, scheme, tol_E, monk
         assert state.node_count == want.node_count == k
         assert state.rho.tobytes() == want.rho.tobytes()
         assert state.f.tobytes() == want.f.tobytes()
+
+
+@pytest.mark.parametrize("a, scheme, tol_E", [
+    (math.inf, HardWall, DEFAULT_TOL_E), (-1e4, Cap, DEFAULT_TOL_E), (math.inf, Cap, 1e-5),
+])
+def test_count_only_probes_fall_back_to_one_solution_per_level(a, scheme, tol_E, monkeypatch):
+    # with every probe count-only, each level is integrated once more at its
+    # solution's energy, and the spectrum comes out the same bit for bit
+    pot = _dimer_potential(a, 1.0, 1e8, 2, scheme(1.0))
+    want = find_spectrum(pot, 1e8, tol_E=tol_E)
+    probe, solution = radial._probe, radial._Workspace.solution
+    monkeypatch.setattr(radial, "_probe", lambda ws, x, **kwargs: probe(ws, x))
+    fresh = []
+    monkeypatch.setattr(radial._Workspace, "solution",
+                        lambda self, E: fresh.append(E) or solution(self, E))
+    got = find_spectrum(pot, 1e8, tol_E=tol_E)
+    assert len(fresh) == len(got) == len(want) >= 2
+    assert got.total_nodes_at_edge == want.total_nodes_at_edge
+    for g, w in zip(got.states, want.states):
+        assert (g.E, g.E_error, g.kappa, g.node_count, g.box_limited) == (
+            w.E, w.E_error, w.kappa, w.node_count, w.box_limited)
+        assert g.rho.tobytes() == w.rho.tobytes() and g.f.tobytes() == w.f.tobytes()
 
 
 @given(a=st.floats(min_value=-1e5, max_value=-1e2),
@@ -902,8 +928,8 @@ def test_contradicting_counts_fall_back_to_every_midpoint(monkeypatch):
     found.clear()
     integrate = radial._Workspace.integrate
 
-    def lying(self, E):
-        w, g, count = integrate(self, E)
+    def lying(self, E, *args, **kwargs):
+        w, g, count = integrate(self, E, *args, **kwargs)
         return w, g, 2 if self.h == h and 0.5 * math.log(-2.0 * E) == bad_x else count
 
     monkeypatch.setattr(radial._Workspace, "integrate", lying)
