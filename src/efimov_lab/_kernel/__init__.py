@@ -2,11 +2,15 @@
 
 `integrate_numerov(w, h, g0, dg0, samples=True) -> (g, nodes)` checks its
 inputs, computes the first two samples and hands them to
-`_pure.march(w, h, g0, g1, samples) -> (nodes, samples)`, which marches on
-from them with Numerov's rule in Henrici's summed form and counts nodes as
-it goes.  With `samples=False` the march keeps no samples and `g` holds the
-last one alone, so `g[-1]` is the end value either way; the node count and
-the arithmetic of every step are the same.
+`_pure.march(w, h, g0, g1, samples) -> (nodes, samples)`.  There numpy
+builds the Numerov coefficients c = 1 - (h^2/12) w once per call, one
+Python loop carries y = c g in Henrici's summed form and counts nodes on y
+as it goes, and numpy forms g = y / c afterwards.  With `samples=False` the
+march keeps no samples and `g` holds the last one alone, so `g[-1]` is the
+end value either way; the node count and the arithmetic of every step are
+the same.  Where some c is not positive, or is NaN (a step too large for w,
+or a NaN in w), the same loop keeps every sample and the nodes are counted
+on g afterwards; a c of exactly 0 past the first two points is refused.
 
 g[1] is the Taylor series of g through h^6 plus h^6 g^(6)(0) / 480, a term
 of the order of the march's own local error -h^6 g^(6) / 240.  Even the
@@ -73,9 +77,16 @@ def integrate_numerov(w, h, g0, dg0, samples=True):
     (g, nodes) : ndarray, int
         Samples (length n, or 1 without `samples`) and the count of strict
         sign changes between consecutive nonzero samples, where a NaN counts
-        as negative and -0.0 as zero.  Whenever |g| passes the
+        as negative and -0.0 as zero.  Whenever |c g| passes the
         renormalization threshold 1e250 the running state is divided by
-        |g|, unrecorded; stored samples keep the scale of their own segment.
+        it, unrecorded; stored samples keep the scale of their own segment.
+
+    Raises
+    ------
+    ValueError
+        Fewer than 2 points, a step that is not positive and finite, or a
+        Numerov coefficient 1 - (h^2/12) w of exactly 0 past the first two
+        points, where g is undefined; the message names the point.
     """
     w = np.ascontiguousarray(w, dtype=np.float64)
     n = len(w)
@@ -102,7 +113,7 @@ def integrate_numerov(w, h, g0, dg0, samples=True):
               + (h2 * h2 / 24.0) * ((w0 * w0 + d2w) * g0 + 2.0 * dw * dg0))
     nodes, tail = _pure.march(w, h, g0, g1, samples)
     if not samples:
-        return np.array(tail), nodes
+        return tail if n > 2 else np.array([g1]), nodes
     g = np.empty(n)
     g[0], g[1] = g0, g1
     g[2:] = tail

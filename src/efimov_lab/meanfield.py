@@ -155,24 +155,30 @@ class MatterModel:
         return tuple(sorted((c, p) for p, c in terms.items() if c != 0.0))
 
 
-def _eval_terms(terms, n, shift):
+def _eval_terms(terms, n, shift, slope=False):
     """Sum of c n^(p + shift) over the (c, p) terms, zeros shaped like n if none.
 
-    Where n^(p + shift) alone overflows, or falls below the normal doubles
-    and so loses its digits, the term is taken in logs, as
-    exp(ln|c| + (p + shift) ln n), which a |c| of the other extreme keeps
-    finite and normal.
+    With `slope` it is the sum's derivative in n, of terms
+    (c n^(p + shift - 1)) (p + shift): the factor comes last, so that c (p +
+    shift), which overflows for a c near the largest double and keeps only a
+    few digits of a subnormal c, is never formed.  Where the power of n alone
+    overflows, or falls below the normal doubles and so loses its digits, the
+    term is taken in logs, as exp(ln|c| + ln|factor| + power ln n), which a
+    |c| of the other extreme keeps finite and normal.
     """
     out = np.zeros(np.shape(n))
     for c, p in terms:
+        q, factor = p + shift, 1.0
+        if slope:
+            q, factor = q - 1.0, q
         with np.errstate(over="ignore"):
-            power = n ** (p + shift)
-            term = c * power
+            power = n ** q
+            term = c * power * factor
             outside = np.isinf(power) | (power < sys.float_info.min)
             if np.any(outside):
                 with np.errstate(divide="ignore"):   # ln 0 = -inf gives the term 0
-                    logged = np.exp(math.log(abs(c)) + (p + shift) * np.log(n))
-                term = np.where(outside, math.copysign(1.0, c) * logged, term)
+                    logged = np.exp(math.log(abs(c)) + math.log(abs(factor)) + q * np.log(n))
+                term = np.where(outside, math.copysign(1.0, c * factor) * logged, term)
         out += term
     return out
 
@@ -330,7 +336,10 @@ def _refuse_underflowing_minimum(model: MatterModel, terms, grid: np.ndarray) ->
     of them, so the sign of e(n) survives where e(n) itself underflows to 0.
     """
     ln_n = np.log(grid)
-    ln_terms = [math.log(abs(c)) + (p - 1.0) * ln_n for c, p in terms]
+    # a power near the largest double takes the log of a term below n = 1 to
+    # -inf, a term of 0; the window keeps every term finite above it
+    with np.errstate(over="ignore"):
+        ln_terms = [math.log(abs(c)) + (p - 1.0) * ln_n for c, p in terms]
     ln_top = np.max(ln_terms, axis=0)
     scaled = sum(math.copysign(1.0, c) * np.exp(t - ln_top) for (c, _), t in zip(terms, ln_terms))
     if not np.any(scaled < 0.0):
@@ -390,8 +399,7 @@ def classify_stability(model: MatterModel, *, tol: float = 1e-10) -> StabilityRe
                           "term balance scales are badly conditioned")
 
     # e'(n) = sum c (p - 1) n^(p - 2) rises through zero at the minimum
-    de_terms = tuple((c * (p - 1.0), p) for c, p in terms)
-    roots, closing = bracketed_roots(lambda n, idx: _eval_terms(de_terms, n, -2.0),
+    roots, closing = bracketed_roots(lambda n, idx: _eval_terms(terms, n, -1.0, slope=True),
                                      grid[i_min - 1:i_min], grid[i_min + 1:i_min + 2])
     n_sat = roots[0]
     e_min = float(_eval_terms(terms, n_sat, -1.0))

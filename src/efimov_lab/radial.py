@@ -485,8 +485,15 @@ def find_spectrum(potential: AdiabaticBranch, rho_max: float,
     The window runs from the search floor up to kappa rho_max =
     _KAPPA_SEARCH_EDGE or, where the threshold (`potential.threshold`)
     lies deeper than that edge, up to the threshold, whose node count is
-    then the number of levels.  A threshold below the floor is refused
-    before the workspace re-solves nu^2, and so is an R whose floor
+    then the number of levels.  The window's shallow end is integrated on
+    the h grid only, unless a level's 2h search integrates no point holding
+    more than k nodes, as where level k lies next to the threshold.  Then
+    the 2h grid is integrated there once.  If it holds more than k nodes,
+    it closes the level's 2h count bracket; if not, the 2h grid has no
+    level k in the window, and the spectrum ends at k levels: the h level
+    lies within the two grids' discretization shift of the window's end
+    and cannot be told from continuum.  A threshold below the floor is
+    refused before the workspace re-solves nu^2, and so is an R whose floor
     -5 / R^2 overflows.
     """
     if potential.scheme is None:
@@ -523,7 +530,8 @@ def find_spectrum(potential: AdiabaticBranch, rho_max: float,
     kappa_edge = _KAPPA_SEARCH_EDGE / rho_max
     if kappa_edge >= kappa_floor:
         raise ConfigError("rho_max too small: search window is empty")
-    w_edge, g_edge, total = ws.integrate(-0.5 * kappa_edge * kappa_edge, samples=False)
+    E_lo = -0.5 * kappa_edge * kappa_edge   # the energy at the window's shallow end
+    w_edge, g_edge, total = ws.integrate(E_lo, samples=False)
 
     ln_lo = math.log(kappa_edge)
     states: list[RadialSolution] = []
@@ -538,6 +546,7 @@ def find_spectrum(potential: AdiabaticBranch, rho_max: float,
     levels = total
     kappa_d = math.sqrt(-2.0 * E_thr)
     if kappa_d > kappa_edge:
+        E_lo = E_thr
         w_thr, g_thr, levels = ws.integrate(E_thr, samples=False)
         ln_lo = math.log(kappa_d)
         known.append((ln_lo, levels, _guide(ws.h, w_thr, g_thr), None))
@@ -566,6 +575,11 @@ def find_spectrum(potential: AdiabaticBranch, rho_max: float,
                     x_pred += known2[-1][2] / slope2 if slope2 else math.nan
         x2, _ = _level(coarse, k, ln_lo, ln_hi2, ln_tol, known2, deeper=False)
         x_lo, q_lo, x_hi, q_hi = _bracket(known2, k)
+        if x_lo == -math.inf and coarse.integrate(E_lo, samples=False)[2] <= k:
+            # no 2h integration holds more than k nodes, and neither does the 2h
+            # grid at the window's shallow end: the 2h grid has no level k in the
+            # window, and the h level lies within the two grids' shift of its end
+            break
         slope2 = (q_hi - q_lo) / (x_hi - x_lo)
         # the same level on the h grid, seeded around the 2h level
         for x in (x2 - _SEED_HALF_WIDTH, x2 + _SEED_HALF_WIDTH):

@@ -450,8 +450,10 @@ def test_dimer_side_runs_compute_or_exit_2_naming_an_argument(argv):
         assert re.match(r"efimov-lab: error: .*(x = |rho|a = )", err.getvalue()), (argv, err)
 
 
-_EXTREME = st.sampled_from([0.0, 5e-324, 1e-300, 1.0, 1e154, 1e300]).flatmap(
-    lambda v: st.sampled_from([v, -v]))
+# couplings from zero, the subnormals and 1e-300 to 1e300 and the top decade of
+# the doubles, where a coefficient c (p - 1) of e'(n) would overflow
+_EXTREME = (st.sampled_from([0.0, 5e-324, 4e-323, 1e-300, 1.0, 1e154, 1e300])
+            | st.floats(8e307, 1.7976931348623157e308)).flatmap(lambda v: st.sampled_from([v, -v]))
 
 _MEANFIELD_RUNS = st.builds(
     lambda statistics, t0, stabilizer, t3, alpha: (
@@ -459,7 +461,7 @@ _MEANFIELD_RUNS = st.builds(
         + ([] if t3 is None else [f"--t3={t3!r}"])
         + ([] if alpha is None else [f"--alpha={alpha!r}"])),
     st.sampled_from(["bose", "fermi"]), _EXTREME, st.sampled_from(["none", "threebody", "dd"]),
-    st.none() | _EXTREME, st.none() | _EXTREME)
+    st.none() | _EXTREME, st.none() | _EXTREME | st.floats(90.0, 110.0))
 
 
 @given(_MEANFIELD_RUNS)
@@ -469,10 +471,19 @@ _MEANFIELD_RUNS = st.builds(
           "--t3=1e+300"])
 @example(["meanfield", "--statistics", "bose", "--t0=-4.0", "--stabilizer", "dd",
           "--t3=1e+300", "--alpha=1.0"])
+# e'(n)'s coefficient c (p - 1) once overflowed, and once kept a few digits of a
+# subnormal c, and both exited 2 naming nothing
+@example(["meanfield", "--statistics", "bose", "--t0=-12.32818188584236", "--stabilizer", "dd",
+          "--t3=8.534574401093275e+307", "--alpha=94.33909601629502"])
+@example(["meanfield", "--statistics", "bose", "--t0=-7.55028835958462e-249", "--stabilizer",
+          "dd", "--t3=4e-323", "--alpha=0.5108658774053998"])
+# a power near the largest double overflowed the logs of e(n)'s terms, with a warning
+@example(["meanfield", "--statistics", "fermi", "--t0=-1.0", "--stabilizer", "dd",
+          "--t3=1e-300", "--alpha=8e+307"])
 @settings(max_examples=60, deadline=None)
 def test_meanfield_runs_compute_or_exit_2_naming_an_argument(argv):
     # both statistics and every stabilizer at couplings from zero and the least
-    # subnormal to 1e300, with every RuntimeWarning an error
+    # subnormal to the largest double, with every RuntimeWarning an error
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)

@@ -449,12 +449,31 @@ def test_branch0_first_bracket_holds():
 X_EDGE = -1.3407807929942596e154
 
 # branch-0 roots at x < 0 walk from Newton's landing: both ends of the range,
-# x around -0.6, where the first b = hypot(x, b_u) lies furthest from the root,
-# two x whose walk to the sign change takes 6 and 7 steps (no x of 200,001
-# log-spaced in -[5e-324, 1.3e154] takes more than 7), and one whose two ends
-# have the same |f|, where the lower is kept
-X_DIMER = [-5e-324, -1e-300, -1e-6, -0.5, -3.0, -40.0, -1e12, X_EDGE,
-           -1.4451533715040548, -0.388269351103592, -0.03951061212048244]
+# x around -0.6, where hypot(x, b_u) alone lies furthest from the root, and
+# around -2.5, where the start max(hypot(x, b_u), b_u - x / L1) does; two x
+# whose walk to the sign change took 6 and 7 steps after four Newton steps, and
+# two that take 6 and 7 after three (no x of 200,001 log-spaced in
+# -[5e-324, 1.3e154] takes more than 7); and one whose two ends have the same
+# |f|, where the lower is kept
+X_DIMER = [-5e-324, -1e-300, -1e-6, -0.5, -0.6449113198681055, -2.4931591360210485, -3.0,
+           -40.0, -1e12, X_EDGE, -1.4451533715040548, -0.388269351103592,
+           -4.008624456619772, -3.764857434030006, -0.03951061212048244]
+
+
+def test_branch0_start_is_the_tangent_at_unitarity():
+    # L1 = -d lhs(-b^2) / db at b_u, where lhs = 0, from the closed-form slope of
+    # `_lhs_negative`, against mpmath's derivative of the scaled form
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+
+    def scaled(b):
+        e, e3 = mpmath.exp(-mpmath.pi * b), mpmath.exp(-mpmath.pi * b / 3)
+        return (-b * (1 + e) + 8 / mpmath.sqrt(3) * e3 * (1 - e3)) / (1 - e)
+
+    b_u = mpmath.mpf(hyperangular._B_UNITARITY)
+    assert abs(scaled(b_u)) < 1e-15
+    assert hyperangular._L1 == pytest.approx(float(-mpmath.diff(scaled, b_u)), rel=1e-14)
+    assert hyperangular._L1 == 1.4816928375603087
 
 
 def test_x_edge_is_the_last_finite_bound():

@@ -42,10 +42,11 @@ def _rescales_of_growing_sinh(g, k, h):
 
     Past t = 1 each step must grow ln|g| as the closed form k t - ln 2k
     does, to 5e-5, except at exactly the expected rescale steps: there
-    the step falls short of it by more than ln 1e250.  A rescale is
-    expected where the unscaled march has grown past ln 1e250 since the
-    last one.  The unscaled march is the exact solution of the Numerov
-    recurrence c g+ - (12 - 10 c) g + c g- = 0 from the start
+    the step falls short of it by more than ln 1e250.  The march carries
+    y = c g, so a rescale is expected where ln|c g| of the unscaled march,
+    log_g + ln c, has grown past ln 1e250 since the last one.  The
+    unscaled march is the exact solution of the Numerov recurrence
+    c g+ - (12 - 10 c) g + c g- = 0 from the start
     g1 = h + h^3 k^2 / 6 + h^5 k^4 / 120: g_i = g1 (l^i - l^-i) / (l - 1/l),
     with l its root above 1; its drift from k t decides which step crosses
     first.
@@ -58,7 +59,7 @@ def _rescales_of_growing_sinh(g, k, h):
     g1 = h + h ** 3 * k * k / 6.0 + h ** 5 * k ** 4 / 120.0
     threshold = math.log(_pure.RESCALE_THRESHOLD)
     late = np.flatnonzero(t > 1.0)
-    unscaled = math.log(g1 / (lam - 1.0 / lam)) + late * math.log(lam)
+    unscaled = math.log(g1 / (lam - 1.0 / lam)) + late * math.log(lam) + math.log(c)
     expected, base = [], 0.0
     for i, log_g in zip(late.tolist(), unscaled):
         if log_g - base > threshold:
@@ -107,6 +108,39 @@ def test_nan_in_w_counts_as_negative():
     # every NaN counts as a negative sample
     signs = np.where(g > 0.0, 1, -1)[g != 0.0]
     assert nodes == np.count_nonzero(np.diff(signs))
+
+
+def test_nan_in_the_last_w_point_counts_as_a_negative_end():
+    # g = cos t up to t = 4.8, positive past its two zeros; a NaN coefficient
+    # at the last point makes that sample NaN, which counts as a third node
+    w = np.full(50, -1.0)
+    w[-1] = np.nan
+    g, nodes = _integrate(w, 0.1, 1.0, 0.0)
+    assert math.isnan(g[-1]) and not np.any(np.isnan(g[:-1]))
+    assert np.max(np.abs(g[:-1] - np.cos(0.1 * np.arange(49)))) < 2e-6
+    assert nodes == 3
+
+
+@pytest.mark.parametrize("samples", [True, False])
+def test_zero_numerov_coefficient_is_refused_naming_the_point(samples):
+    # h = 1, w = 12: c = 1 - h^2 w / 12 = 0, so g = y / c is undefined there
+    w = np.zeros(10)
+    w[5] = 12.0
+    with pytest.raises(ValueError, match="point 5"):
+        integrate_numerov(w, 1.0, 0.0, 1.0, samples=samples)
+
+
+def test_zero_numerov_coefficient_at_the_given_samples_is_marched():
+    # g0 and g1 are given, so c = 0 at point 0 or 1 leaves nothing undefined:
+    # the first step takes h^2 w_1 g_1 from g1 itself
+    for i in (0, 1):
+        w = np.zeros(10)
+        w[i] = 12.0
+        g, nodes = _integrate(w, 1.0, 1.0, -20.0)
+        assert np.all(np.isfinite(g))
+        # w = 0 from point 2 on, where the samples lie on a line
+        assert np.allclose(np.diff(g[2:], 2), 0.0, atol=1e-9 * np.max(np.abs(g)))
+        assert nodes == _numpy_nodes(g) == i
 
 
 def test_several_rescales():
@@ -192,7 +226,9 @@ def test_growth_never_overflows():
     w = np.full(20000, 2500.0)  # bare growth e^{50 t} over t in [0, 20]
     g, nodes = _integrate(w, 1e-3, 0.0, 1.0)
     assert np.all(np.isfinite(g))
-    assert np.max(np.abs(g)) <= _pure.RESCALE_THRESHOLD
+    # the march rescales y = c g, so |c g| is what stays below the threshold
+    c = 1.0 - (1e-3 * 1e-3 / 12.0) * w
+    assert np.max(np.abs(c * g)) <= _pure.RESCALE_THRESHOLD
     assert len(_rescales_of_growing_sinh(g, 50.0, 1e-3)) >= 1
     assert nodes == 0
 

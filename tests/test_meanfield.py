@@ -235,6 +235,37 @@ def test_terms_below_the_normal_doubles_are_taken_in_logs(t0, kind, t3, alpha, n
     assert (report["n_sat"], report["e_min"]) == (r.n_sat, r.e_min)
 
 
+@pytest.mark.parametrize("t0, t3, alpha, code", [
+    # e'(n)'s coefficient t3 (1 + alpha) / 2 overflows; the default table reaches
+    # n = 10, where the n^96.3 term of e(n) overflows, and exits 2 naming it
+    (-12.32818188584236, 8.534574401093275e+307, 94.33909601629502, 2),
+    # t3 / 2 = 2e-323 is subnormal, and t3 (1 + alpha) / 2 kept a few of its digits,
+    # which moved the zero of e'(n) out of the scan's bracket
+    (-7.55028835958462e-249, 4e-323, 0.5108658774053998, 0),
+])
+def test_slope_coefficients_are_never_formed_alone(t0, t3, alpha, code):
+    # eps = t0 n^2 / 2 + t3 n^(2 + alpha) / 2: e'(n) = 0 at
+    # n^alpha = -t0 / (t3 (1 + alpha)), where e = (t0 / 2) n alpha / (1 + alpha)
+    n_sat = math.exp((math.log(-t0) - math.log(t3) - math.log1p(alpha)) / alpha)
+    r = classify_stability(model(Statistics.BOSE, t0, StabilizerKind.DENSITY_DEPENDENT,
+                                 t3=t3, alpha=alpha))
+    assert r.classification is Classification.SATURATING
+    assert r.n_sat == pytest.approx(n_sat, rel=1e-12, abs=0.0)
+    assert r.e_min == pytest.approx(0.5 * t0 * n_sat * alpha / (1.0 + alpha), rel=1e-12, abs=0.0)
+    argv = ["meanfield", "--statistics", "bose", f"--t0={t0!r}", "--stabilizer", "dd",
+            f"--t3={t3!r}", f"--alpha={alpha!r}", "--format", "json"]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == code
+    if code:
+        assert f"t3 = {t3!r}, alpha = {alpha!r}: the energy term in n^96.3391 overflows" in (
+            err.getvalue())
+    else:
+        report = json.loads(out.getvalue())["report"]
+        assert (report["n_sat"], report["e_min"]) == (r.n_sat, r.e_min)
+
+
 def test_minimum_that_underflows_is_refused_naming_t0():
     # eps = t0 n^2 / 2 + n^3 / 6 with t0 = -1e-300 saturates at n = 1.5e-300, where
     # e = -3.75e-601 underflows: every scanned e(n) reads 0, which once passed for

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from efimov_lab import (
     AdiabaticBranch,
@@ -942,6 +942,35 @@ def test_contradicting_counts_fall_back_to_every_midpoint(monkeypatch):
     assert len(seen) > honest_calls + 15
 
 
+def test_level_missing_from_the_2h_grid_ends_the_spectrum(monkeypatch):
+    # the 2h grid reports at most K nodes anywhere, so its search for the last
+    # level K finds no point holding more than K, and neither does its one
+    # march at the threshold: the spectrum ends at K levels, the others as they were
+    pot = _dimer_potential(-1e4, 1.0, 1e8, 2, HardWall(1.0))
+    honest = find_spectrum(pot, 1e8)
+    K = len(honest) - 1
+    assert K >= 2 and math.sqrt(-2.0 * honest.threshold) > 0.03 / 1e8
+    integrate = radial._Workspace.integrate
+    fine_h = []
+
+    def capped(self, E, *args, **kwargs):
+        w, g, count = integrate(self, E, *args, **kwargs)
+        return w, g, count if self.h == fine_h[0] else min(count, K)
+
+    seen = _integrations(monkeypatch)
+    find_spectrum(pot, 1e8)
+    fine_h.append(min(h for h, _, _ in seen))
+    monkeypatch.setattr(radial._Workspace, "integrate", capped)
+    seen = _integrations(monkeypatch)
+    spec = find_spectrum(pot, 1e8)
+    assert [(s.E, s.E_error, s.node_count) for s in spec.states] == [
+        (s.E, s.E_error, s.node_count) for s in honest.states[:K]]
+    x_thr = 0.5 * math.log(-2.0 * honest.threshold)
+    on_2h = [(x, c) for h, x, c in seen if h != fine_h[0]]
+    assert on_2h[-1] == (x_thr, K)
+    assert all(c <= K for _, c in on_2h)
+
+
 @given(a=st.one_of(st.just(math.inf), st.floats(min_value=-1e5, max_value=-1e2),
                    st.floats(min_value=50.0, max_value=1e4)),
        scheme=st.sampled_from([HardWall, Cap]),
@@ -949,6 +978,9 @@ def test_contradicting_counts_fall_back_to_every_midpoint(monkeypatch):
        decades=st.floats(min_value=6.0, max_value=8.5),
        tol_E=st.sampled_from([1e-6, 1e-10, 1e-14]))
 @settings(max_examples=12, deadline=None)
+# the 2h search of level 2 halves down to the threshold through points that all
+# hold 2 nodes; only the 2h march at the threshold itself holds 3
+@example(a=-147.0, scheme=Cap, R=1.3125, decades=6.0, tol_E=1e-06)
 def test_levels_lie_in_count_brackets_with_k_node_solutions(a, scheme, R, decades, tol_E):
     # at every tolerance, below the spacing of doubles too, each level lies in
     # the integrated count bracket of each grid and its solution carries k
