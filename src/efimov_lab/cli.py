@@ -63,6 +63,7 @@ from .meanfield import (
     classify_stability,
     energy_density,
     energy_per_particle,
+    ln_overflow_density,
 )
 from .radial import (
     DEFAULT_DT,
@@ -336,12 +337,15 @@ def cmd_meanfield(ns: argparse.Namespace) -> int:
     if not 1 <= ns.points <= MAX_GRID_POINTS:
         raise ConfigError(f"--points must be in [1, {MAX_GRID_POINTS}], got {ns.points}")
     n = np.geomspace(ns.n_min, ns.n_max, ns.points)
+    # rows from the least density where a term may overflow on are left out; the
+    # first row stays, so that a table wholly past it is refused naming the term
+    n = n[:max(int(np.count_nonzero(np.log(n) < ln_overflow_density(model))), 1)]
     eps = energy_density(model, n)
     per = energy_per_particle(model, n)
     cols = {"n": n, "epsilon": eps, "epsilon_per_particle": per}
-    rep = report.to_dict()
+    side = {"report": report.to_dict(), "rows_dropped": ns.points - n.size}
     return _emit(ns, {"stationarity_tol": ns.tol}, list(cols), zip(*cols.values()),
-                 lambda: {"report": rep, "table": cols}, {"report": rep})
+                 lambda: {**side, "table": cols}, side)
 
 
 def cmd_branches(ns: argparse.Namespace) -> int:

@@ -6,10 +6,16 @@ attraction meaning t0 < 0); degenerate fermions add the kinetic density
 tau_F.  Because every term is a pure power of the density n, stability
 is decided by exponent bookkeeping: if the highest power carries a
 negative coefficient the energy per particle is unbounded below, and
-otherwise any interior minimum of e(n) = epsilon(n)/n marks saturation.
-Its density n_sat is the zero of the exact derivative e'(n), narrowed to
-adjacent doubles by `core.bracketed_roots`, the solver behind every
-eigenvalue root as well.
+with no negative term e(n) = epsilon(n)/n has its minimum at n = 0.
+Otherwise t0 < 0 and the stabilizer c n^p, p > 2, is positive.  In
+v = n^(p - 2), e'(n) = -B + C v + A v^(-s) with B = |t0 term|,
+C = c (p - 1), A = 2/3 of the kinetic coefficient (0 for bosons) and
+s = (1/3) / (p - 2); it is convex in v.  Without the kinetic term it
+vanishes at v = B / C; with it, it is least at v* = (s A / C)^(1/(s+1)),
+and where negative there it rises through zero in [v*, B / C].  That
+bracket, narrowed to adjacent doubles by `core.bracketed_roots` (the
+solver behind every eigenvalue root as well), gives n_sat, and
+saturation where e(n_sat) < 0.
 
 Whatever this classification says, it is a statement about the
 mean-field functional only; see `CORRELATION_CAVEAT`.
@@ -60,9 +66,10 @@ class Stabilizer:
             raise ConfigError(
                 f"stabilizers are repulsive: t3 must be finite and >= 0, got {self.t3!r}")
         if self.kind is StabilizerKind.DENSITY_DEPENDENT:
-            if self.alpha is None or not (math.isfinite(self.alpha) and self.alpha > 0.0):
+            if self.alpha is None or not (math.isfinite(self.alpha) and 2.0 + self.alpha > 2.0):
                 raise ConfigError(
-                    f"density-dependent stabilizer needs alpha > 0, got {self.alpha!r}")
+                    f"density-dependent stabilizer needs alpha > 0 with 2 + alpha > 2 "
+                    f"in doubles, got {self.alpha!r}")
         elif self.alpha is not None:
             raise ConfigError(f"alpha only applies to the density-dependent kind")
         if self.kind is StabilizerKind.NONE and self.t3 != 0.0:
@@ -133,26 +140,18 @@ class MatterModel:
         return self.c3 is None and self.stabilizer.kind is not StabilizerKind.NONE
 
     def energy_terms(self) -> tuple[tuple[float, float], ...]:
-        """Energy density as combined power-law terms ((coeff, power), ...).
+        """Energy density as power-law terms ((coeff, power), ...), sorted by coefficient.
 
-        Derivatives and minimization downstream are exact because the
-        functional never leaves this representation.
+        The powers 5/3, 2 and 3 or 2 + alpha never coincide, so no two terms
+        combine; derivatives and minimization downstream are exact because
+        the functional never leaves this representation.
         """
-        terms: dict[float, float] = {}
-
-        def add(coeff, power):
-            if coeff != 0.0:
-                terms[power] = terms.get(power, 0.0) + coeff
-
+        terms = [(0.5 * self.t0, 2.0)]
         if self.statistics is Statistics.FERMI:
-            add(0.5 * TAU_F_COEFF, 5.0 / 3.0)
-            add(0.375 * self.t0, 2.0)
-        else:
-            add(0.5 * self.t0, 2.0)
+            terms = [(0.5 * TAU_F_COEFF, 5.0 / 3.0), (0.375 * self.t0, 2.0)]
         if self.stabilizer.kind is not StabilizerKind.NONE:
-            add(self.c3_effective * self.stabilizer.t3, self.stabilizer.power)
-        # re-drop any cancellation from combining equal powers
-        return tuple(sorted((c, p) for p, c in terms.items() if c != 0.0))
+            terms.append((self.c3_effective * self.stabilizer.t3, self.stabilizer.power))
+        return tuple(sorted(t for t in terms if t[0] != 0.0))
 
 
 def _eval_terms(terms, n, shift, slope=False):
@@ -251,7 +250,7 @@ class Classification(enum.Enum):
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Outcome of the mean-field stability scan.
+    """Outcome of the mean-field stability classification.
 
     For `SATURATING`, `n_sat` is the interior stationary point of
     e(n) = epsilon / n (equivalently the zero of the pressure
@@ -284,128 +283,122 @@ class StabilityReport:
         }
 
 
-# points of the log scan that brackets the minimum for the root solver
-_SCAN_POINTS = 4001
-_LN_MARGIN = math.log(1e4)   # the scan reaches this far past the outer balance points
+_LN_MIN, _LN_MAX = math.log(sys.float_info.min), math.log(sys.float_info.max)
 
 
-def _term_overflow(model: MatterModel, power: float, n: float) -> ConfigError:
-    return ConfigError(f"{_couplings(model, power)}: the energy term in n^{power:.6g} "
-                       f"overflows above n = {n:.6g}, short of the minimum of e(n)")
+def _ln_overflow(terms, orders) -> tuple[float, float]:
+    """(ln n, p): the least density where a term of a sum in `orders` may overflow, and its p.
 
-
-def _scan_bounds(model: MatterModel, terms) -> tuple[float, float, float | None]:
-    """Log-scan window bracketing every pairwise term balance point.
-
-    Returns (n_lo, n_hi, p_top): where a term of e(n) or e'(n) would
-    overflow below n_hi, the window stops short of it and p_top is that
-    term's power, else None.  Each balance |ci| n^pi = |cj| n^pj is taken
-    in logs, so that it cannot overflow, and a window end outside the
-    normal doubles is refused, naming the couplings that balance there.
+    Order 0 is epsilon(n), of terms c n^p, 1 is e(n), of c n^(p - 1), and 2 is
+    e'(n), of c (p - 1) n^(p - 2).  Below the bound, taken in logs, each term
+    that grows with n stays within 1/len(terms) of the largest double, which
+    keeps the sum finite; e'(n)'s t0 term is a constant, and its kinetic term
+    stays below 1e103 at every normal n.  (inf, nan) where no term grows.
     """
-    balances = sorted(((math.log(abs(ci)) - math.log(abs(cj))) / (pj - pi), pi, pj)
-                      for i, (ci, pi) in enumerate(terms) for cj, pj in terms[i + 1:])
-    (ln_lo, *lo_pair), (ln_hi, *hi_pair) = balances[0], balances[-1]
-    for ln_balance, ln_n, (pi, pj) in ((ln_lo, ln_lo - _LN_MARGIN, lo_pair),
-                                       (ln_hi, ln_hi + _LN_MARGIN, hi_pair)):
-        if not math.log(sys.float_info.min) <= ln_n <= math.log(sys.float_info.max):
-            raise ConfigError(
-                f"{_couplings(model, pi)} and {_couplings(model, pj)} balance at "
-                f"n = 10^{ln_balance / math.log(10.0):.4g}; the scan of e(n) within a "
-                f"factor 1e4 of it leaves the float range")
-    # every power exceeds 1, so at n >= 1 the terms c n^(p - 1) of e(n) and
-    # c (p - 1) n^(p - 2) of e'(n) are at most p |c| n^(p - 1), and their sums
-    # at most len(terms) times that; a power of n that overflows on its own is
-    # taken in logs (`_eval_terms`); 2.3e-16 covers the rounding of exp(ln n)
-    # to n
-    ln_room = math.log(sys.float_info.max) - math.log(len(terms))
-    ln_top, p_top = min(
-        ((ln_room - math.log(abs(c)) - math.log(p)) / (p - 1.0) - 2.3e-16, p)
-        for c, p in terms)
-    if ln_top >= ln_hi + _LN_MARGIN:
-        return math.exp(ln_lo - _LN_MARGIN), math.exp(ln_hi + _LN_MARGIN), None
-    if ln_top <= ln_lo - _LN_MARGIN:
-        raise _term_overflow(model, p_top, math.exp(ln_top))
-    return math.exp(ln_lo - _LN_MARGIN), math.exp(ln_top), p_top
+    ln_room = _LN_MAX - math.log(max(len(terms), 1))
+    return min([(math.inf, math.nan)] + [
+        ((ln_room - math.log(abs(c)) - (math.log(p - 1.0) if k == 2 else 0.0)) / (p - k), p)
+        for c, p in terms for k in orders if p > k])
 
 
-def _refuse_underflowing_minimum(model: MatterModel, terms, grid: np.ndarray) -> None:
-    """Refuse a model whose e(n) is negative on the scan only below the normal doubles.
+def ln_overflow_density(model: MatterModel) -> float:
+    """ln of the least density where a term of epsilon(n) or e(n) may overflow, or inf."""
+    return _ln_overflow(model.energy_terms(), (0, 1))[0]
 
-    Each term c n^(p - 1) of e(n) is taken in logs and scaled by the largest
-    of them, so the sign of e(n) survives where e(n) itself underflows to 0.
+
+def _balance(model: MatterModel, low, high) -> ConfigError:
+    """Refusal naming the terms (c, p) of epsilon(n) that balance near a bracket end."""
+    (ci, pi), (cj, pj) = low, high
+    ln_n = (math.log(abs(ci)) - math.log(abs(cj))) / (pj - pi)
+    return ConfigError(f"{_couplings(model, pi)} and {_couplings(model, pj)} balance at "
+                       f"n = 10^{ln_n / math.log(10.0):.4g}; e(n) has no minimum within "
+                       f"the normal doubles")
+
+
+def _bracket(model: MatterModel, terms) -> tuple[float, float, float, float] | None:
+    """(lo, hi, e'(lo), e'(hi)) around the zero of e'(n) where e(n) turns up.
+
+    None where e'(n) >= 0 at v*, so everywhere (see the module docstring).
+    The ends are taken in logs, B / C widened by 1e-9 in ln v and a few
+    doubles in n, past the rounding of those logs, and clipped to the normal
+    doubles and below where a term of e(n) or e'(n) may overflow.  A zero
+    past a clipped end is refused, naming the couplings there.
     """
-    ln_n = np.log(grid)
-    # a power near the largest double takes the log of a term below n = 1 to
-    # -inf, a term of 0; the window keeps every term finite above it
-    with np.errstate(over="ignore"):
-        ln_terms = [math.log(abs(c)) + (p - 1.0) * ln_n for c, p in terms]
-    ln_top = np.max(ln_terms, axis=0)
-    scaled = sum(math.copysign(1.0, c) * np.exp(t - ln_top) for (c, _), t in zip(terms, ln_terms))
-    if not np.any(scaled < 0.0):
-        return
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ln_depth = np.where(scaled < 0.0, ln_top + np.log(-scaled), -np.inf)
-    j = int(np.argmax(ln_depth))
-    if ln_depth[j] < math.log(sys.float_info.min):
-        raise ConfigError(
-            f"{' and '.join(_couplings(model, p) for _, p in terms)}: e(n) has its "
-            f"minimum near n = {grid[j]:.6g}, where it is about "
-            f"-10^{ln_depth[j] / math.log(10.0):.4g}, below the smallest normal double")
+    by_power = sorted(terms, key=lambda t: t[1])
+    (c0, _), (ch, ph) = by_power[-2:]
+    ln_c = math.log(ch) + math.log(ph - 1.0)
+    ln_root = (math.log(-c0) - ln_c) / (ph - 2.0)
+    margin = 1e-9 / (ph - 2.0) + 4.0 * sys.float_info.epsilon * (1.0 + abs(ln_root))
+    ln_lo, ln_hi = ln_root - margin, ln_root + margin
+    if len(by_power) == 3:
+        ck, pk = by_power[0]
+        s = (2.0 - pk) / (ph - 2.0)
+        ln_lo = (math.log(s) + math.log(ck * (pk - 1.0)) - ln_c) / (ph - pk)
+    ln_top, p_top = _ln_overflow(terms, (1, 2))
+    # 2.3e-16 covers the rounding of exp(ln n) to n
+    ln_top = min(ln_top - 2.3e-16, _LN_MAX)
+    lo, hi = (np.exp(min(max(ln, _LN_MIN), ln_top)) for ln in (ln_lo, ln_hi))
+    f_lo, f_hi = (float(_eval_terms(terms, n, -1.0, slope=True)) for n in (lo, hi))
+    if f_lo >= 0.0:
+        if not _LN_MIN <= ln_lo <= _LN_MAX:
+            raise _balance(model, by_power[0], by_power[-1])
+        return None
+    if f_hi < 0.0:
+        if ln_hi > _LN_MAX:
+            raise _balance(model, by_power[-2], by_power[-1])
+        raise ConfigError(f"{_couplings(model, p_top)}: the energy term in n^{p_top:.6g} "
+                          f"overflows above n = {math.exp(ln_top):.6g}, short of the "
+                          f"minimum of e(n)")
+    return lo, hi, f_lo, f_hi
 
 
 def classify_stability(model: MatterModel, *, tol: float = 1e-10) -> StabilityReport:
     """Classify the density dependence of e(n) = epsilon(n) / n.
 
-    The highest power decides boundedness; bounded functionals are
-    scanned on a log grid spanning all term-balance scales.  An interior
-    negative minimum of the scan brackets the zero of the exact e'(n)
-    between its two grid neighbours, and `bracketed_roots` narrows that
-    bracket to adjacent doubles.  `tol` gates the result: a pressure
-    residual n^2 e'(n) above sqrt(tol) |epsilon(n_sat)| raises
-    :class:`SolverError`.  A scan that would leave the float range, at a
-    balance point or where a term of e(n) overflows short of its minimum,
-    raises :class:`ConfigError` naming the couplings of those terms, and
-    so does a minimum of e(n) that lies below the normal doubles.
+    The highest power decides boundedness; `bracketed_roots` narrows the zero
+    of e'(n) in the bracket of `_bracket` to adjacent doubles, and the sign of
+    e(n) there tells saturation from a trivial minimum at n = 0.  `tol` gates
+    the result: a pressure residual n^2 e'(n) above sqrt(tol) |epsilon(n_sat)|
+    raises :class:`SolverError`.  A minimum that `_bracket` refuses, or that
+    lies below the normal doubles, raises :class:`ConfigError`.
     """
     if not (0.0 < tol < 1e-2):
         raise ConfigError(f"tol must be in (0, 1e-2), got {tol!r}")
     terms = model.energy_terms()
+    trivial = StabilityReport(Classification.TRIVIAL_MINIMUM_AT_ZERO, model,
+                              n_sat=0.0, e_min=0.0)
     if not terms:
-        return StabilityReport(Classification.TRIVIAL_MINIMUM_AT_ZERO, model,
-                               n_sat=0.0, e_min=0.0)
-    lead_coeff, lead_power = max(terms, key=lambda t: t[1])
+        return trivial
+    lead_coeff, _ = max(terms, key=lambda t: t[1])
     if lead_coeff < 0.0:
         return StabilityReport(Classification.COLLAPSE_UNBOUNDED_BELOW, model,
                                n_sat=None, e_min=None)
     if all(c >= 0.0 for c, _ in terms):
-        return StabilityReport(Classification.TRIVIAL_MINIMUM_AT_ZERO, model,
-                               n_sat=0.0, e_min=0.0)
+        return trivial
+    bracket = _bracket(model, terms)
+    if bracket is None:
+        return trivial
 
-    n_lo, n_hi, p_top = _scan_bounds(model, terms)
-    grid = np.geomspace(n_lo, n_hi, _SCAN_POINTS)
-    vals = _eval_terms(terms, grid, -1.0)
-    i_min = int(np.argmin(vals))
-    if p_top is not None and i_min == _SCAN_POINTS - 1:
-        raise _term_overflow(model, p_top, n_hi)
-    if vals[i_min] > -sys.float_info.min:
-        # the minimum reads 0 or a subnormal, whose digits are gone
-        _refuse_underflowing_minimum(model, terms, grid)
-    if vals[i_min] >= 0.0:
-        return StabilityReport(Classification.TRIVIAL_MINIMUM_AT_ZERO, model,
-                               n_sat=0.0, e_min=0.0)
-    if i_min == 0 or i_min == _SCAN_POINTS - 1:
-        raise SolverError("stability scan minimum fell on the window edge; "
-                          "term balance scales are badly conditioned")
-
-    # e'(n) = sum c (p - 1) n^(p - 2) rises through zero at the minimum
     roots, closing = bracketed_roots(lambda n, idx: _eval_terms(terms, n, -1.0, slope=True),
-                                     grid[i_min - 1:i_min], grid[i_min + 1:i_min + 2])
+                                     *(np.array([v]) for v in bracket))
     n_sat = roots[0]
     e_min = float(_eval_terms(terms, n_sat, -1.0))
+    named = " and ".join(_couplings(model, p) for _, p in terms)
+    if e_min > -sys.float_info.min:
+        # e(n_sat) is not negative, or a subnormal whose digits are gone: its sign
+        # is taken in logs, each term c n^(p - 1) scaled by the largest
+        ln_terms = [math.log(abs(c)) + (p - 1.0) * math.log(n_sat) for c, p in terms]
+        ln_top = max(ln_terms)
+        scaled = sum(math.copysign(math.exp(t - ln_top), c) for (c, _), t in zip(terms, ln_terms))
+        if scaled < 0.0 and (ln_depth := ln_top + math.log(-scaled)) < _LN_MIN:
+            raise ConfigError(
+                f"{named}: e(n) has its minimum near n = {n_sat:.6g}, where it is about "
+                f"-10^{ln_depth / math.log(10.0):.4g}, below the smallest normal double")
+    if e_min >= 0.0:
+        return trivial
     # the pressure n^2 e'(n) against epsilon = n e(n), both divided by n, which
     # may overflow where e(n) does not
     if n_sat * closing[0] > math.sqrt(tol) * max(abs(e_min), 1e-300 / n_sat):
-        raise SolverError(f"saturation point did not converge: "
+        raise SolverError(f"{named}: saturation point did not converge: "
                           f"pressure residual {n_sat * n_sat * closing[0]:.3e}")
     return StabilityReport(Classification.SATURATING, model, n_sat=float(n_sat), e_min=e_min)

@@ -604,7 +604,6 @@ def find_spectrum(potential: AdiabaticBranch, rho_max: float,
         # a later level's solution is almost always one of its own probes, so
         # no sample outlives its level
         known = [(x, c, q, None) for x, c, q, _ in known]
-        known2 = [(x, c, q, None) for x, c, q, _ in known2]
 
     return BoundStateSpectrum(states=tuple(states), rho_max=rho_max,
                               total_nodes_at_edge=total, threshold=E_thr)

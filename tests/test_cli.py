@@ -304,6 +304,27 @@ def test_meanfield_contract(cli, schema_validator):
     assert side["report"]["classification"] == "Saturating"
 
 
+def test_meanfield_table_stops_short_of_an_overflow(schema_validator, tmp_path, capsys):
+    # n^(alpha + 2) overflows just above n = 1: the default table keeps its 80
+    # rows below it, and the JSON document and the sidecar count the 20 left out
+    argv = ["meanfield", "--statistics", "fermi", "--t0=0", "--stabilizer", "dd", "--t3=1",
+            "--alpha=1e300"]
+    out = tmp_path / "meanfield.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv + ["--format", "json"]) == 0
+        assert main(argv + ["--output", str(out)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    schema_validator.validate(doc)
+    assert doc["report"]["classification"] == "TrivialMinimumAtZero"
+    assert doc["rows_dropped"] == 20
+    assert len(doc["table"]["n"]) == 80 and doc["table"]["n"][-1] < 1.0
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 1 + 80
+    side = json.loads((tmp_path / "meanfield.csv.manifest.json").read_text(encoding="utf-8"))
+    schema_validator.validate(side)
+    assert side["rows_dropped"] == 20
+
+
 def test_meanfield_argument_errors(cli):
     proc = cli(["meanfield", "--statistics", "fermi", "--t0", "-4",
                 "--stabilizer", "dd", "--t3", "1"], expect=2)
@@ -395,16 +416,16 @@ def test_meanfield_argument_errors(cli):
       "--alpha", "0.5"], "t0 = -4.0 and t3 = 1e-300, alpha = 0.5 balance at n = 10^601.2"),
     (["meanfield", "--statistics", "bose", "--t0=-4", "--stabilizer", "dd", "--t3=1e300",
       "--alpha", "0.5"], "t0 = -4.0 and t3 = 1e+300, alpha = 0.5 balance at n = 10^-598.8"),
-    # n^(alpha + 2) overflows in the table just above n = 1
+    # n^(alpha + 2) overflows just above n = 1, below every row of the table
     (["meanfield", "--statistics", "fermi", "--t0=0", "--stabilizer", "dd", "--t3=1",
-      "--alpha=1e300"],
-     "t3 = 1.0, alpha = 1e+300: the energy term in n^1e+300 overflows at n = 1.0975"),
+      "--alpha=1e300", "--n-min", "2"],
+     "t3 = 1.0, alpha = 1e+300: the energy term in n^1e+300 overflows at n = 2"),
     # 0.63 / rho^2 is not a double at rho = 5e-324
     (["potential", "--a", "inf", "--rho-min", "5e-324", "--rho-max", "1e-300", "--points", "3"],
      "v_eff = (nu^2 - 1/4) / (2 rho^2) overflows at rho = 4.94066e-324"),
     # e = -3.75e-601 at the minimum n = 1.5e-300 underflows
     (["meanfield", "--statistics", "bose", "--t0=-1e-300", "--stabilizer", "threebody",
-      "--t3=1"], "t0 = -1e-300 and t3 = 1.0: e(n) has its minimum near n = 1.49"),
+      "--t3=1"], "t0 = -1e-300 and t3 = 1.0: e(n) has its minimum near n = 1.5e-300"),
 ])
 def test_bad_input_exits_2_naming_it(argv, named, capsys):
     with warnings.catch_warnings(record=True) as caught:

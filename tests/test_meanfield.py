@@ -11,10 +11,13 @@ import contextlib
 import io
 import json
 import math
+import re
+import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from efimov_lab import (
     CORRELATION_CAVEAT,
@@ -235,15 +238,16 @@ def test_terms_below_the_normal_doubles_are_taken_in_logs(t0, kind, t3, alpha, n
     assert (report["n_sat"], report["e_min"]) == (r.n_sat, r.e_min)
 
 
-@pytest.mark.parametrize("t0, t3, alpha, code", [
+@pytest.mark.parametrize("t0, t3, alpha, rows_dropped", [
     # e'(n)'s coefficient t3 (1 + alpha) / 2 overflows; the default table reaches
-    # n = 10, where the n^96.3 term of e(n) overflows, and exits 2 naming it
-    (-12.32818188584236, 8.534574401093275e+307, 94.33909601629502, 2),
+    # n = 10, but the n^96.3 term of epsilon(n) may overflow from n = 1.008 on,
+    # so its last 20 rows are left out
+    (-12.32818188584236, 8.534574401093275e+307, 94.33909601629502, 20),
     # t3 / 2 = 2e-323 is subnormal, and t3 (1 + alpha) / 2 kept a few of its digits,
     # which moved the zero of e'(n) out of the scan's bracket
     (-7.55028835958462e-249, 4e-323, 0.5108658774053998, 0),
 ])
-def test_slope_coefficients_are_never_formed_alone(t0, t3, alpha, code):
+def test_slope_coefficients_are_never_formed_alone(t0, t3, alpha, rows_dropped):
     # eps = t0 n^2 / 2 + t3 n^(2 + alpha) / 2: e'(n) = 0 at
     # n^alpha = -t0 / (t3 (1 + alpha)), where e = (t0 / 2) n alpha / (1 + alpha)
     n_sat = math.exp((math.log(-t0) - math.log(t3) - math.log1p(alpha)) / alpha)
@@ -254,16 +258,14 @@ def test_slope_coefficients_are_never_formed_alone(t0, t3, alpha, code):
     assert r.e_min == pytest.approx(0.5 * t0 * n_sat * alpha / (1.0 + alpha), rel=1e-12, abs=0.0)
     argv = ["meanfield", "--statistics", "bose", f"--t0={t0!r}", "--stabilizer", "dd",
             f"--t3={t3!r}", f"--alpha={alpha!r}", "--format", "json"]
-    out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    out = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out):
         warnings.simplefilter("error", RuntimeWarning)
-        assert main(argv) == code
-    if code:
-        assert f"t3 = {t3!r}, alpha = {alpha!r}: the energy term in n^96.3391 overflows" in (
-            err.getvalue())
-    else:
-        report = json.loads(out.getvalue())["report"]
-        assert (report["n_sat"], report["e_min"]) == (r.n_sat, r.e_min)
+        assert main(argv) == 0
+    doc = json.loads(out.getvalue())
+    assert (doc["report"]["n_sat"], doc["report"]["e_min"]) == (r.n_sat, r.e_min)
+    assert doc["rows_dropped"] == rows_dropped
+    assert len(doc["table"]["n"]) == 100 - rows_dropped
 
 
 def test_minimum_that_underflows_is_refused_naming_t0():
@@ -272,7 +274,7 @@ def test_minimum_that_underflows_is_refused_naming_t0():
     # a trivial minimum.  Its sign, taken in logs, shows the minimum
     m = model(Statistics.BOSE, -1e-300, StabilizerKind.THREE_BODY, t3=1.0)
     with pytest.raises(ConfigError, match=r"^t0 = -1e-300 and t3 = 1\.0: e\(n\) has its "
-                                          r"minimum near n = 1\.49\d*e-300, where it is about "
+                                          r"minimum near n = 1\.5e-300, where it is about "
                                           r"-10\^-600\.4, below the smallest normal double"):
         classify_stability(m)
     # eps = t0 n^2 / 2 + t3 n^5 / 2 with t0 = -1e-300 and t3 = 1e-275 saturates
@@ -492,3 +494,88 @@ def test_model_validation():
                     stabilizer=Stabilizer.none(), c3=0.5)
     with pytest.raises(ConfigError):
         classify_stability(model(Statistics.BOSE, -1.0), tol=0.5)
+
+
+# --- the closed-form bracket against an outside oracle ----------------
+
+def _mp_saturation(statistics, terms, n_guess):
+    """(n_sat, e_min) of the hand-built terms in mpmath, at 40 digits.
+
+    Bosons: the closed form n^(p - 2) = B / C of e'(n) = -B + C n^(p - 2).
+    Fermions: the zero of the exact e'(n), in u = ln n, where it rises
+    through zero within 1e-9 of ln n_guess, narrowed by mpmath's own solver.
+    `terms` are those of `eps_oracle`, t0's second.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        ts = [(mpmath.mpf(c), mpmath.mpf(p)) for c, p in terms]
+        if statistics is Statistics.BOSE:
+            (b, _), (c, p) = sorted(ts, key=lambda t: t[1])
+            u = (mpmath.log(-b) - mpmath.log(c * (p - 1))) / (p - 2)
+        else:
+            scale = abs(ts[1][0])   # t0 in e'(n), so that de is of order 1
+
+            def de(u):
+                return sum(c * (p - 1) * mpmath.exp((p - 2) * u) for c, p in ts) / scale
+
+            u0 = mpmath.log(n_guess)
+            lo, hi = u0 - 1e-9 * (1 + abs(u0)), u0 + 1e-9 * (1 + abs(u0))
+            assert de(lo) < 0 < de(hi), (n_guess, de(lo), de(hi))
+            u = mpmath.findroot(de, (lo, hi), solver="anderson")
+        return (float(mpmath.exp(u)),
+                float(sum(c * mpmath.exp((p - 1) * u) for c, p in ts)))
+
+
+def _mp_never_negative(terms, points=1500):
+    """e(n) >= 0 in mpmath on a log grid across the normal doubles."""
+    mpmath = pytest.importorskip("mpmath")
+    ts = [(mpmath.mpf(c), mpmath.mpf(p)) for c, p in terms]
+    for u in np.linspace(math.log(sys.float_info.min), math.log(sys.float_info.max), points):
+        if sum(c * mpmath.exp((p - 1) * mpmath.mpf(u)) for c, p in ts) < 0:
+            return False
+    return True
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@given(st.sampled_from(Statistics),
+       st.sampled_from([StabilizerKind.THREE_BODY, StabilizerKind.DENSITY_DEPENDENT]),
+       _log_uniform(1e-300, 1e300), _log_uniform(1e-300, 1e300), _log_uniform(1e-3, 100.0))
+# couplings where the kinetic term decides: e'(n) dips below zero, yet e(n)
+# stays positive (-3.2 > t0 > -3.65), or turns negative (t0 = -6)
+@example(Statistics.FERMI, StabilizerKind.THREE_BODY, 3.4, 1.0, 1.0)
+@example(Statistics.FERMI, StabilizerKind.THREE_BODY, 6.0, 1.0, 1.0)
+@settings(max_examples=120, deadline=None)
+def test_bracketed_minimum_matches_an_outside_oracle(statistics, kind, t0, t3, alpha):
+    # attraction t0 < 0 and a repulsive stabilizer, the models that reach the
+    # bracket, over log-uniform couplings with every RuntimeWarning an error;
+    # a refusal names the couplings
+    alpha = alpha if kind is StabilizerKind.DENSITY_DEPENDENT else None
+    m = model(statistics, -t0, kind, t3=t3, alpha=alpha)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            r = classify_stability(m)
+        except ConfigError as exc:
+            assert re.match(r"(the Fermi kinetic term|t0|t3)", str(exc)), exc
+            return
+    _, terms = eps_oracle(statistics, -t0, kind, t3, alpha)
+    if r.classification is Classification.SATURATING:
+        n_sat, e_min = _mp_saturation(statistics, terms, r.n_sat)
+        assert r.n_sat == pytest.approx(n_sat, rel=1e-12, abs=0.0)
+        assert r.e_min == pytest.approx(e_min, rel=1e-12, abs=0.0)
+    else:
+        assert r.classification is Classification.TRIVIAL_MINIMUM_AT_ZERO
+        assert _mp_never_negative(terms)
+
+
+def test_alpha_that_vanishes_beside_two_is_refused():
+    # 2 + alpha rounds to 2 below alpha of about 2.2e-16, which would put the
+    # stabilizer at the power of the t0 term
+    for alpha in (5e-324, 1e-300, 1e-17):
+        with pytest.raises(ConfigError, match=r"^density-dependent stabilizer needs alpha > 0 "
+                                              r"with 2 \+ alpha > 2 in doubles"):
+            Stabilizer.density_dependent(1.0, alpha)
+    assert Stabilizer.density_dependent(1.0, 4.5e-16).power > 2.0

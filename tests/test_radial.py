@@ -481,6 +481,27 @@ def test_probe_reference_slope_is_the_pointwise_root():
     assert probe.reference_slope == math.sqrt(-nu2) * math.log(10.0) / math.pi
 
 
+@pytest.mark.parametrize("a, E", [(math.inf, -1e-4), (math.inf, -3e-5),
+                                  (-1e4, -3e-8), (-1e4, -1.5e-8),
+                                  (-3e3, -3.0 / 3e3 ** 2), (-3e3, -1.5 / 3e3 ** 2)])
+def test_probe_count_is_the_hard_wall_levels_below_E(a, E):
+    # by Sturm oscillation the probe's count at a cutoff rc is the number of
+    # levels below E with a hard wall at rc; the spectrum finds those levels by
+    # its own search, with which the probe's one inward march shares nothing.
+    # 6 decades of cutoff at 1 per decade, 7 cutoffs for each of 6 (a, E)
+    probe = collapse_probe(_dimer_potential(a, 1e-6, 1.0, 2), E, 1.0, decades=6)
+    rho_max = 100.0 / math.sqrt(-2.0 * E)
+    below = []
+    for rc in probe.cutoffs:
+        spec = find_spectrum(_dimer_potential(a, rc, rho_max, 2, HardWall(rc)), rho_max,
+                             max_levels=12)
+        # the spectrum holds every level below E
+        assert len(spec) < 12 or spec.states[-1].E > E, (rc, len(spec))
+        below.append(sum(state.E < E for state in spec.states))
+    assert probe.counts.tolist() == below
+    assert below[-1] - below[0] >= 4
+
+
 def _outward_counts(pot, E, cutoffs, rho_out, dt):
     """Reference: for each cutoff, a grid of its own from a wall there out
     to rho_out, marched outward; its node count is the count at that cutoff."""
