@@ -21,6 +21,11 @@ embedded under the "manifest" key in JSON output, written to
 when CSV goes to stdout.  Every subcommand writes through `_emit`, the
 one place that builds the CSV body, the JSON document and the manifest.
 
+This module loads only `core`, numpy, argparse and json; each subcommand
+imports the solvers it runs when it runs: `hyperangular` for constants,
+potential and branches, `hyperangular` and `radial` for spectrum and
+nodes, and `meanfield` alone for meanfield.
+
 Exit codes: 0 success, 2 numerical or configuration failure,
 3 physically forbidden request (e.g. a spectrum of the unregularized
 inverse-square attraction).
@@ -40,6 +45,8 @@ import numpy as np
 
 from . import __version__
 from .core import (
+    DEFAULT_DT,
+    DEFAULT_TOL_E,
     MAX_GRID_POINTS,
     ConfigError,
     EfimovLabError,
@@ -47,30 +54,6 @@ from .core import (
     LogGrid,
     UnregularizedPotentialError,
     make_config,
-)
-from .hyperangular import (
-    Cap,
-    HardWall,
-    effective_potential,
-    efimov_constants,
-    solve_branches,
-    tabulate_branch,
-)
-from .meanfield import (
-    MatterModel,
-    Stabilizer,
-    Statistics,
-    classify_stability,
-    energy_density,
-    energy_per_particle,
-    ln_overflow_density,
-)
-from .radial import (
-    DEFAULT_DT,
-    DEFAULT_TOL_E,
-    collapse_probe,
-    find_spectrum,
-    node_analysis,
 )
 
 _SCHEMES = ("none", "hardwall", "cap")
@@ -114,6 +97,8 @@ def _jsonable(obj):
 def _potential(ns: argparse.Namespace, rho_lo: float, rho_hi: float, points: int,
                regularization: str, branch: int = 0):
     """Branch `branch` of --a and --mu on a log grid, regularized at --R as named."""
+    from .hyperangular import Cap, HardWall, effective_potential, tabulate_branch
+
     scheme = None
     if regularization != "none":
         if ns.R is None:
@@ -191,6 +176,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_constants(ns: argparse.Namespace) -> int:
+    from .hyperangular import efimov_constants
+
     c = efimov_constants(tol=ns.tol)
     header, rows = ["b", "C", "residual"], [[c.b, c.C, c.residual]]
     return _emit(ns, {"root_tol": ns.tol}, header, rows,
@@ -206,6 +193,8 @@ def cmd_potential(ns: argparse.Namespace) -> int:
 
 
 def _spectrum_for(ns: argparse.Namespace):
+    from .radial import find_spectrum
+
     if ns.rho_max <= ns.R:
         raise ConfigError(f"--rho-max must exceed --R, got {ns.rho_max} <= {ns.R}")
     # find_spectrum re-solves nu^2 at its own radii and never reads the table,
@@ -234,6 +223,9 @@ def cmd_spectrum(ns: argparse.Namespace) -> int:
 
 
 def cmd_nodes(ns: argparse.Namespace) -> int:
+    from .hyperangular import efimov_constants
+    from .radial import collapse_probe, node_analysis
+
     if ns.probe_E is not None:
         if ns.a is None:
             raise ConfigError("--probe-E mode requires --a")
@@ -319,6 +311,9 @@ def cmd_nodes(ns: argparse.Namespace) -> int:
 
 
 def cmd_meanfield(ns: argparse.Namespace) -> int:
+    from .meanfield import (MatterModel, Stabilizer, Statistics, classify_stability,
+                            energy_density, energy_per_particle, ln_overflow_density)
+
     if ns.stabilizer == "none":
         stab = Stabilizer.none()
         if ns.t3:
@@ -349,6 +344,8 @@ def cmd_meanfield(ns: argparse.Namespace) -> int:
 
 
 def cmd_branches(ns: argparse.Namespace) -> int:
+    from .hyperangular import solve_branches
+
     roots = solve_branches(ns.x, ns.count)
     header = ["branch", "nu_squared", "lambda", "residual", "near_pole"]
     rows = [[r.branch_index, r.value, r.lam, r.residual, r.near_pole]

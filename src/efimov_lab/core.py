@@ -28,6 +28,12 @@ import numpy as np
 # potential and meanfield each peak below 1 GB.
 MAX_GRID_POINTS = 1_000_000
 
+# the level search's default log-grid step h and relative energy tolerance
+# (`radial`); here, so that the command-line parser can read them without
+# importing the solvers
+DEFAULT_DT = 1.0 / 32.0
+DEFAULT_TOL_E = 1e-10
+
 
 class EfimovLabError(Exception):
     """Base class for every error raised by this package."""

@@ -358,7 +358,8 @@ def classify_stability(model: MatterModel, *, tol: float = 1e-10) -> StabilityRe
     The highest power decides boundedness; `bracketed_roots` narrows the zero
     of e'(n) in the bracket of `_bracket` to adjacent doubles, and the sign of
     e(n) there tells saturation from a trivial minimum at n = 0.  `tol` gates
-    the result: a pressure residual n^2 e'(n) above sqrt(tol) |epsilon(n_sat)|
+    the result: a pressure residual n^2 e'(n) above sqrt(tol) |epsilon(n_sat)|,
+    plus what the step of e'(n) across n_sat's neighbouring doubles adds,
     raises :class:`SolverError`.  A minimum that `_bracket` refuses, or that
     lies below the normal doubles, raises :class:`ConfigError`.
     """
@@ -397,8 +398,13 @@ def classify_stability(model: MatterModel, *, tol: float = 1e-10) -> StabilityRe
     if e_min >= 0.0:
         return trivial
     # the pressure n^2 e'(n) against epsilon = n e(n), both divided by n, which
-    # may overflow where e(n) does not
-    if n_sat * closing[0] > math.sqrt(tol) * max(abs(e_min), 1e-300 / n_sat):
+    # may overflow where e(n) does not.  No double lies nearer the zero of e'(n)
+    # than n_sat's neighbours, and across them e'(n) steps by about n e''(n) 2.2e-16,
+    # which for alpha of 1e12 or more exceeds sqrt(tol) |e(n)|: that step is allowed
+    up, down = (float(_eval_terms(terms, np.nextafter(n_sat, to), -1.0, slope=True))
+                for to in (math.inf, 0.0))
+    step = 0.5 * abs(up - down)
+    if n_sat * (closing[0] - step) > math.sqrt(tol) * max(abs(e_min), 1e-300 / n_sat):
         raise SolverError(f"{named}: saturation point did not converge: "
                           f"pressure residual {n_sat * n_sat * closing[0]:.3e}")
     return StabilityReport(Classification.SATURATING, model, n_sat=float(n_sat), e_min=e_min)

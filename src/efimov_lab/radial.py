@@ -65,6 +65,8 @@ import numpy as np
 
 from ._kernel import integrate_numerov
 from .core import (
+    DEFAULT_DT,
+    DEFAULT_TOL_E,
     MAX_GRID_POINTS,
     ConfigError,
     InsufficientNodesError,
@@ -73,8 +75,6 @@ from .core import (
 )
 from .hyperangular import AdiabaticBranch, Cap
 
-DEFAULT_DT = 1.0 / 32.0
-DEFAULT_TOL_E = 1e-10
 DEFAULT_TAIL_FACTOR = 36.0
 DEFAULT_BOX_FLAG_FACTOR = 100.0
 
@@ -266,7 +266,11 @@ class _Workspace:
         n = self.n_full
         if E < self.threshold:
             decay = math.sqrt(-2.0 * (E - self.threshold))   # kappa when E_thr = 0
-            t_tail = math.log(DEFAULT_TAIL_FACTOR / (decay * self.R))
+            ratio = DEFAULT_TAIL_FACTOR / (decay * self.R)
+            # the ratio overflows only for an R and a rho_max both near their
+            # float limits; its log is then taken in parts
+            t_tail = math.log(ratio) if ratio < math.inf else (
+                math.log(DEFAULT_TAIL_FACTOR) - math.log(decay) - math.log(self.R))
             if t_tail <= self.h:
                 raise SolverError(
                     f"energy {E:.6g} too deep: its decay constant times R, "
@@ -509,7 +513,9 @@ def find_spectrum(potential: AdiabaticBranch, rho_max: float,
     R = potential.R
     kappa_floor = math.sqrt(_FLOOR_SCALE) / R
     E_floor = -0.5 * kappa_floor * kappa_floor
-    if E_floor == -math.inf:
+    # the march forms -2 E_floor = kappa_floor^2, which overflows for R below
+    # 2.36e-154 where E_floor alone does not
+    if kappa_floor * kappa_floor == math.inf:
         raise ConfigError(
             f"R = {R!r} is too small: the search floor E = -{0.5 * _FLOOR_SCALE:g} / R^2 "
             f"overflows")

@@ -9,9 +9,11 @@ import contextlib
 import io
 import json
 import math
+import pathlib
 import re
 import subprocess
 import sys
+import time
 import warnings
 from datetime import datetime
 
@@ -106,19 +108,121 @@ def test_negative_exponent_and_infinite_values_parse(cli, spaced, joined):
 
 
 def test_scipy_is_never_imported():
+    # every module of the package, the lazily loaded ones included
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, efimov_lab; print(any(m.split('.')[0] == 'scipy' "
-         "for m in sys.modules))"],
+         "import sys, efimov_lab.cli, efimov_lab.hyperangular, efimov_lab.meanfield, "
+         "efimov_lab.radial; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"],
         capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "False"
-    proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "efimov_lab", "constants"],
-        capture_output=True, text=True, check=True)
-    imported = [line.rsplit("|", 1)[-1].strip()
-                for line in proc.stderr.splitlines() if line.startswith("import time:")]
-    assert "efimov_lab.cli" in imported
+
+
+_BASE = {"efimov_lab", "efimov_lab.core"}
+_CLI = _BASE | {"efimov_lab.cli"}
+_NU2 = _CLI | {"efimov_lab.hyperangular"}
+_LEVELS = _NU2 | {"efimov_lab.radial", "efimov_lab._kernel", "efimov_lab._kernel._pure"}
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["-c", "import efimov_lab"], _BASE),
+    (["-m", "efimov_lab", "--version"], _CLI),
+    (["-m", "efimov_lab", "constants"], _NU2),
+    (["-m", "efimov_lab", "potential", "--a", "inf", "--rho-min", "1", "--rho-max", "2",
+      "--points", "2"], _NU2),
+    (["-m", "efimov_lab", "branches", "--x", "0", "--count", "1"], _NU2),
+    (["-m", "efimov_lab", "meanfield", "--statistics", "fermi", "--t0", "-4", "--stabilizer",
+      "dd", "--alpha", "1", "--t3", "1", "--points", "2"], _CLI | {"efimov_lab.meanfield"}),
+    (["-m", "efimov_lab", "spectrum", "--a", "inf", "--R", "1", "--rho-max", "1e4"], _LEVELS),
+    (["-m", "efimov_lab", "nodes", "--a", "inf", "--R", "1", "--rho-max", "1e8"], _LEVELS),
+    (["-m", "efimov_lab", "nodes", "--a", "inf", "--probe-E", "-0.5", "--decades", "1"],
+     _LEVELS),
+], ids=["import", "version", "constants", "potential", "branches", "meanfield", "spectrum",
+        "nodes-level", "nodes-probe"])
+def test_each_subcommand_loads_only_its_modules(argv, modules):
+    # the package loads core alone and the CLI imports each solver module in
+    # the subcommand that runs it, so constants, potential and branches never
+    # load radial or meanfield, and meanfield loads neither of the others
+    proc = subprocess.run([sys.executable, "-X", "importtime", *argv],
+                          capture_output=True, text=True, check=True)
+    imported = {line.rsplit("|", 1)[-1].strip()
+                for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    assert {m for m in imported if m.split(".")[0] == "efimov_lab"} == modules
     assert not [m for m in imported if m.split(".")[0] == "scipy"]
+
+
+# every name that the package bound at import before its surface turned lazy
+_SURFACE = {
+    "core": ["ConfigError", "EfimovLabError", "GridError", "InsufficientNodesError", "LogGrid",
+             "PoleError", "SolverError", "SystemConfig", "UnregularizedPotentialError",
+             "make_config"],
+    "hyperangular": ["LHS_AT_ZERO", "AdiabaticBranch", "Cap", "EfimovConstants", "HardWall",
+                     "NuSquared", "branch_interval", "constant_branch", "effective_potential",
+                     "efimov_constants", "eigen_lhs", "solve_branch0", "solve_branches",
+                     "tabulate_branch"],
+    "meanfield": ["CORRELATION_CAVEAT", "Classification", "MatterModel", "StabilityReport",
+                  "Stabilizer", "StabilizerKind", "Statistics", "classify_stability",
+                  "energy_density", "energy_per_particle", "kinetic_density_fermi"],
+    "radial": ["BoundStateSpectrum", "NodeReport", "ProbeResult", "RadialSolution",
+               "collapse_probe", "find_spectrum", "integrate_radial", "node_analysis"],
+}
+
+
+@pytest.mark.parametrize("home", sorted(_SURFACE))
+def test_package_surface_keeps_every_name(home):
+    import importlib
+
+    import efimov_lab
+
+    module = importlib.import_module(f"efimov_lab.{home}")
+    assert getattr(efimov_lab, home) is module
+    listed = dir(efimov_lab)
+    assert home in listed
+    for name in _SURFACE[home]:
+        assert getattr(efimov_lab, name) is getattr(module, name), name
+        assert name in listed
+    # core's names, the error classes among them, are bound at import
+    assert set(_SURFACE["core"]) | {"__version__", "KERNEL_BACKEND"} <= set(vars(efimov_lab))
+    assert efimov_lab.radial.DEFAULT_DT is efimov_lab.core.DEFAULT_DT
+    assert efimov_lab.radial.DEFAULT_TOL_E is efimov_lab.core.DEFAULT_TOL_E
+    with pytest.raises(AttributeError, match=r"^module 'efimov_lab' has no attribute "
+                                             r"'find_spectra'$"):
+        efimov_lab.find_spectra
+
+
+def test_lazy_names_load_their_module_on_first_use():
+    # a fresh process, where no test has imported the solver modules yet
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, efimov_lab\n"
+         "loaded = lambda: sorted(m for m in sys.modules if m.startswith('efimov_lab.'))\n"
+         "print(loaded())\n"
+         "from efimov_lab import classify_stability\n"
+         "print(loaded())\n"
+         "efimov_lab.find_spectrum\n"
+         "print(loaded())"],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines() == [
+        "['efimov_lab.core']",
+        "['efimov_lab.core', 'efimov_lab.meanfield']",
+        "['efimov_lab._kernel', 'efimov_lab._kernel._pure', 'efimov_lab.core', "
+        "'efimov_lab.hyperangular', 'efimov_lab.meanfield', 'efimov_lab.radial']"]
+
+
+_HELP_DIR = pathlib.Path(__file__).resolve().parent / "golden" / "help"
+
+
+@pytest.mark.parametrize("command", [None, "constants", "potential", "spectrum", "nodes",
+                                     "meanfield", "branches"])
+def test_help_text_is_unchanged(command, monkeypatch, capsys):
+    # the parser reads DEFAULT_DT and DEFAULT_TOL_E from core without importing
+    # radial, and each help text stays as frozen at 80 columns by Python 3.11,
+    # whose "options:" heading 3.10 calls "optional arguments:"
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(([command] if command else []) + ["--help"])
+    assert exc.value.code == 0
+    got = capsys.readouterr().out.replace("\noptional arguments:\n", "\noptions:\n")
+    assert got == (_HELP_DIR / f"{command or 'efimov-lab'}.txt").read_text(encoding="utf-8")
 
 
 def test_potential_table_at_unitarity(cli, schema_validator):
@@ -513,6 +617,86 @@ def test_meanfield_runs_compute_or_exit_2_naming_an_argument(argv):
     assert code in (0, 2), argv
     if code == 2:
         assert re.match(r"efimov-lab: error: .*(t0|t3|alpha)", err.getvalue()), (argv, err)
+
+
+# the 2h grid's Numerov coefficient stays positive up to the tail cutoff only
+# for dt below sqrt(3 / (36^2 + 4)), about 0.048
+_DT_EDGE = math.sqrt(3.0 / (36.0 ** 2 + 4.0))
+_DT = st.just(None) | _log_uniform(1e-16, 0.5).map(lambda u: _DT_EDGE * (1.0 - u))
+
+
+def _near(value, lo, hi):
+    """value moved by a relative amount log-uniform in [lo, hi], up or down."""
+    return st.tuples(_log_uniform(lo, hi), st.sampled_from([-1.0, 1.0])).map(
+        lambda t: value * (1.0 + t[1] * t[0]))
+
+
+@st.composite
+def _level_runs(draw):
+    # R near its floor, below which the search floor's kappa^2 = 10 / R^2
+    # overflows at R = 2.36e-154, or of order 1; rho_max up to 1e154, where rho^2 overflows
+    # just above 1.34e154; a at unitarity, on the dimer side at the threshold
+    # floor, where -1/a^2 meets -5 / R^2 at |a| = R / sqrt(5), or anywhere
+    R = draw(_log_uniform(2.3e-154, 1e-150) | _log_uniform(1e-2, 1e2))
+    rho_max = draw(st.just(1e154) | _log_uniform(30.0 * R, 1e154))
+    a = draw(st.sampled_from([math.inf, -math.inf])
+             | _near(-R / math.sqrt(5.0), 1e-16, 0.5)
+             | _log_uniform(1e-1, 1e9).flatmap(lambda k: st.sampled_from([-k * R, k * R])))
+    dt = draw(_DT)
+    tol = draw(st.just(None) | _log_uniform(1e-16, 1e-13) | _log_uniform(1e-3, 0.09))
+    argv = [draw(st.sampled_from(["spectrum", "nodes"])), f"--a={a!r}", f"--R={R!r}",
+            f"--rho-max={rho_max!r}",
+            "--regularization", draw(st.sampled_from(["hardwall", "cap"]))]
+    argv += [] if dt is None else [f"--dt={dt!r}"]
+    argv += [] if tol is None else [f"--tol={tol!r}"]
+    if argv[0] == "nodes":
+        level = draw(st.none() | st.integers(0, 7))
+        argv += [] if level is None else ["--level", str(level)]
+    return argv
+
+
+@st.composite
+def _probe_runs(draw):
+    # E from -1e300 to -1e-300, so that the outer end 36 / sqrt(2 |E|) reaches
+    # 2.5e151; the base cutoff up to 5 decades inside it, and the sweep down to
+    # the float floor; a at unitarity or on the dimer side at E's threshold,
+    # where -1/a^2 meets E
+    E = -draw(_log_uniform(1e-300, 1e300))
+    rho_out = 36.0 / math.sqrt(-2.0 * E)
+    base = rho_out * 10.0 ** -draw(st.floats(1e-6, 5.0))
+    top = max(1, min(int(math.log10(base) - math.log10(sys.float_info.min)), 620))
+    decades = draw(st.integers(1, top) | st.just(top))
+    a = draw(st.sampled_from([math.inf, -math.inf]) | _near(-1.0 / math.sqrt(-E), 1e-16, 0.5))
+    argv = ["nodes", f"--a={a!r}", f"--probe-E={E!r}", f"--base-cutoff={base!r}",
+            "--decades", str(decades), "--per-decade", str(draw(st.integers(1, 16)))]
+    dt = draw(_DT)
+    return argv + ([] if dt is None else [f"--dt={dt!r}"])
+
+
+@given(_level_runs() | _probe_runs())
+# 36 / (decay R) at the window's shallow end overflowed, and its log raised
+# OverflowError on the way to the grid's length
+@example(["spectrum", "--a=inf", "--R=4.990845289747489e-152", "--rho-max=1e+154",
+          "--regularization", "hardwall"])
+# the search floor -5 / R^2 was finite, but the march's -2 E_floor was not
+@example(["spectrum", "--a=inf", "--R=2.3368543004410535e-154", "--rho-max=1e+154",
+          "--regularization", "hardwall"])
+@settings(max_examples=60, deadline=None)
+def test_level_and_probe_runs_compute_or_exit_with_a_reason(argv):
+    # spectrum and both nodes modes at valid but extreme R, rho_max, a, dt,
+    # tol and probe energies, with every RuntimeWarning an error and a bound
+    # on the wall time of each run
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert time.perf_counter() - start < 20.0, argv
+    assert code in (0, 2, 3), argv
+    if code:
+        prefix = "efimov-lab: error: " if code == 2 else "efimov-lab: forbidden: "
+        assert err.getvalue().startswith(prefix), (argv, err.getvalue())
 
 
 @pytest.mark.parametrize("argv, code, fragment", [

@@ -26,11 +26,13 @@ from efimov_lab import (
     MatterModel,
     Stabilizer,
     StabilizerKind,
+    SolverError,
     Statistics,
     classify_stability,
     energy_density,
     energy_per_particle,
     kinetic_density_fermi,
+    meanfield,
 )
 from efimov_lab.cli import main
 
@@ -569,6 +571,66 @@ def test_bracketed_minimum_matches_an_outside_oracle(statistics, kind, t0, t3, a
     else:
         assert r.classification is Classification.TRIVIAL_MINIMUM_AT_ZERO
         assert _mp_never_negative(terms)
+
+
+def _mp_steep_saturation(terms):
+    """(n_sat, e_min) where the highest power p_h of `terms` is so steep that n_sat ~ 1.
+
+    e'(n) = sum c (p - 1) n^(p - 2) = 0 gives n^(p_h - 2) = -(the other terms'
+    sum) / (c_h (p_h - 1)): for bosons that is the closed form
+    n^alpha = -t0 / (t3 (1 + alpha)); for fermions the kinetic term's slope
+    joins t0's, and the fixed point converges in a few iterations, since
+    n^(-1/3) moves by 1e-13 at most.  In mpmath at 40 digits.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        ts = sorted(((mpmath.mpf(c), mpmath.mpf(p)) for c, p in terms), key=lambda t: t[1])
+        (ch, ph), rest = ts[-1], ts[:-1]
+        n = mpmath.mpf(1)
+        for _ in range(4):
+            n = (-sum(c * (p - 1) * n ** (p - 2) for c, p in rest)
+                 / (ch * (ph - 1))) ** (1 / (ph - 2))
+        return float(n), float(sum(c * n ** (p - 1) for c, p in ts))
+
+
+@pytest.mark.parametrize("statistics, alpha", [
+    (Statistics.BOSE, 1e12), (Statistics.FERMI, 1e13), (Statistics.BOSE, 1e17)])
+def test_steep_stabilizer_saturates_next_to_the_root(statistics, alpha):
+    # across one ulp of n near 1, e'(n) steps by about alpha 2.2e-16 |t0|, more
+    # than the gate's sqrt(tol) |e(n)|: these once raised SolverError
+    # ("pressure residual 1.499e-04" for bosons at alpha = 1e12)
+    m = model(statistics, -10.0, StabilizerKind.DENSITY_DEPENDENT, t3=1.0, alpha=alpha)
+    r = classify_stability(m)
+    n_sat, e_min = _mp_steep_saturation(eps_oracle(statistics, -10.0,
+                                                   StabilizerKind.DENSITY_DEPENDENT,
+                                                   1.0, alpha)[1])
+    if statistics is Statistics.BOSE:
+        assert n_sat == pytest.approx(
+            math.exp((math.log(10.0) - math.log1p(alpha)) / alpha), rel=1e-15)
+    assert r.classification is Classification.SATURATING
+    assert abs(r.n_sat - n_sat) <= math.ulp(n_sat)
+    assert r.e_min == pytest.approx(e_min, rel=1e-12, abs=0.0)
+    out = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out):
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["meanfield", "--statistics", statistics.value, "--t0=-10", "--stabilizer",
+                     "dd", "--t3=1", f"--alpha={alpha!r}", "--format", "json"]) == 0
+    report = json.loads(out.getvalue())["report"]
+    assert (report["n_sat"], report["e_min"]) == (r.n_sat, r.e_min)
+
+
+@pytest.mark.parametrize("statistics, alpha", [
+    (Statistics.FERMI, 1.0), (Statistics.BOSE, 1e12), (Statistics.FERMI, 1e13)])
+def test_root_left_unnarrowed_is_refused(statistics, alpha, monkeypatch):
+    # the gate allows the step of e'(n) across n_sat's neighbours and no more:
+    # a root left at the lower end of its bracket, a few doubles below the zero
+    # for bosons at alpha = 1e12, fails it
+    monkeypatch.setattr(meanfield, "bracketed_roots",
+                        lambda f, lo, hi, f_lo, f_hi: (lo, np.abs(f_lo)))
+    m = model(statistics, -10.0, StabilizerKind.DENSITY_DEPENDENT, t3=1.0, alpha=alpha)
+    with pytest.raises(SolverError, match=r"alpha = .*: saturation point did not converge: "
+                                          r"pressure residual"):
+        classify_stability(m)
 
 
 def test_alpha_that_vanishes_beside_two_is_refused():
