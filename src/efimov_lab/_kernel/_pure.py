@@ -67,7 +67,8 @@ def march(w, h, g0, g1, samples):
     the arguments and outputs.
     """
     h2 = h * h
-    c = 1.0 - (h2 / 12.0) * w
+    c = w * -(h2 / 12.0)
+    c += 1.0
     # one reduction, which a NaN fails too: argmin points at the first NaN, and
     # it skips the Python-level wrapper that makes c.min() three times dearer
     inline = c[c.argmin()] > 0.0
@@ -85,16 +86,17 @@ def march(w, h, g0, g1, samples):
 
     top = RESCALE_THRESHOLD
     bottom = -top
-    signs = [v > 0.0 for v in (g0, g1) if v != 0.0]   # a NaN is negative
-    nodes = int(len(signs) == 2 and signs[0] != signs[1])
+    # a NaN is negative: it is not > 0, and it is != 0
+    nodes = int(g0 != 0.0 and g1 != 0.0 and (g0 > 0.0) != (g1 > 0.0))
+    last = g1 if g1 != 0.0 else g0
     # [lo, hi] holds a y of the last nonzero sign that needs no rescale; before
     # any nonzero sample it is NaN, which holds nothing
-    if not signs:
-        lo = hi = math.nan
-    elif signs[-1]:
+    if last > 0.0:
         lo, hi = _TINY, top
-    else:
+    elif last != 0.0:
         lo, hi = bottom, -_TINY
+    else:
+        lo = hi = math.nan
 
     # the first step takes h^2 w_1 g_1 from g1 itself, which holds where c_1 = 0
     c0, c1 = c[:2].tolist()

@@ -102,12 +102,12 @@ class SystemConfig:
         refused, naming the first rho where it does.
         """
         rho = np.asarray(rho, dtype=float)
-        if np.any(rho <= 0.0) or not np.all(np.isfinite(rho)):
+        if (rho <= 0.0).any() or not np.isfinite(rho).all():
             raise ConfigError("rho must be positive and finite")
         with np.errstate(over="ignore"):
             x = rho * (self.inverse_scattering_length / math.sqrt(self.reduced_mass_mu))
         infinite = ~np.isfinite(x)
-        if np.any(infinite):
+        if infinite.any():
             raise ConfigError(
                 f"x = rho / (sqrt(mu) a) overflows at rho = {float(rho[infinite].flat[0])!r} "
                 f"for a = {self.scattering_length_a!r}")

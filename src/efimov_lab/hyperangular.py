@@ -12,10 +12,14 @@ small x; there nu = i b and the equation continues analytically to
     [-b (1 + e^{-pi b}) + (8/sqrt(3)) e^{-pi b/3} (1 - e^{-pi b/3})]
         / (1 - e^{-pi b}) = x,
 
-an exponentially scaled form that stays finite for every b > 0.  This
-module evaluates both forms stably on whole arrays, locates the roots of
-any branch at many x at once with one array solve, and tabulates branches
-over log grids.  Every root ends on two adjacent doubles between which the
+an exponentially scaled form that stays finite for every b > 0.  It is
+evaluated with expm1(-pi b) and expm1(-pi b/3), the negatives of its two
+1 - e^{...} factors, with the signs folded in: the bits of the form as
+written, in fewer array passes, and a divisor that vanishes only at
+b = 0, which no negative double s = -b^2 reaches.  This module evaluates
+both forms stably on whole arrays, locates the roots of any branch at
+many x at once with one array solve, and tabulates branches over log
+grids.  Every root ends on two adjacent doubles between which the
 left-hand side crosses x.  On branch 0 at x < 0, the dimer side, three
 Newton steps in b on the scaled form land a few doubles from that pair,
 and the root steps to it one double at a time: about 5 evaluations of the
@@ -105,20 +109,31 @@ def _lhs_negative(b: np.ndarray, slope: bool = False):
     """Left-hand side at s = -b^2, b > 0, safe for arbitrarily large b.
 
     With `slope`, also its derivative in b, for b bounded away from 0.
+
+    The scaled form divides by em = 1 - e^{-pi b} and carries
+    1 - e^{-pi b/3}.  Both are formed here as expm1 of -pi b and -pi b/3,
+    their negatives, with the signs folded into the products and undone by
+    negating each quotient.  Rounding is symmetric in sign, so the value
+    and the slope are the scaled form's to the last bit, the sign of the
+    exact zero at b_u included, in 12 array passes for the value where the
+    form as written takes 20.  t = -em vanishes only at b = 0, which no
+    caller passes: `_lhs` takes b = sqrt(-s) >= 2.2e-162 for every negative
+    double s, and the Newton steps, `_L1` and `efimov_constants` take
+    b >= 0.25.
     """
-    pb = np.pi * b
-    em_full = -np.expm1(-pb)          # 1 - e^{-pi b}
-    em_third = -np.expm1(-pb / 3.0)   # 1 - e^{-pi b/3}
-    e_third = np.exp(-pb / 3.0)
-    num = -b * (2.0 - em_full) + _EIGHT_OVER_SQRT3 * e_third * em_third
-    # em_full vanishes only when b underflows to ~0
-    lhs = np.divide(num, em_full, out=np.full(np.shape(num), LHS_AT_ZERO), where=em_full != 0.0)
+    nb = b * -np.pi
+    t = np.expm1(nb)                # -(1 - e^{-pi b})
+    nb3 = nb / 3.0
+    e3 = np.exp(nb3)                # e^{-pi b/3}
+    # the numerator -b (2 - em) + K e3 em3 over em = -t, negated back
+    lhs = -(((-2.0 - t) * b + np.expm1(nb3) * (e3 * -_EIGHT_OVER_SQRT3)) / t)
     if not slope:
         return lhs
-    e_full = 1.0 - em_full
-    dnum = (pb * e_full - (1.0 + e_full)
-            + (np.pi / 3.0) * _EIGHT_OVER_SQRT3 * e_third * (2.0 * e_third - 1.0))
-    return lhs, (dnum - np.pi * e_full * lhs) / em_full
+    # (dnum - pi e^{-pi b} lhs) / em, dnum the numerator's derivative, negated over t
+    ef = t + 1.0                    # e^{-pi b}
+    return lhs, (nb * ef + (ef + 1.0)
+                 - ((np.pi / 3.0) * _EIGHT_OVER_SQRT3) * e3 * (2.0 * e3 - 1.0)
+                 + np.pi * ef * lhs) / t
 
 
 # L1 = -d lhs(-b^2) / db at b_u, where lhs = 0: the tangent x = -L1 (b - b_u)
@@ -154,7 +169,7 @@ def _lhs_positive(nu: np.ndarray) -> np.ndarray:
 
 def _lhs(s: np.ndarray) -> np.ndarray:
     """Left-hand side at every s = nu^2 of a float array, NaN where s is NaN."""
-    if np.all(s < 0.0):  # the whole dimer side, no masks needed
+    if (s < 0.0).all():  # the whole dimer side, no masks needed
         return _lhs_negative(np.sqrt(-s))
     # s < 0 and s > 0 are overwritten below, which leaves s = 0 and NaN
     out = np.where(s == 0.0, LHS_AT_ZERO, np.nan)
@@ -543,11 +558,12 @@ class AdiabaticBranch:
     def nu_squared_at(self, rho):
         """nu^2 at arbitrary rho > 0 (scalar or array)."""
         rho_arr = np.atleast_1d(np.asarray(rho, dtype=float))
-        if np.any(rho_arr <= 0.0) or not np.all(np.isfinite(rho_arr)):
-            raise ConfigError("rho must be positive and finite")
         if self.config is None or self.config.at_unitarity:
+            if np.any(rho_arr <= 0.0) or not np.all(np.isfinite(rho_arr)):
+                raise ConfigError("rho must be positive and finite")
             out = np.full(rho_arr.shape, float(self.nu_squared[0]))
         else:
+            # `SystemConfig.x_of_rho` refuses the same radii in the same words
             out = _solve_on_grid(self.config, rho_arr, self.branch_index)
         return float(out[0]) if np.ndim(rho) == 0 else out
 

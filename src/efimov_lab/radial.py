@@ -252,6 +252,17 @@ class _Workspace:
             cap_nodes = 0
         return 1.0, R * L - 0.5, cap_nodes
 
+    def w_at(self, E: float, n: int) -> np.ndarray:
+        """w = nu^2 + kappa^2 rho^2 at E over the first n grid points.
+
+        It is w at the threshold plus 2 (E_thr - E) rho^2: 2 (E_thr - E) is
+        exact next to the threshold, where kappa^2 - kappa_d^2 would carry the
+        rounding of both squares.
+        """
+        w = self.rho2[:n] * (2.0 * (self.threshold - E))
+        w += self.w_thr[:n]
+        return w
+
     def integrate(self, E: float, samples: bool = True) -> tuple[np.ndarray, np.ndarray, int]:
         """(w, g, node count) at E < 0 over the grid up to the tail cutoff.
 
@@ -277,10 +288,7 @@ class _Workspace:
                     f"{decay * self.R:.3g}, leaves no integration range below "
                     f"the tail cutoff")
             n = max(min(n, int(math.floor(t_tail / self.h)) + 1), 2)
-        # 2 (E_thr - E) is exact next to the threshold, where kappa^2 - kappa_d^2
-        # would carry the rounding of both squares
-        w = self.w_thr[:n] + (2.0 * (self.threshold - E)) * self.rho2[:n]
-
+        w = self.w_at(E, n)
         if isinstance(self.scheme, Cap):
             g0, dg0, cap_nodes = self._cap_start(kappa)
         else:
@@ -321,7 +329,8 @@ def _guide(h: float, w: np.ndarray, g: np.ndarray) -> float:
     smoothly with E where the kappa rho growth does not.  At fixed grid
     length the node count steps where g_end, and so q, crosses zero.
     """
-    return float(g[-1]) * math.exp(-h * float(np.sqrt(np.maximum(w, 0.0)).sum()))
+    root = np.maximum(w, 0.0)
+    return float(g[-1]) * math.exp(-h * float(np.add.reduce(np.sqrt(root, out=root))))
 
 
 def _probe(ws: _Workspace, x: float,
@@ -745,7 +754,9 @@ def collapse_probe(potential: AdiabaticBranch, E: float, base_cutoff: float,
     beyond it.  The zeros inside the sweep are the cutoffs where the
     count steps, a geometric staircase of ratio exp(pi / b).  E must lie
     below the channel at rho_out, so that a solution decays there; on the
-    dimer side that is below the atom-dimer threshold.  A sweep of more
+    dimer side that is below the atom-dimer threshold.  w is assembled as
+    for every integration (`_Workspace.w_at`), from its value at the
+    threshold, so an E one double below it still decays.  A sweep of more
     than MAX_GRID_POINTS cutoffs, or an E so shallow that rho_out^2
     overflows, is refused before anything is built.
     """
@@ -782,7 +793,7 @@ def collapse_probe(potential: AdiabaticBranch, E: float, base_cutoff: float,
             f"cutoffs; at most {MAX_GRID_POINTS} are allowed")
 
     ws = _Workspace(potential, smallest, rho_out, dt)
-    w_in = ws.nu2[::-1] + (kappa * kappa) * ws.rho2[::-1]   # from rho_out inward
+    w_in = ws.w_at(E, ws.n_full)[::-1]   # from rho_out inward
     if not w_in[0] > 0.0:
         raise ConfigError(
             f"probe energy {E!r} is not below the channel at the outer end "

@@ -17,6 +17,7 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -474,6 +475,48 @@ def test_branch0_start_is_the_tangent_at_unitarity():
     assert abs(scaled(b_u)) < 1e-15
     assert hyperangular._L1 == pytest.approx(float(-mpmath.diff(scaled, b_u)), rel=1e-14)
     assert hyperangular._L1 == 1.4816928375603087
+
+
+def _scaled_form(b):
+    """lhs(-b^2) and its slope in b as the scaled form is written: em = 1 - e^{-pi b},
+    the divide guarded at em = 0."""
+    k = 8.0 / math.sqrt(3.0)
+    pb = np.pi * b
+    em = -np.expm1(-pb)
+    em3 = -np.expm1(-pb / 3.0)
+    e3 = np.exp(-pb / 3.0)
+    num = -b * (2.0 - em) + k * e3 * em3
+    lhs = np.divide(num, em, out=np.full(np.shape(num), LHS_AT_ZERO), where=em != 0.0)
+    e = 1.0 - em
+    dnum = pb * e - (1.0 + e) + (np.pi / 3.0) * k * e3 * (2.0 * e3 - 1.0)
+    return lhs, (dnum - np.pi * e * lhs) / em
+
+
+@pytest.mark.parametrize("b", [np.geomspace(hyperangular._B_UNITARITY, 1e150, 200_001),
+                               np.linspace(0.25, 4.0, 100_001)], ids=["b_u-1e150", "0.25-4"])
+def test_lhs_negative_is_the_scaled_form_bit_for_bit(b):
+    # `_lhs_negative` carries expm1(-pi b) and expm1(-pi b / 3) with their signs
+    # folded in; value and slope must be the written form's to the last bit,
+    # the +0.0 at b_u, where the value vanishes, included
+    want, want_slope = _scaled_form(b)
+    lhs, slope = hyperangular._lhs_negative(b, slope=True)
+    assert lhs.tobytes() == want.tobytes()
+    assert slope.tobytes() == want_slope.tobytes()
+    assert hyperangular._lhs_negative(b).tobytes() == want.tobytes()
+    if b[0] == hyperangular._B_UNITARITY:
+        assert lhs[0] == 0.0 and not np.signbit(lhs[0])
+
+
+@pytest.mark.parametrize("s", [-5e-324, -1e-300, -1e-200])
+def test_lhs_at_the_least_negative_doubles_needs_no_guard(s):
+    # b = sqrt(-s) >= 2.2e-162 for every negative double s, so 1 - e^{-pi b}
+    # never rounds to 0 and `_lhs_negative` divides by it unguarded
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = _lhs(np.array([s]))
+    assert np.isfinite(value).all()
+    assert value.tobytes() == _scaled_form(np.sqrt(-np.array([s])))[0].tobytes()
+    assert value[0] == pytest.approx(LHS_AT_ZERO, rel=1e-14)
 
 
 def test_x_edge_is_the_last_finite_bound():

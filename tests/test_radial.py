@@ -36,7 +36,7 @@ from efimov_lab import (
     node_analysis,
     tabulate_branch,
 )
-from efimov_lab import radial
+from efimov_lab import hyperangular, radial
 from efimov_lab._kernel import integrate_numerov
 from efimov_lab.radial import DEFAULT_DT, DEFAULT_TAIL_FACTOR, DEFAULT_TOL_E, MAX_GRID_POINTS
 
@@ -445,6 +445,38 @@ def test_probe_refuses_energy_above_dimer_threshold():
         collapse_probe(pot, -0.5e-6, 1e-2, decades=2)
 
 
+def test_probe_just_below_the_dimer_threshold():
+    # at a = -1e4 the threshold is -1e-8, three doubles above this E.  At the
+    # outer end rho_out ~ 2.5e5, nu^2 + kappa^2 rho^2 cancels to 0.0 and the
+    # probe was refused; from its value at the threshold w there is 6.4e-13
+    E = -1.0000000000000005e-08
+    pot = _dimer_potential(-1e4, 1e-3, 0.1, 2)
+    assert pot.threshold == -1e-08
+    probe = collapse_probe(pot, E, 0.1, decades=2)
+    assert probe.counts.tolist() == [4, 5, 6]
+    # one double deeper the count is the same
+    deeper = collapse_probe(pot, math.nextafter(E, -math.inf), 0.1, decades=2)
+    assert deeper.counts.tolist() == [4, 5, 6]
+    with pytest.raises(ConfigError, match="probe energy"):
+        collapse_probe(pot, pot.threshold, 0.1, decades=2)
+
+
+@pytest.mark.parametrize("a, E", [(-1e4, -1.0000000000000005e-08), (-1e4, -3e-8), (-1e2, -1e-3),
+                                  (math.inf, -1e-4), (1e3, -0.5)])
+def test_probe_w_is_the_threshold_form(monkeypatch, a, E):
+    # the probe marches the w that every integration assembles, its value at
+    # the threshold plus 2 (E_thr - E) rho^2, reversed, bit for bit
+    pot = _dimer_potential(a, 1e-3, 0.1, 2)
+    seen = []
+    march = radial.integrate_numerov
+    monkeypatch.setattr(radial, "integrate_numerov",
+                        lambda w, *args: seen.append(np.array(w)) or march(w, *args))
+    probe = collapse_probe(pot, E, 0.1, decades=2)
+    ws = radial._Workspace(pot, 1e-3, probe.rho_out, DEFAULT_DT)
+    want = (ws.w_thr + (2.0 * (pot.threshold - E)) * ws.rho2)[::-1]
+    assert len(seen) == 1 and seen[0].tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("decades, per_decade", [(1, 1), (6, 16), (40, 3)])
 def test_probe_is_one_workspace_and_one_kernel_call(monkeypatch, decades, per_decade):
     calls, workspaces = [], []
@@ -712,6 +744,28 @@ def test_level_search_reuses_known_node_counts(monkeypatch):
     assert (len(steps), sum(steps)) == (41, 10948)
     # only the probe that becomes each level's solution keeps its samples
     assert sum(kept) == len(spec) == 5
+
+
+def test_dimer_side_hooks_are_called(monkeypatch):
+    # the tests and the benchmark wrap these by name, so a spectrum and a
+    # probe on the dimer side must still go through each of them (the
+    # fallback through `_Workspace.solution` is pinned by
+    # test_count_only_probes_fall_back_to_one_solution_per_level)
+    calls = {}
+    for owner, name in ((hyperangular, "_lhs"), (hyperangular, "_lhs_negative"),
+                        (AdiabaticBranch, "nu_squared_at"), (radial, "_probe"),
+                        (radial, "_level"), (radial._Workspace, "__init__"),
+                        (radial._Workspace, "integrate"), (radial, "integrate_numerov")):
+        def counted(*args, _name=name, _orig=getattr(owner, name), **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    assert len(find_spectrum(_dimer_potential(-1e4, 1.0, 2.0, 2, HardWall(1.0)), 1e8)) == 3
+    collapse_probe(_dimer_potential(-1e4, 1e-3, 0.1, 2), -3e-8, 0.1, decades=2)
+    assert set(calls) == {"_lhs", "_lhs_negative", "nu_squared_at", "_probe", "_level",
+                          "__init__", "integrate", "integrate_numerov"}, calls
+    # one workspace each for the spectrum and the probe
+    assert calls["__init__"] == 2
 
 
 def test_dimer_side_search_cost(monkeypatch):
