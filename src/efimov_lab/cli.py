@@ -19,8 +19,8 @@ parameter set, tolerances, unit system, tool version, timestamp):
 embedded under the "manifest" key in JSON output, written to
 <output>.manifest.json next to a --output CSV file, or sent to stderr
 when CSV goes to stdout.  Every subcommand writes through `_emit`, the
-one place that writes the CSV body (line by line, never whole), the JSON
-document and the manifest.
+one place that writes the CSV body and the JSON document (each a block
+of lines or encoder chunks at a time, never whole) and the manifest.
 
 This module loads only `core`, numpy, argparse and json; each subcommand
 imports the solvers it runs when it runs: `hyperangular` for constants,
@@ -29,15 +29,22 @@ nodes, and `meanfield` alone for meanfield.
 
 Exit codes: 0 success, 2 numerical or configuration failure,
 3 physically forbidden request (e.g. a spectrum of the unregularized
-inverse-square attraction).
+inverse-square attraction), 1 when the reader of stdout closed it early.
+
+`run()` is the process entry point (`efimov-lab`, `python -m efimov_lab`):
+it freezes the collector once `main()` returns.  `main()` never freezes,
+so tests and library callers that run it in process keep a working
+collector.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import json
 import math
+import os
 import re
 import sys
 from datetime import datetime, timezone
@@ -59,9 +66,10 @@ from .core import (
 )
 
 _SCHEMES = ("none", "hardwall", "cap")
-# CSV lines formatted and written at a time: a body held whole takes ~200 MB at
-# a million points, and one write per line made such a run 1.4-1.6x slower
-_CSV_BLOCK = 4096
+# CSV lines or JSON chunks formatted and written at a time: a CSV body held
+# whole takes ~200 MB at a million points, and one write per line made such a
+# run 1.4-1.6x slower
+_BLOCK = 4096
 _DT_DEFAULT = f"(default 1/{1 / DEFAULT_DT:g})"
 
 
@@ -75,12 +83,25 @@ def _fmt(value) -> str:
 
 
 def _write_csv(fh, header: list[str], rows) -> None:
-    """Write the CSV body to `fh` in blocks of _CSV_BLOCK lines, never whole."""
+    """Write the CSV body to `fh` in blocks of _BLOCK lines, never whole."""
     fh.write(",".join(header) + "\n")
     rows = iter(rows)
     while block := "".join([",".join(map(_fmt, row)) + "\n"
-                            for row in itertools.islice(rows, _CSV_BLOCK)]):
+                            for row in itertools.islice(rows, _BLOCK)]):
         fh.write(block)
+
+
+def _write_json(fh, doc: dict) -> None:
+    """Write `doc` as indented JSON to `fh` in blocks of _BLOCK chunks, never whole.
+
+    The bytes are those of `json.dumps(_jsonable(doc), indent=2,
+    allow_nan=False) + "\n"`: with `indent` set, both run the same
+    pure-Python encoder, and dumps only joins its chunks.
+    """
+    chunks = json.JSONEncoder(indent=2, allow_nan=False).iterencode(_jsonable(doc))
+    while block := "".join(itertools.islice(chunks, _BLOCK)):
+        fh.write(block)
+    fh.write("\n")
 
 
 def _jsonable(obj):
@@ -145,31 +166,29 @@ def _emit(ns: argparse.Namespace, tolerances: dict, header: list[str], rows,
     """Write one result in the chosen format and return exit code 0.
 
     CSV streams `header` and `rows` as the body, then writes `sidecar`
-    plus the manifest as JSON next to it; JSON writes the document that
+    plus the manifest as JSON next to it; JSON streams the document that
     `doc` builds, plus the manifest, so a CSV run never builds it.  The
     manifest never enters a CSV body.
     """
     manifest = _manifest(ns, tolerances)
     if ns.format == "json":
-        text = json.dumps(_jsonable({**doc(), "manifest": manifest}),
-                          indent=2, allow_nan=False) + "\n"
+        document = {**doc(), "manifest": manifest}
         if ns.output:
             with open(ns.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                _write_json(fh, document)
         else:
-            sys.stdout.write(text)
+            _write_json(sys.stdout, document)
         return 0
 
-    side_text = json.dumps(_jsonable({**(sidecar or {}), "manifest": manifest}),
-                           indent=2, allow_nan=False) + "\n"
+    side = {**(sidecar or {}), "manifest": manifest}
     if ns.output:
         with open(ns.output, "w", encoding="utf-8", newline="") as fh:
             _write_csv(fh, header, rows)
         with open(ns.output + ".manifest.json", "w", encoding="utf-8") as fh:
-            fh.write(side_text)
+            _write_json(fh, side)
     else:
         _write_csv(sys.stdout, header, rows)
-        sys.stderr.write(side_text)
+        _write_json(sys.stderr, side)
     return 0
 
 
@@ -485,5 +504,31 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> int:
+    """Run `main()` as a whole process and return its exit code.
+
+    Every object the run left alive is frozen (`gc.freeze()`), so the
+    interpreter's collections at exit skip them.  Those passes over numpy's
+    objects and the package's took 17-22 ms of a process (Python 3.11,
+    2-core x86-64 VM), to free what the exit frees anyway.  The interpreter
+    still flushes the standard streams, runs atexit handlers and clears
+    modules.
+
+    A reader that closes stdout early, as `| head` does, gets exit code 1
+    and no traceback: stdout then points at os.devnull, so that the
+    interpreter's own flush at exit has nothing left to fail on.
+    """
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = 1
+    finally:
+        gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

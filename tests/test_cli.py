@@ -125,6 +125,28 @@ def test_large_csv_body_is_streamed(tmp_path, capsys):
     assert body == ("\n".join(lines) + "\n").encode()
 
 
+def test_large_json_document_is_streamed(tmp_path):
+    # the document is written a block of encoder chunks at a time.  Joined
+    # whole, this 50,000-point table peaked at 37 MB of Python allocations,
+    # against 12 MB streamed, most of which is the table's columns as Python
+    # floats; the bytes are still those json.dumps gives
+    n = 50_000
+    path = tmp_path / "pot.json"
+    argv = ["potential", "--a", "inf", "--rho-min", "1e-3", "--rho-max", "1e3",
+            "--points", str(n), "--format", "json", "--output", str(path)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 400 * n, peak
+    text = path.read_text(encoding="utf-8")
+    doc = json.loads(text)
+    assert len(doc["table"]["rho"]) == n
+    assert text == json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
 @pytest.mark.parametrize("spaced, joined", [
     (["spectrum", "--a", "-1e4", "--R", "1", "--rho-max", "1e6"],
      ["spectrum", "--a=-1e4", "--R", "1", "--rho-max", "1e6"]),
